@@ -1,9 +1,10 @@
 """End-to-end crowdedness analysis on a planted synthetic corpus.
 
 Generates a corpus whose coordination volume is proportional to
-team_size / project_size, runs the early-crowdedness profile on every
-project, and reports the median-split quadrants, the decile heatmap, and a
-rank test between the crowded and sparse quadrants.
+team_size / project_size, writes it as events.jsonl + metadata.csv, and runs
+``crowdcoord quadrants`` and ``crowdcoord bins`` on it: the median-split
+quadrants (whose low/high,high/low row is the rank test between the crowded
+and sparse quadrants) and the decile heatmap.  Prints the quadrants CSV.
 
 Usage:
     python3 scripts/crowding_pipeline.py --out results/ [--projects 300]
@@ -11,16 +12,9 @@ Usage:
 """
 
 import argparse
-import os
+from pathlib import Path
 
-from crowdcoord.analytics import ProjectLog, crowdedness_profile
-from crowdcoord.stats import (
-    binned_grid_to_csv,
-    decile_heatmap,
-    mann_whitney_u,
-    median_split_quadrants,
-    quadrants_to_csv,
-)
+from crowdcoord import cli
 from crowdcoord.synth import SyntheticSpec, generate_synthetic
 
 
@@ -32,45 +26,24 @@ def main():
     ap.add_argument("--seed", type=int, default=99)
     args = ap.parse_args()
 
+    # larger teams and a lower crowding scale than the synth subcommand offers
     spec = SyntheticSpec(n_projects=args.projects, structure="crowded",
                          max_actors=50, crowding_scale=1.0e5)
     corpus = generate_synthetic(spec, seed=args.seed)
-    by_project = {}
-    for event in corpus.events:
-        by_project.setdefault(event.project_id, []).append(event)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    cli.write_events(out / "events.jsonl", corpus.events)
+    cli.write_metadata(out / "metadata.csv", corpus.metadata)
 
-    records = []
-    for pid, events in sorted(by_project.items()):
-        log = ProjectLog.from_events(pid, events, corpus.metadata[pid]["final_size"])
-        profile = crowdedness_profile(log, k=args.k)
-        records.append((float(profile.output_size),
-                        float(len(profile.early_team)),
-                        float(profile.early_coordination)))
-
-    summary = median_split_quadrants(records)
-    grid = decile_heatmap(records)
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "quadrants.csv"), "w") as fh:
-        fh.write(quadrants_to_csv(summary))
-    with open(os.path.join(args.out, "decile_grid.csv"), "w") as fh:
-        fh.write(binned_grid_to_csv(grid))
-
-    crowded = summary.cells[("low", "high")]
-    sparse = summary.cells[("high", "low")]
-    print(f"{len(records)} projects profiled at k={args.k}")
-    for key in sorted(summary.cells):
-        cell = summary.cells[key]
-        print(f"  size={key[0]:4s} team={key[1]:4s} n={cell.count:4d} "
-              f"median coordination={cell.median_coordination:.1f}")
-    crowded_values = [c for s, t, c in records
-                      if s < summary.median_size and t >= summary.median_team]
-    sparse_values = [c for s, t, c in records
-                     if s >= summary.median_size and t < summary.median_team]
-    if crowded.count and sparse.count:
-        r = mann_whitney_u(crowded_values, sparse_values)
-        print(f"crowded vs sparse quadrant: U={r.u_statistic:.0f} "
-              f"p={r.p_value:.2e} ({r.band}, {r.method})")
+    files = ["--events", str(out / "events.jsonl"), "--metadata", str(out / "metadata.csv"),
+             "--k", str(args.k)]
+    for subcommand, name in (("quadrants", "quadrants.csv"), ("bins", "decile_grid.csv")):
+        status = cli.main([subcommand, *files, "--out", str(out / name)])
+        if status:
+            return status
+    print((out / "quadrants.csv").read_text(), end="")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -1,8 +1,9 @@
 """Regenerate the optimal-coordination-rate grids.
 
-Sweeps beta* over an N x E grid for alpha in {0, 1}, using the closed-form
-objective (fast) and optionally the exact kernel or Monte Carlo, and writes
-one CSV per (objective, alpha) pair next to a manifest-free summary line.
+Sweeps beta* over an N x E grid for alpha in {0, 1} with ``crowdcoord
+heatmap``, using the closed-form objective (fast) and optionally the exact
+kernel or Monte Carlo, and writes one CSV per (objective, alpha) pair, each
+with its run manifest, plus one summary line per CSV.
 
 Usage:
     python3 scripts/run_beta_grids.py --out results/ [--objective closed_form]
@@ -13,7 +14,7 @@ import argparse
 import os
 import time
 
-from crowdcoord.solver import SearchConfig, beta_heatmap, grid_to_csv
+from crowdcoord import cli
 
 
 def main():
@@ -26,20 +27,23 @@ def main():
     ap.add_argument("--grid", default="2,5,10,20,40,80")
     args = ap.parse_args()
 
-    values = [int(v) for v in args.grid.split(",")]
-    config = SearchConfig(runs=args.runs if args.objective == "monte_carlo" else None,
-                          seed=args.seed)
+    runs = ["--runs", str(args.runs)] if args.objective == "monte_carlo" else []
     os.makedirs(args.out, exist_ok=True)
     for alpha in (0.0, 1.0):
         t0 = time.time()
-        grid = beta_heatmap(values, values, alpha, args.objective, config)
         path = os.path.join(args.out, f"beta_{args.objective}_alpha{alpha:g}.csv")
-        with open(path, "w") as fh:
-            fh.write(grid_to_csv(grid))
-        stars = [c.beta_star for row in grid.cells for c in row if c is not None]
+        status = cli.main(["heatmap", "--n", args.grid, "--e", args.grid,
+                           "--alpha", str(alpha), "--objective", args.objective, *runs,
+                           "--seed", str(args.seed), "--out", path])
+        if status:
+            return status
+        with open(path) as fh:
+            rows = [line.split(",")[1:] for line in fh if not line.startswith(("#", ","))]
+        stars = [float(v) for row in rows for v in row if v.strip() != "NA"]
         print(f"{path}: mean beta*={sum(stars) / len(stars):.3f} "
               f"({len(stars)} cells, {time.time() - t0:.1f}s)")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

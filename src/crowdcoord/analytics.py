@@ -2,8 +2,8 @@
 
 Covers the contributor core (the smallest set of actors accounting for an x
 fraction of the work), the share of coordination traffic attributable to
-that core, crowdedness profiles taken at a fixed early cut of the project's
-history, and coordination-per-work ratios.
+that core, and crowdedness profiles taken at a fixed early cut of the
+project's history.
 """
 
 from __future__ import annotations
@@ -124,14 +124,6 @@ def core_curve(project: ProjectLog, xs: Sequence[float]) -> CoreCurve:
     )
 
 
-def core_coordination_volume(project: ProjectLog, x: float, channel: str) -> int:
-    """Number of channel events authored by members of the project's x-core."""
-    if channel not in CHANNELS:
-        raise ValueError(f"channel must be one of {CHANNELS}, got {channel!r}")
-    core = x_core(project.work_counts(), x)
-    return sum(e.actor_id in core for e in project.channel_events(channel))
-
-
 @dataclass(frozen=True)
 class CrowdednessProfile:
     engaged_users: frozenset[str]
@@ -145,7 +137,6 @@ def crowdedness_profile(
     project: ProjectLog,
     k: int = 100,
     coordination_channel: str = "discussion",
-    engaged_only: bool = False,
 ) -> CrowdednessProfile:
     """Measurements at the time of the k-th work event by engaged users.
 
@@ -153,7 +144,7 @@ def crowdedness_profile(
     coordination channel.  The threshold time is when their k-th work event
     lands; the early team is whoever contributed one of those first k;
     early coordination counts coordination events strictly before the
-    threshold (by anyone, unless engaged_only).
+    threshold, by anyone.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -177,13 +168,9 @@ def crowdedness_profile(
         )
     threshold = engaged_work[k - 1].timestamp
     early_team = frozenset(e.actor_id for e in engaged_work[:k])
-    coordination = [
-        e
-        for e in project.events
-        if e.channel == coordination_channel
-        and (not engaged_only or e.actor_id in engaged)
-    ]
-    early_coordination = sum(e.timestamp < threshold for e in coordination)
+    early_coordination = sum(
+        e.timestamp < threshold for e in project.events if e.channel == coordination_channel
+    )
     return CrowdednessProfile(
         engaged_users=frozenset(engaged),
         threshold_time=threshold,
@@ -192,10 +179,3 @@ def crowdedness_profile(
         output_size=project.final_size,
     )
 
-
-def coordination_per_work(project: ProjectLog) -> float:
-    """Comment events divided by work events."""
-    n_work = len(project.channel_events("work"))
-    if n_work == 0:
-        raise ValueError(f"project {project.project_id} has no work events")
-    return len(project.channel_events("comment")) / n_work

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .analytics import (
-    CHANNELS,
+    COORDINATION_CHANNELS,
     Event,
     ProjectLog,
     core_curve,
@@ -31,7 +31,7 @@ from .errors import (
     MalformedEventError,
 )
 from .model import RNG_DESCRIPTION, ModelParams, exact_expectation, monte_carlo
-from .solver import SearchConfig, beta_heatmap, grid_to_csv, optimal_beta
+from .solver import OBJECTIVES, SearchConfig, beta_heatmap, grid_to_csv, optimal_beta
 from .stats import (
     binned_grid_to_csv,
     decile_heatmap,
@@ -67,15 +67,25 @@ def parse_event_line(line: str, line_no: int) -> Event:
     missing = [k for k in ("project_id", "actor_id", "timestamp", "channel") if k not in record]
     if missing:
         raise MalformedEventError(f"line {line_no}: missing fields {missing}")
+    timestamp, size_delta = record["timestamp"], record.get("size_delta")
+    # exact type checks: bool is an int subclass, and floats or strings must not be coerced
+    if type(timestamp) is not int:
+        raise MalformedEventError(
+            f"line {line_no}: timestamp must be an integer, got {timestamp!r}"
+        )
+    if size_delta is not None and type(size_delta) is not int:
+        raise MalformedEventError(
+            f"line {line_no}: size_delta must be an integer, got {size_delta!r}"
+        )
     try:
         return Event(
             project_id=str(record["project_id"]),
             actor_id=str(record["actor_id"]),
-            timestamp=int(record["timestamp"]),
+            timestamp=timestamp,
             channel=record["channel"],
-            size_delta=int(record["size_delta"]) if record.get("size_delta") is not None else None,
+            size_delta=size_delta,
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise MalformedEventError(f"line {line_no}: {exc}") from exc
 
 
@@ -208,13 +218,14 @@ def cmd_dp(args) -> None:
 _OBJECTIVE_ALIASES = {"dp": "exact_dp", "cf": "closed_form", "mc": "monte_carlo"}
 
 
-def _objective(name: str) -> str:
-    return _OBJECTIVE_ALIASES.get(name, name)
+def _search(args) -> tuple[str, SearchConfig]:
+    """Objective name and search settings shared by optimize and heatmap."""
+    objective = _OBJECTIVE_ALIASES.get(args.objective, args.objective)
+    return objective, SearchConfig(grid_step=args.grid_step, runs=args.runs, seed=args.seed)
 
 
 def cmd_optimize(args) -> None:
-    config = SearchConfig(grid_step=args.grid_step, runs=args.runs, seed=args.seed)
-    result = optimal_beta(args.n, args.e, args.alpha, _objective(args.objective), config)
+    result = optimal_beta(args.n, args.e, args.alpha, *_search(args))
     text = (
         "beta_star,value,objective,grid_step,runs\n"
         f"{result.beta_star:.4f},{result.value:.6f},{result.objective},"
@@ -239,10 +250,7 @@ def _int_list(text: str) -> list[int]:
 
 
 def cmd_heatmap(args) -> None:
-    config = SearchConfig(grid_step=args.grid_step, runs=args.runs, seed=args.seed)
-    grid = beta_heatmap(
-        _int_list(args.n), _int_list(args.e), args.alpha, _objective(args.objective), config
-    )
+    grid = beta_heatmap(_int_list(args.n), _int_list(args.e), args.alpha, *_search(args))
     _write_output(args, grid_to_csv(grid))
 
 
@@ -281,10 +289,7 @@ def cmd_xcore(args) -> None:
 
 
 def _input_paths(args) -> list[str]:
-    paths = [args.events]
-    if getattr(args, "metadata", None):
-        paths.append(args.metadata)
-    return paths
+    return [args.events, args.metadata] if args.metadata else [args.events]
 
 
 def _profiles(args):
@@ -374,80 +379,66 @@ def cmd_synth(args) -> None:
 
 # ---------------------------------------------------------------------------
 
+def _flags(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """A flag block that subcommands include through ``parents=``."""
+    return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="crowdcoord", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, func, help_text):
-        p = sub.add_parser(name, help=help_text)
+    def add(name, func, help_text, *parents):
+        p = sub.add_parser(name, help=help_text, parents=list(parents))
         p.set_defaults(func=func)
         p.add_argument("--out", required=True, help="output path")
         return p
 
-    p = add("simulate", cmd_simulate, "Monte Carlo estimate of finished parts")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
+    point = _flags()  # one (N, E, alpha) point
+    point.add_argument("--n", type=int, required=True)
+    point.add_argument("--e", type=int, required=True)
+    point.add_argument("--alpha", type=float, required=True)
+    state = _flags(point)
+    state.add_argument("--beta", type=float, required=True)
+    search = _flags()
+    search.add_argument("--objective", default="closed_form",
+                        choices=[*OBJECTIVES, *_OBJECTIVE_ALIASES])
+    search.add_argument("--runs", type=int, default=None)
+    search.add_argument("--seed", type=int, default=0)
+    search.add_argument("--grid-step", type=float, default=0.01)
+    events = _flags()
+    events.add_argument("--events", required=True)
+    corpus = _flags(events)
+    corpus.add_argument("--metadata", default=None)
+    profile = _flags(corpus)
+    profile.add_argument("--k", type=int, default=100)
+    profile.add_argument("--channel", default="discussion", choices=COORDINATION_CHANNELS)
+
+    p = add("simulate", cmd_simulate, "Monte Carlo estimate of finished parts", state)
     p.add_argument("--runs", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
 
-    p = add("dp", cmd_dp, "exact expected finished parts by dynamic programming")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
+    add("dp", cmd_dp, "exact expected finished parts by dynamic programming", state)
+    add("optimize", cmd_optimize, "search the optimal coordination probability", point, search)
 
-    p = add("optimize", cmd_optimize, "search the optimal coordination probability")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--objective", default="closed_form",
-                   choices=["closed_form", "exact_dp", "monte_carlo", "dp", "cf", "mc"])
-    p.add_argument("--runs", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--grid-step", type=float, default=0.01)
-
-    p = add("heatmap", cmd_heatmap, "optimal beta over an (N, E) grid")
+    p = add("heatmap", cmd_heatmap, "optimal beta over an (N, E) grid", search)
     p.add_argument("--n", required=True, help="comma list or start:stop[:step]")
     p.add_argument("--e", required=True, help="comma list or start:stop[:step]")
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--objective", default="closed_form",
-                   choices=["closed_form", "exact_dp", "monte_carlo", "dp", "cf", "mc"])
-    p.add_argument("--runs", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--grid-step", type=float, default=0.01)
 
     p = add("mwu", cmd_mwu, "Mann-Whitney U test on two comma-separated samples")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
 
-    p = add("xcore", cmd_xcore, "x-core curves per project")
-    p.add_argument("--events", required=True)
-    p.add_argument("--metadata", default=None)
+    p = add("xcore", cmd_xcore, "x-core curves per project", corpus)
     p.add_argument("--x", type=float, action="append", default=None)
 
-    p = add("crowd", cmd_crowd, "crowdedness profiles per project")
-    p.add_argument("--events", required=True)
-    p.add_argument("--metadata", default=None)
-    p.add_argument("--k", type=int, default=100)
-    p.add_argument("--channel", default="discussion", choices=["discussion", "comment"])
-
-    p = add("quadrants", cmd_quadrants, "median-split quadrant summary")
-    p.add_argument("--events", required=True)
-    p.add_argument("--metadata", default=None)
-    p.add_argument("--k", type=int, default=100)
-    p.add_argument("--channel", default="discussion", choices=["discussion", "comment"])
-
-    p = add("bins", cmd_bins, "decile-binned coordination heatmap")
-    p.add_argument("--events", required=True)
-    p.add_argument("--metadata", default=None)
-    p.add_argument("--k", type=int, default=100)
-    p.add_argument("--channel", default="discussion", choices=["discussion", "comment"])
+    add("crowd", cmd_crowd, "crowdedness profiles per project", profile)
+    add("quadrants", cmd_quadrants, "median-split quadrant summary", profile)
+    p = add("bins", cmd_bins, "decile-binned coordination heatmap", profile)
     p.add_argument("--agg", default="mean", choices=["mean", "median"])
 
-    p = add("cohort", cmd_cohort, "matched featured/control cohorts")
-    p.add_argument("--events", required=True)
+    p = add("cohort", cmd_cohort, "matched featured/control cohorts", events)
     p.add_argument("--metadata", required=True)
     p.add_argument("--k", type=int, default=30)
     p.add_argument("--tolerance", type=float, default=0.05)

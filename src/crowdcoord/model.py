@@ -9,8 +9,8 @@ probability ``1 - alpha`` and knocks the part back to unfinished with
 probability ``alpha``.  The second pick sees the state left by the first.
 
 This module carries both the exact track (per-user transition kernel and
-dynamic-programming expectation) and the sampled track (single runs and
-seeded Monte Carlo batches).
+dynamic-programming expectation) and the sampled track (seeded Monte Carlo
+batches).
 """
 
 from __future__ import annotations
@@ -24,6 +24,9 @@ from .errors import BudgetExceededError
 
 # exact_expectation refuses above this many state-steps (n_parts * n_users)
 STATE_STEP_BUDGET = 10**8
+
+# monte_carlo refuses when one (runs, 5) float64 uniform block exceeds this many bytes
+MC_BLOCK_BUDGET = 2**30
 
 # Recorded in run manifests so outputs are attributable to a generator.
 RNG_DESCRIPTION = (
@@ -43,14 +46,23 @@ class ModelParams:
     beta: float
 
     def __post_init__(self) -> None:
-        if self.n_parts < 1:
-            raise ValueError(f"n_parts must be >= 1, got {self.n_parts}")
-        if self.n_users < 1:
-            raise ValueError(f"n_users must be >= 1, got {self.n_users}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta must be in [0, 1], got {self.beta}")
+        check_ranges(self.n_parts, self.n_users, self.alpha, self.beta)
+
+
+def check_ranges(n_parts: int, n_users: int, alpha: float, beta: float) -> None:
+    """Raise ValueError unless (N, E, alpha, beta) lies in the model's domain.
+
+    A plain function rather than a ``ModelParams`` construction, because the
+    closed-form objective calls it on every evaluation.
+    """
+    if n_parts < 1:
+        raise ValueError(f"n_parts must be >= 1, got {n_parts}")
+    if n_users < 1:
+        raise ValueError(f"n_users must be >= 1, got {n_users}")
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError(f"beta must be in [0, 1], got {beta}")
 
 
 @dataclass(frozen=True)
@@ -61,17 +73,6 @@ class DeltaDistribution:
 
     def total(self) -> float:
         return sum(self.probs.values())
-
-
-@dataclass(frozen=True)
-class StateDistribution:
-    """Probability vector over finished-part counts 0..n_parts."""
-
-    mass: np.ndarray
-
-    @property
-    def mean(self) -> float:
-        return float(np.dot(np.arange(len(self.mass)), self.mass))
 
 
 @dataclass(frozen=True)
@@ -136,12 +137,6 @@ def collision_deltas(c: int, params: ModelParams) -> DeltaDistribution:
     return DeltaDistribution(probs)
 
 
-def kernel_row(c: int, params: ModelParams) -> StateDistribution:
-    """Distribution over the next finished count after one user."""
-    _check_count(c, params.n_parts)
-    return StateDistribution(kernel_matrix(params)[c].copy())
-
-
 def exact_expectation(params: ModelParams) -> float:
     """Expected finished parts after all users, by exact kernel propagation."""
     if params.n_parts * params.n_users > STATE_STEP_BUDGET:
@@ -154,24 +149,7 @@ def exact_expectation(params: ModelParams) -> float:
     mass[0] = 1.0
     for _ in range(params.n_users):
         mass = mass @ kernel
-    return StateDistribution(mass).mean
-
-
-def simulate(params: ModelParams, seed: int) -> int:
-    """One full stochastic run; bit-reproducible for a fixed seed."""
-    rng = np.random.default_rng(seed)
-    n = params.n_parts
-    c = 0
-    for _ in range(params.n_users):
-        if rng.random() < params.beta:
-            c = min(c + 1, n)
-            continue
-        for _pick in range(2):
-            if rng.random() * n < n - c:
-                c += 1
-            elif rng.random() < params.alpha:
-                c -= 1
-    return c
+    return float(np.dot(np.arange(len(mass)), mass))
 
 
 def monte_carlo(params: ModelParams, runs: int, seed: int) -> SimResult:
@@ -183,6 +161,11 @@ def monte_carlo(params: ModelParams, runs: int, seed: int) -> SimResult:
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
+    if runs * 5 * 8 > MC_BLOCK_BUDGET:
+        raise BudgetExceededError(
+            f"runs = {runs} needs a {runs * 5 * 8}-byte uniform block per user step, "
+            f"over the {MC_BLOCK_BUDGET}-byte budget"
+        )
     n, alpha, beta = params.n_parts, params.alpha, params.beta
     rng = np.random.default_rng(seed)
     c = np.zeros(runs, dtype=np.int64)

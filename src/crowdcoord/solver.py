@@ -15,12 +15,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import BudgetExceededError
-from .model import ModelParams, exact_expectation, monte_carlo
+from .model import ModelParams, check_ranges, exact_expectation, monte_carlo
 
 OBJECTIVES = ("closed_form", "exact_dp", "monte_carlo")
 
 # below this distance from A = 1 the limit form E * P0 is used
 A1_EPS = 1e-12
+# golden-section refinement stops when the bracket is narrower than this
+REFINE_TOL = 1e-6
+# a beta must beat the incumbent by more than this to replace it
+TIE_TOL = 1e-12
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -34,11 +38,14 @@ class RecurrenceCoeffs:
 @dataclass(frozen=True)
 class SearchConfig:
     grid_step: float = 0.01
-    refine_tol: float = 1e-6
-    tie_tol: float = 1e-12
     runs: int | None = None
     seed: int = 0
-    clamp: bool = False
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.grid_step <= 1.0:
+            raise ValueError(f"grid_step must be in (0, 1], got {self.grid_step}")
+        if self.runs is not None and self.runs < 1:
+            raise ValueError(f"runs must be >= 1, got {self.runs}")
 
 
 @dataclass(frozen=True)
@@ -63,18 +70,9 @@ class BetaGrid:
     errors: dict[tuple[int, int], str] = field(default_factory=dict)
 
 
-def _validate(n_parts: int, alpha: float, beta: float) -> None:
-    if n_parts < 1:
-        raise ValueError(f"n_parts must be >= 1, got {n_parts}")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must be in [0, 1], got {beta}")
-
-
 def recurrence_coeffs(n_parts: int, alpha: float, beta: float) -> RecurrenceCoeffs:
-    """Multiplier A and constant P0 of the deterministic recurrence."""
-    _validate(n_parts, alpha, beta)
+    """Multiplier A and constant P0 of the deterministic recurrence (independent of E)."""
+    check_ranges(n_parts, 1, alpha, beta)
     n = n_parts
     w = (1.0 - beta) * (1.0 + alpha)
     a = w * (1.0 + alpha) / n**2 - 2.0 * w / n + 1.0
@@ -82,33 +80,18 @@ def recurrence_coeffs(n_parts: int, alpha: float, beta: float) -> RecurrenceCoef
     return RecurrenceCoeffs(a=a, p0=p0)
 
 
-def approx_expectation(
-    n_parts: int, n_users: int, alpha: float, beta: float, clamp: bool = False
-) -> float:
+def approx_expectation(n_parts: int, n_users: int, alpha: float, beta: float) -> float:
     """Closed-form expected finished parts after n_users.
 
     Does not model saturation: at beta = 1 it returns n_users even when
-    n_users > n_parts.  Pass clamp=True to cap the value at n_parts.
+    n_users > n_parts.
     """
     if n_users < 1:
         raise ValueError(f"n_users must be >= 1, got {n_users}")
     coeffs = recurrence_coeffs(n_parts, alpha, beta)
     if abs(coeffs.a - 1.0) <= A1_EPS:
-        value = n_users * coeffs.p0
-    else:
-        value = coeffs.p0 * (coeffs.a**n_users - 1.0) / (coeffs.a - 1.0)
-    return min(value, float(n_parts)) if clamp else value
-
-
-def iterate_recurrence(n_parts: int, n_users: int, alpha: float, beta: float) -> float:
-    """Iterative evaluation of the recurrence; cross-checks the closed form."""
-    if n_users < 1:
-        raise ValueError(f"n_users must be >= 1, got {n_users}")
-    coeffs = recurrence_coeffs(n_parts, alpha, beta)
-    p = 0.0
-    for _ in range(n_users):
-        p = coeffs.a * p + coeffs.p0
-    return p
+        return n_users * coeffs.p0
+    return coeffs.p0 * (coeffs.a**n_users - 1.0) / (coeffs.a - 1.0)
 
 
 def _spawn_seed(*entropy: int) -> int:
@@ -141,31 +124,18 @@ def optimal_beta(
 ) -> OptResult:
     """Maximize the chosen objective over beta in [0, 1].
 
-    Coarse grid scan (ties within tie_tol break toward the smallest beta),
+    Coarse grid scan (ties within TIE_TOL break toward the smallest beta),
     then golden-section refinement on the bracketing interval for the smooth
-    objectives.  The Monte Carlo objective is noisy and reports the best
-    grid point instead of refining.
+    objectives.  The Monte Carlo objective is noisy, seeds each grid point
+    by its index, and reports the best grid point instead of refining.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
     if objective == "monte_carlo" and config.runs is None:
         raise ValueError("monte_carlo objective requires a runs setting")
-    _validate(n_parts, alpha, 0.0)
-    if n_users < 1:
-        raise ValueError(f"n_users must be >= 1, got {n_users}")
+    check_ranges(n_parts, n_users, alpha, 0.0)
 
-    if objective == "closed_form":
-        def f(beta: float) -> float:
-            return approx_expectation(n_parts, n_users, alpha, beta, clamp=config.clamp)
-    elif objective == "exact_dp":
-        def f(beta: float) -> float:
-            return exact_expectation(ModelParams(n_parts, n_users, alpha, beta))
-    else:
-        def f(beta: float, _idx: int = 0) -> float:  # seed varies by grid index
-            raise AssertionError("monte_carlo objective evaluated off-grid")
-
-    n_steps = max(1, round(1.0 / config.grid_step))
-    betas = np.linspace(0.0, 1.0, n_steps + 1)
+    betas = np.linspace(0.0, 1.0, round(1.0 / config.grid_step) + 1)
     if objective == "monte_carlo":
         values = [
             monte_carlo(
@@ -176,11 +146,17 @@ def optimal_beta(
             for i, b in enumerate(betas)
         ]
     else:
+        if objective == "closed_form":
+            def f(beta: float) -> float:
+                return approx_expectation(n_parts, n_users, alpha, beta)
+        else:
+            def f(beta: float) -> float:
+                return exact_expectation(ModelParams(n_parts, n_users, alpha, beta))
         values = [f(float(b)) for b in betas]
 
     best_i = 0
     for i, v in enumerate(values):
-        if v > values[best_i] + config.tie_tol:
+        if v > values[best_i] + TIE_TOL:
             best_i = i
     best_beta = float(betas[best_i])
     best_value = float(values[best_i])
@@ -188,8 +164,8 @@ def optimal_beta(
     if objective != "monte_carlo":
         lo = float(betas[max(best_i - 1, 0)])
         hi = float(betas[min(best_i + 1, len(betas) - 1)])
-        x, fx = _golden_section_max(f, lo, hi, config.refine_tol)
-        if fx > best_value + config.tie_tol:
+        x, fx = _golden_section_max(f, lo, hi, REFINE_TOL)
+        if fx > best_value + TIE_TOL:
             best_beta, best_value = x, fx
 
     return OptResult(

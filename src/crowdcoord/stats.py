@@ -11,7 +11,6 @@ import math
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from statistics import median
 from typing import Optional, Sequence
 
@@ -19,7 +18,7 @@ import numpy as np
 
 BANDS = ("p001", "p01", "p05", "ns")
 
-# exact enumeration is used up to this product of sample sizes (tie-free only)
+# exact counts are computed up to this product of sample sizes (tie-free only)
 EXACT_LIMIT = 400
 
 QUADRANT_KEYS = (
@@ -66,20 +65,28 @@ def _average_ranks(values: Sequence[float]) -> list[float]:
     return ranks
 
 
-@lru_cache(maxsize=None)
-def _u_count(n1: int, n2: int, u: int) -> int:
-    """Number of tie-free arrangements of n1 + n2 values with first-sample U == u."""
-    if u < 0:
-        return 0
-    if n1 == 0 or n2 == 0:
-        return 1 if u == 0 else 0
-    return _u_count(n1 - 1, n2, u - n2) + _u_count(n1, n2 - 1, u)
+def _u_counts(n1: int, n2: int) -> list[int]:
+    """counts[u] = tie-free arrangements of n1 + n2 values with first-sample U == u.
+
+    Mann and Whitney's (1947) recursion c(i, j, u) = c(i-1, j, u-j) + c(i, j-1, u),
+    filled one i at a time; row[j] holds the counts for (i, j).
+    """
+    row = [[1] for _ in range(n2 + 1)]  # i = 0: one arrangement, U = 0
+    for i in range(1, n1 + 1):
+        new = [[1]]  # j = 0
+        for j in range(1, n2 + 1):
+            counts = [0] * j + row[j]  # c(i-1, j, u-j); length i*j + 1
+            for u, c in enumerate(new[j - 1]):
+                counts[u] += c
+            new.append(counts)
+        row = new
+    return row[n2]
 
 
 def _exact_two_sided_p(u_min: float, n1: int, n2: int) -> float:
     u = int(round(u_min))
     total = math.comb(n1 + n2, n1)
-    tail = sum(_u_count(n1, n2, v) for v in range(u + 1))
+    tail = sum(_u_counts(n1, n2)[: u + 1])
     return min(1.0, 2.0 * tail / total)
 
 
@@ -104,7 +111,7 @@ def mann_whitney_u(
 ) -> UTestResult:
     """Two-sided Mann-Whitney U test; U reported as min(U_a, U_b).
 
-    Exact enumeration when n_a * n_b <= 400 and the pooled sample is
+    Exact counts when n_a * n_b <= EXACT_LIMIT and the pooled sample is
     tie-free, otherwise a normal approximation with tie and continuity
     corrections.
     """
@@ -114,6 +121,8 @@ def mann_whitney_u(
         raise ValueError("both samples must be non-empty")
     n1, n2 = len(a), len(b)
     combined = a + b
+    if any(math.isnan(v) for v in combined):
+        raise ValueError("samples must not contain NaN")
     ranks = _average_ranks(combined)
     r1 = sum(ranks[:n1])
     u1 = n1 * n2 + n1 * (n1 + 1) / 2.0 - r1
@@ -126,6 +135,8 @@ def mann_whitney_u(
     if method == "exact":
         if has_ties:
             raise ValueError("exact method requires tie-free samples")
+        if n1 * n2 > EXACT_LIMIT:
+            raise ValueError(f"exact method requires n_a * n_b <= {EXACT_LIMIT}")
         p = _exact_two_sided_p(u_min, n1, n2)
     elif method == "normal_approx":
         p = _normal_two_sided_p(u_min, n1, n2, combined)

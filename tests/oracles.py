@@ -2,12 +2,46 @@
 
 These deliberately take different computational paths than the library:
 state-set enumeration instead of transition matrices, subset search instead
-of greedy prefixes, permutation enumeration instead of count recursions.
+of greedy prefixes, permutation enumeration instead of count recursions,
+step-by-step iteration instead of the closed form, and one scalar run at a
+time instead of vectorized Monte Carlo.
 """
 
 from collections import defaultdict
 from itertools import combinations
 from math import comb
+
+import numpy as np
+
+from crowdcoord.solver import recurrence_coeffs
+
+
+def iterate_recurrence(n_parts, n_users, alpha, beta):
+    """Iterative evaluation of the recurrence P_{i+1} = A P_i + P0 from P_0 = 0."""
+    if n_users < 1:
+        raise ValueError(f"n_users must be >= 1, got {n_users}")
+    coeffs = recurrence_coeffs(n_parts, alpha, beta)
+    p = 0.0
+    for _ in range(n_users):
+        p = coeffs.a * p + coeffs.p0
+    return p
+
+
+def simulate(params, seed):
+    """One full stochastic run of the process, drawing one uniform per decision."""
+    rng = np.random.default_rng(seed)
+    n = params.n_parts
+    c = 0
+    for _ in range(params.n_users):
+        if rng.random() < params.beta:
+            c = min(c + 1, n)
+            continue
+        for _pick in range(2):
+            if rng.random() * n < n - c:
+                c += 1
+            elif rng.random() < params.alpha:
+                c -= 1
+    return c
 
 
 def two_pick_outcome_dist(c, n, alpha):

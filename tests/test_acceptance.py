@@ -16,17 +16,11 @@ from crowdcoord.analytics import core_curve, crowdedness_profile, x_core
 from crowdcoord.cli import main
 from crowdcoord.cohort import build_cohorts, control_eligible, edit_epoch_counts
 from crowdcoord.model import ModelParams, collision_deltas, exact_expectation, monte_carlo
-from crowdcoord.solver import (
-    SearchConfig,
-    approx_expectation,
-    beta_heatmap,
-    iterate_recurrence,
-    optimal_beta,
-)
+from crowdcoord.solver import SearchConfig, approx_expectation, beta_heatmap, optimal_beta
 from crowdcoord.stats import decile_heatmap, mann_whitney_u, median_split_quadrants
 from crowdcoord.synth import SyntheticSpec, generate_synthetic
 
-from oracles import enumerate_mwu_p, two_pick_outcome_dist
+from oracles import enumerate_mwu_p, iterate_recurrence, two_pick_outcome_dist
 
 
 def report(name):

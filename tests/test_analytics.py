@@ -5,8 +5,6 @@ from hypothesis import strategies as st
 from crowdcoord.analytics import (
     Event,
     ProjectLog,
-    coordination_per_work,
-    core_coordination_volume,
     core_curve,
     crowdedness_profile,
     x_core,
@@ -120,26 +118,6 @@ class TestCoreCurve:
             core_curve(make_log(discussion=[("a", 0)]), [1.0])
 
 
-class TestCoreCoordinationVolume:
-    def test_single_actor_owns_everything(self):
-        log = make_log(work=[("s", 0)], discussion=[("s", t) for t in range(7)])
-        assert core_coordination_volume(log, 0.3, "discussion") == 7
-
-    def test_full_core_counts_all(self):
-        log = make_log(
-            work=[("a", 0), ("b", 1)], comment=[("a", 5), ("b", 6), ("b", 7)]
-        )
-        assert core_coordination_volume(log, 1.0, "comment") == 3
-
-    def test_skewed_hand_count(self):
-        log = make_log(
-            work=[("a", t) for t in range(5)] + [("b", 10)] + [("c", 11)],
-            discussion=[("a", 20), ("b", 21), ("b", 22), ("c", 23)],
-        )
-        # 0.5-core = {a}
-        assert core_coordination_volume(log, 0.5, "discussion") == 1
-
-
 class TestCrowdednessProfile:
     def test_synthetic_hand_verified(self):
         work = [("a", 100 + t) for t in range(6)] + [("b", 200 + t) for t in range(4)]
@@ -197,33 +175,17 @@ class TestCrowdednessProfile:
             pb.early_coordination,
         )
 
-    def test_engaged_only_flag(self):
+    def test_coordination_by_non_engaged_users_counts(self):
         work = [("a", 100 + t) for t in range(5)]
         discussion = [("a", 0), ("outsider", 1)]
         log = make_log(work=work, discussion=discussion)
         assert crowdedness_profile(log, k=5).early_coordination == 2
-        assert crowdedness_profile(log, k=5, engaged_only=True).early_coordination == 1
 
     def test_comment_channel_selectable(self):
         work = [("a", 10 + t) for t in range(3)]
         log = make_log(work=work, comment=[("a", 0), ("a", 1)])
         profile = crowdedness_profile(log, k=3, coordination_channel="comment")
         assert profile.early_coordination == 2
-
-
-class TestCoordinationPerWork:
-    def test_ratio(self):
-        log = make_log(
-            work=[("a", t) for t in range(10)], comment=[("a", 100 + t) for t in range(5)]
-        )
-        assert coordination_per_work(log) == 0.5
-
-    def test_no_comments(self):
-        assert coordination_per_work(make_log(work=[("a", 0)])) == 0.0
-
-    def test_no_work(self):
-        with pytest.raises(ValueError):
-            coordination_per_work(make_log(comment=[("a", 0)]))
 
 
 class TestProjectLog:

@@ -83,6 +83,18 @@ class TestIngest:
         with pytest.raises(MalformedEventError):
             parse_event_line("{definitely not json", 3)
 
+    @pytest.mark.parametrize("field,value", [
+        ("timestamp", "true"), ("timestamp", "17.9"), ("timestamp", '"18"'),
+        ("timestamp", "Infinity"), ("timestamp", "NaN"), ("timestamp", "null"),
+        ("size_delta", "1.5"), ("size_delta", "false"), ("size_delta", "-Infinity"),
+    ])
+    def test_parse_rejects_non_integer_fields(self, field, value):
+        numbers = {"timestamp": "10", field: value}
+        line = ('{"project_id":"p","actor_id":"a","channel":"work",'
+                + ",".join(f'"{k}":{v}' for k, v in numbers.items()) + "}")
+        with pytest.raises(MalformedEventError, match=f"line 7: {field}"):
+            parse_event_line(line, 7)
+
 
 class TestExitCodes:
     def test_usage_error_on_bad_flag_value(self, tmp_path, capsys):
@@ -99,6 +111,21 @@ class TestExitCodes:
     def test_resource_error_on_budget(self, tmp_path, capsys):
         assert run(["dp", "--n", 200_000, "--e", 1000, "--alpha", 0.5, "--beta", 0.5,
                     "--out", tmp_path / "o.csv"]) == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--n", 5, "--e", 3, "--alpha", 1, "--grid-step", 0],
+        ["optimize", "--n", 5, "--e", 3, "--alpha", 1, "--grid-step", -1],
+        ["heatmap", "--n", "2,5", "--e", "2,5", "--alpha", 1, "--objective", "mc",
+         "--runs", 0],
+        ["mwu", "--a", "1,nan", "--b", "2,3"],
+    ], ids=["grid-step-zero", "grid-step-negative", "mc-runs-zero", "mwu-nan"])
+    def test_usage_error_on_out_of_domain_value(self, tmp_path, capsys, argv):
+        assert run([*argv, "--out", tmp_path / "o.csv"]) == 1
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_resource_error_on_monte_carlo_budget(self, tmp_path, capsys):
+        assert run(["simulate", "--n", 5, "--e", 3, "--alpha", 1, "--beta", 0.5,
+                    "--runs", 10**15, "--out", tmp_path / "o.csv"]) == 3
 
     def test_data_error_on_malformed_line(self, tmp_path, capsys):
         events = tmp_path / "events.jsonl"

@@ -12,12 +12,10 @@ from crowdcoord.model import (
     collision_deltas,
     exact_expectation,
     kernel_matrix,
-    kernel_row,
     monte_carlo,
-    simulate,
 )
 
-from oracles import two_pick_outcome_dist
+from oracles import simulate, two_pick_outcome_dist
 
 alphas = st.sampled_from([0.0, 0.3, 0.5, 1.0])
 probs = st.floats(min_value=0.0, max_value=1.0)
@@ -116,17 +114,17 @@ class TestCollisionDeltas:
 
 class TestKernelRow:
     def test_single_part_coordinator(self):
-        row = kernel_row(0, params(1, beta=1.0))
-        assert row.mass[1] == 1.0
+        row = kernel_matrix(params(1, beta=1.0))[0]
+        assert row[1] == 1.0
 
     def test_two_parts_full_clash(self):
-        row = kernel_row(0, params(2, alpha=1.0, beta=0.0))
-        assert row.mass[0] == pytest.approx(0.5)
-        assert row.mass[2] == pytest.approx(0.5)
+        row = kernel_matrix(params(2, alpha=1.0, beta=0.0))[0]
+        assert row[0] == pytest.approx(0.5)
+        assert row[2] == pytest.approx(0.5)
 
     def test_coordinator_noop_at_full(self):
-        row = kernel_row(4, params(4, beta=1.0))
-        assert row.mass[4] == 1.0
+        row = kernel_matrix(params(4, beta=1.0))[4]
+        assert row[4] == 1.0
 
     @given(
         n=st.integers(1, 15),
@@ -190,7 +188,6 @@ class TestMonteCarlo:
     def test_zero_runs_rejected(self):
         with pytest.raises(ValueError):
             monte_carlo(params(2), 0, 0)
-
     def test_reproducible(self):
         p = ModelParams(6, 9, 0.4, 0.5)
         assert monte_carlo(p, 500, 11) == monte_carlo(p, 500, 11)

@@ -9,10 +9,11 @@ from crowdcoord.solver import (
     approx_expectation,
     beta_heatmap,
     grid_to_csv,
-    iterate_recurrence,
     optimal_beta,
     recurrence_coeffs,
 )
+
+from oracles import iterate_recurrence
 
 probs = st.floats(min_value=0.0, max_value=1.0)
 
@@ -52,7 +53,6 @@ class TestApproxExpectation:
 
     def test_no_saturation_by_default(self):
         assert approx_expectation(5, 10, 1.0, 1.0) == 10.0
-        assert approx_expectation(5, 10, 1.0, 1.0, clamp=True) == 5.0
 
     def test_continuity_near_a_one(self):
         # beta chosen so |A - 1| is just inside / just outside the switch
@@ -176,6 +176,11 @@ class TestBetaHeatmap:
         assert grid.cells[0][0] is not None
         assert grid.cells[0][1] is None
         assert (0, 1) in grid.errors
+
+    def test_monte_carlo_budget_is_a_cell_error(self):
+        grid = beta_heatmap([5], [5], 1.0, "monte_carlo", SearchConfig(runs=10**15))
+        assert grid.cells == [[None]]
+        assert "budget" in grid.errors[(0, 0)]
 
     def test_csv_format(self):
         grid = beta_heatmap([5, 10], [10], 1.0, "closed_form")

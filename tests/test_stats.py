@@ -107,6 +107,24 @@ class TestMannWhitneyU:
         with pytest.raises(ValueError):
             mann_whitney_u([1, 1], [2, 3], method="exact")
 
+    def test_exact_refused_above_limit(self):
+        with pytest.raises(ValueError):
+            mann_whitney_u(list(range(21)), list(range(100, 120)), method="exact")
+
+    def test_exact_matches_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            n1, n2 = int(rng.integers(1, 21)), int(rng.integers(1, 21))
+            if n1 * n2 > 400:
+                continue
+            pooled = rng.permutation(np.arange(1.0, n1 + n2 + 1.0))
+            a, b = list(pooled[:n1]), list(pooled[n1:])
+            ours = mann_whitney_u(a, b)
+            theirs = stats.mannwhitneyu(a, b, alternative="two-sided", method="exact")
+            assert ours.method == "exact"
+            assert ours.p_value == pytest.approx(theirs.pvalue, rel=1e-12, abs=0.0)
+
 
 class TestMedianSplitQuadrants:
     def test_one_record_per_cell(self):
