@@ -67,8 +67,18 @@ def parse_event_line(line: str, line_no: int) -> Event:
     missing = [k for k in ("project_id", "actor_id", "timestamp", "channel") if k not in record]
     if missing:
         raise MalformedEventError(f"line {line_no}: missing fields {missing}")
+    project_id, actor_id = record["project_id"], record["actor_id"]
     timestamp, size_delta = record["timestamp"], record.get("size_delta")
-    # exact type checks: bool is an int subclass, and floats or strings must not be coerced
+    # exact type checks: ids are not coerced to strings (5 and "5" are different
+    # values), bool is an int subclass, and floats or strings are not integers
+    if type(project_id) is not str:
+        raise MalformedEventError(
+            f"line {line_no}: project_id must be a string, got {project_id!r}"
+        )
+    if type(actor_id) is not str:
+        raise MalformedEventError(
+            f"line {line_no}: actor_id must be a string, got {actor_id!r}"
+        )
     if type(timestamp) is not int:
         raise MalformedEventError(
             f"line {line_no}: timestamp must be an integer, got {timestamp!r}"
@@ -79,8 +89,8 @@ def parse_event_line(line: str, line_no: int) -> Event:
         )
     try:
         return Event(
-            project_id=str(record["project_id"]),
-            actor_id=str(record["actor_id"]),
+            project_id=project_id,
+            actor_id=actor_id,
             timestamp=timestamp,
             channel=record["channel"],
             size_delta=size_delta,

@@ -8,9 +8,9 @@ after the other; working on an already-finished part has no effect with
 probability ``1 - alpha`` and knocks the part back to unfinished with
 probability ``alpha``.  The second pick sees the state left by the first.
 
-This module carries both the exact track (per-user transition kernel and
-dynamic-programming expectation) and the sampled track (seeded Monte Carlo
-batches).
+This module carries both the exact track (the banded per-user transition
+kernel, propagated for a whole vector of betas at once) and the sampled track
+(seeded Monte Carlo batches).
 """
 
 from __future__ import annotations
@@ -22,8 +22,12 @@ import numpy as np
 
 from .errors import BudgetExceededError
 
-# exact_expectation refuses above this many state-steps (n_parts * n_users)
+# exact_expectations refuses above this many state-steps per beta (n_parts * n_users)
 STATE_STEP_BUDGET = 10**8
+
+# bytes of float64 arrays one beta scan may hold: exact_expectations' count
+# distributions, or optimal_beta's beta-length arrays
+SCAN_BYTES_BUDGET = 2**30
 
 # monte_carlo refuses when one (runs, 5) float64 uniform block exceeds this many bytes
 MC_BLOCK_BUDGET = 2**30
@@ -49,11 +53,12 @@ class ModelParams:
         check_ranges(self.n_parts, self.n_users, self.alpha, self.beta)
 
 
-def check_ranges(n_parts: int, n_users: int, alpha: float, beta: float) -> None:
+def check_ranges(n_parts: int, n_users: int, alpha: float, beta) -> None:
     """Raise ValueError unless (N, E, alpha, beta) lies in the model's domain.
 
-    A plain function rather than a ``ModelParams`` construction, because the
-    closed-form objective calls it on every evaluation.
+    ``beta`` is a float or an ndarray of betas, all of which must lie in
+    [0, 1].  A plain function rather than a ``ModelParams`` construction,
+    because the closed-form objective calls it on every evaluation.
     """
     if n_parts < 1:
         raise ValueError(f"n_parts must be >= 1, got {n_parts}")
@@ -61,7 +66,11 @@ def check_ranges(n_parts: int, n_users: int, alpha: float, beta: float) -> None:
         raise ValueError(f"n_users must be >= 1, got {n_users}")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    if not 0.0 <= beta <= 1.0:
+    if isinstance(beta, np.ndarray):
+        in_range = bool(np.all((0.0 <= beta) & (beta <= 1.0)))
+    else:
+        in_range = 0.0 <= beta <= 1.0
+    if not in_range:
         raise ValueError(f"beta must be in [0, 1], got {beta}")
 
 
@@ -83,42 +92,47 @@ class SimResult:
     seed: int
 
 
-def one_pick_matrix(n_parts: int, alpha: float) -> np.ndarray:
-    """Transition matrix of a single uniformly random contribution.
+def _band(n_parts: int, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coefficients of one uniformly random contribution from count c.
 
-    From count c: an unfinished part is hit with probability (n-c)/n and
-    becomes finished; a finished part is hit with probability c/n and is
-    unchanged with probability 1-alpha or returned to unfinished with
-    probability alpha.
+    An unfinished part is hit with probability (n-c)/n and becomes finished
+    (up, for c = 0..n-1); a finished part is hit with probability c/n and
+    is unchanged with probability 1-alpha (stay, c = 0..n) or returned to
+    unfinished with probability alpha (down, c = 1..n).
     """
     n = n_parts
-    m = np.zeros((n + 1, n + 1))
-    for c in range(n + 1):
-        if c < n:
-            m[c, c + 1] += (n - c) / n
-        m[c, c] += (c / n) * (1.0 - alpha)
-        if c > 0:
-            m[c, c - 1] += (c / n) * alpha
-    return m
+    counts = np.arange(n + 1, dtype=float)
+    return (n - counts[:-1]) / n, (counts / n) * (1.0 - alpha), (counts[1:] / n) * alpha
 
 
-def noncoord_matrix(n_parts: int, alpha: float) -> np.ndarray:
-    """Two sequential picks; the second observes the state left by the first."""
-    m = one_pick_matrix(n_parts, alpha)
-    return m @ m
+def _pick(mass: np.ndarray, band) -> np.ndarray:
+    """Mass over counts (last axis) after one uniformly random contribution."""
+    up, stay, down = band
+    out = mass * stay
+    out[..., 1:] += mass[..., :-1] * up
+    out[..., :-1] += mass[..., 1:] * down
+    return out
+
+
+def _step(mass: np.ndarray, band, beta) -> np.ndarray:
+    """Mass after one user: K(beta) = beta * C + (1 - beta) * M^2, applied along the last axis.
+
+    M is the one-pick kernel (the band); the non-coordinator's second pick
+    sees the state left by the first.  C moves c -> c+1 when an empty part
+    exists and is a no-op at c == n_parts (the process never defines a
+    coordination target there).
+    """
+    out = _pick(_pick(mass, band), band)
+    out *= 1.0 - beta
+    out[..., 1:] += beta * mass[..., :-1]
+    out[..., -1:] += beta * mass[..., -1:]
+    return out
 
 
 def kernel_matrix(params: ModelParams) -> np.ndarray:
-    """Per-user transition kernel mixing the coordinate and not-coordinate branches.
-
-    A coordinator moves c -> c+1 when an empty part exists and is a no-op at
-    c == n_parts (the process never defines a coordination target there).
-    """
-    n = params.n_parts
-    coord = np.zeros((n + 1, n + 1))
-    for c in range(n + 1):
-        coord[c, min(c + 1, n)] = 1.0
-    return params.beta * coord + (1.0 - params.beta) * noncoord_matrix(n, params.alpha)
+    """Dense per-user transition kernel; row c is one step from a unit mass at c."""
+    band = _band(params.n_parts, params.alpha)
+    return _step(np.eye(params.n_parts + 1), band, params.beta)
 
 
 def _check_count(c: int, n_parts: int) -> None:
@@ -129,7 +143,10 @@ def _check_count(c: int, n_parts: int) -> None:
 def collision_deltas(c: int, params: ModelParams) -> DeltaDistribution:
     """Exact distribution of the net change produced by one non-coordinating user."""
     _check_count(c, params.n_parts)
-    row = noncoord_matrix(params.n_parts, params.alpha)[c]
+    band = _band(params.n_parts, params.alpha)
+    unit = np.zeros(params.n_parts + 1)
+    unit[c] = 1.0
+    row = _pick(_pick(unit, band), band)
     probs = {}
     for k in (-2, -1, 0, 1, 2):
         idx = c + k
@@ -137,19 +154,46 @@ def collision_deltas(c: int, params: ModelParams) -> DeltaDistribution:
     return DeltaDistribution(probs)
 
 
-def exact_expectation(params: ModelParams) -> float:
-    """Expected finished parts after all users, by exact kernel propagation."""
-    if params.n_parts * params.n_users > STATE_STEP_BUDGET:
+def exact_expectations(n_parts: int, n_users: int, alpha: float, betas) -> np.ndarray:
+    """Expected finished parts after all users, for each beta, by exact kernel propagation.
+
+    A (B, n_parts + 1) block holds the count distribution under each of the
+    B betas and moves through the pentadiagonal kernel one user at a time:
+    O(B * n_parts * n_users) time and O(B * n_parts) memory.  While a step
+    runs, four such float64 blocks are alive (the mass, both picks and one
+    product) besides the band's three rows; betas are taken in as few
+    blocks as keep that within SCAN_BYTES_BUDGET.
+    """
+    betas = np.asarray(betas, dtype=float)
+    check_ranges(n_parts, n_users, alpha, betas)
+    if n_parts * n_users > STATE_STEP_BUDGET:
         raise BudgetExceededError(
-            f"n_parts * n_users = {params.n_parts * params.n_users} exceeds "
+            f"n_parts * n_users = {n_parts * n_users} exceeds "
             f"{STATE_STEP_BUDGET} state-steps; use monte_carlo instead"
         )
-    kernel = kernel_matrix(params)
-    mass = np.zeros(params.n_parts + 1)
-    mass[0] = 1.0
-    for _ in range(params.n_users):
-        mass = mass @ kernel
-    return float(np.dot(np.arange(len(mass)), mass))
+    rows = (SCAN_BYTES_BUDGET // (8 * (n_parts + 1)) - 3) // 4
+    if rows < 1:
+        raise BudgetExceededError(
+            f"n_parts = {n_parts} needs {8 * 7 * (n_parts + 1)} bytes of count "
+            f"distributions for one beta, over the {SCAN_BYTES_BUDGET}-byte budget"
+        )
+    band = _band(n_parts, alpha)
+    counts = np.arange(n_parts + 1)
+    values = []
+    for block in np.split(betas, range(rows, len(betas), rows)):
+        beta = block[:, None]
+        mass = np.zeros((len(block), n_parts + 1))
+        mass[:, 0] = 1.0
+        for _ in range(n_users):
+            mass = _step(mass, band, beta)
+        values.append((mass * counts).sum(axis=1))
+    return np.concatenate(values)
+
+
+def exact_expectation(params: ModelParams) -> float:
+    """Expected finished parts after all users at one beta (exact_expectations with B = 1)."""
+    return float(exact_expectations(params.n_parts, params.n_users, params.alpha,
+                                    [params.beta])[0])
 
 
 def monte_carlo(params: ModelParams, runs: int, seed: int) -> SimResult:

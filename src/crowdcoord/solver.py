@@ -15,7 +15,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import BudgetExceededError
-from .model import ModelParams, check_ranges, exact_expectation, monte_carlo
+from .model import (
+    SCAN_BYTES_BUDGET,
+    ModelParams,
+    check_ranges,
+    exact_expectation,
+    exact_expectations,
+    monte_carlo,
+)
 
 OBJECTIVES = ("closed_form", "exact_dp", "monte_carlo")
 
@@ -25,14 +32,18 @@ A1_EPS = 1e-12
 REFINE_TOL = 1e-6
 # a beta must beat the incumbent by more than this to replace it
 TIE_TOL = 1e-12
+# bytes optimal_beta holds per grid beta, rounded up from the measured peaks: 57
+# for the closed form (the grid, its float64 temporaries, the values as a list)
+# and 48 for the other objectives (exact_expectations bounds its block itself)
+GRID_BYTES_PER_BETA = 64
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
 class RecurrenceCoeffs:
-    a: float
-    p0: float
+    a: float | np.ndarray
+    p0: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -70,8 +81,12 @@ class BetaGrid:
     errors: dict[tuple[int, int], str] = field(default_factory=dict)
 
 
-def recurrence_coeffs(n_parts: int, alpha: float, beta: float) -> RecurrenceCoeffs:
-    """Multiplier A and constant P0 of the deterministic recurrence (independent of E)."""
+def recurrence_coeffs(n_parts: int, alpha: float, beta) -> RecurrenceCoeffs:
+    """Multiplier A and constant P0 of the deterministic recurrence (independent of E).
+
+    ``beta`` is a float or an ndarray; with an ndarray, A and P0 are arrays
+    of the same shape.
+    """
     check_ranges(n_parts, 1, alpha, beta)
     n = n_parts
     w = (1.0 - beta) * (1.0 + alpha)
@@ -80,18 +95,27 @@ def recurrence_coeffs(n_parts: int, alpha: float, beta: float) -> RecurrenceCoef
     return RecurrenceCoeffs(a=a, p0=p0)
 
 
-def approx_expectation(n_parts: int, n_users: int, alpha: float, beta: float) -> float:
+def approx_expectation(n_parts: int, n_users: int, alpha: float, beta):
     """Closed-form expected finished parts after n_users.
 
-    Does not model saturation: at beta = 1 it returns n_users even when
-    n_users > n_parts.
+    ``beta`` is a float, giving a float, or an ndarray, giving one value per
+    beta.  Does not model saturation: at beta = 1 it returns n_users even
+    when n_users > n_parts.
     """
     if n_users < 1:
         raise ValueError(f"n_users must be >= 1, got {n_users}")
     coeffs = recurrence_coeffs(n_parts, alpha, beta)
-    if abs(coeffs.a - 1.0) <= A1_EPS:
-        return n_users * coeffs.p0
-    return coeffs.p0 * (coeffs.a**n_users - 1.0) / (coeffs.a - 1.0)
+    a, p0 = coeffs.a, coeffs.p0
+    near_one = abs(a - 1.0) <= A1_EPS
+    batched = isinstance(near_one, np.ndarray)
+    if not batched and near_one:
+        return n_users * p0
+    if batched:
+        # the limit form replaces the geometric sum wherever A is near 1;
+        # A = 0 there keeps the discarded sum finite
+        a = np.where(near_one, 0.0, a)
+    value = p0 * (a**n_users - 1.0) / (a - 1.0)
+    return np.where(near_one, n_users * p0, value) if batched else value
 
 
 def _spawn_seed(*entropy: int) -> int:
@@ -126,8 +150,11 @@ def optimal_beta(
 
     Coarse grid scan (ties within TIE_TOL break toward the smallest beta),
     then golden-section refinement on the bracketing interval for the smooth
-    objectives.  The Monte Carlo objective is noisy, seeds each grid point
-    by its index, and reports the best grid point instead of refining.
+    objectives, whose grid values come from one batched call each.  The
+    Monte Carlo objective is noisy, seeds each grid point by its index, and
+    reports the best grid point instead of refining.  A grid whose own
+    arrays would exceed SCAN_BYTES_BUDGET is refused before anything is
+    allocated.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
@@ -135,7 +162,13 @@ def optimal_beta(
         raise ValueError("monte_carlo objective requires a runs setting")
     check_ranges(n_parts, n_users, alpha, 0.0)
 
-    betas = np.linspace(0.0, 1.0, round(1.0 / config.grid_step) + 1)
+    n_betas = round(1.0 / config.grid_step) + 1
+    if n_betas * GRID_BYTES_PER_BETA > SCAN_BYTES_BUDGET:
+        raise BudgetExceededError(
+            f"grid_step = {config.grid_step} gives a {n_betas}-point beta grid needing "
+            f"{n_betas * GRID_BYTES_PER_BETA} bytes, over the {SCAN_BYTES_BUDGET}-byte budget"
+        )
+    betas = np.linspace(0.0, 1.0, n_betas)
     if objective == "monte_carlo":
         values = [
             monte_carlo(
@@ -145,14 +178,14 @@ def optimal_beta(
             ).mean_finished
             for i, b in enumerate(betas)
         ]
+    elif objective == "closed_form":
+        def f(beta: float) -> float:
+            return approx_expectation(n_parts, n_users, alpha, beta)
+        values = approx_expectation(n_parts, n_users, alpha, betas).tolist()
     else:
-        if objective == "closed_form":
-            def f(beta: float) -> float:
-                return approx_expectation(n_parts, n_users, alpha, beta)
-        else:
-            def f(beta: float) -> float:
-                return exact_expectation(ModelParams(n_parts, n_users, alpha, beta))
-        values = [f(float(b)) for b in betas]
+        def f(beta: float) -> float:
+            return exact_expectation(ModelParams(n_parts, n_users, alpha, beta))
+        values = exact_expectations(n_parts, n_users, alpha, betas).tolist()
 
     best_i = 0
     for i, v in enumerate(values):

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to freeze expected values.
 
 These deliberately take different computational paths than the library:
-state-set enumeration instead of transition matrices, subset search instead
+loop-built dense kernels instead of the banded one, state-set enumeration
+instead of transition matrices, subset search instead
 of greedy prefixes, permutation enumeration instead of count recursions,
 step-by-step iteration instead of the closed form, and one scalar run at a
 time instead of vectorized Monte Carlo.
@@ -14,6 +15,50 @@ from math import comb
 import numpy as np
 
 from crowdcoord.solver import recurrence_coeffs
+
+
+def one_pick_matrix(n_parts, alpha):
+    """Transition matrix of a single uniformly random contribution.
+
+    From count c: an unfinished part is hit with probability (n-c)/n and
+    becomes finished; a finished part is hit with probability c/n and is
+    unchanged with probability 1-alpha or returned to unfinished with
+    probability alpha.
+    """
+    n = n_parts
+    m = np.zeros((n + 1, n + 1))
+    for c in range(n + 1):
+        if c < n:
+            m[c, c + 1] += (n - c) / n
+        m[c, c] += (c / n) * (1.0 - alpha)
+        if c > 0:
+            m[c, c - 1] += (c / n) * alpha
+    return m
+
+
+def noncoord_matrix(n_parts, alpha):
+    """Two sequential picks; the second observes the state left by the first."""
+    m = one_pick_matrix(n_parts, alpha)
+    return m @ m
+
+
+def dense_kernel(n_parts, alpha, beta):
+    """Per-user kernel: a coordinator moves c -> min(c+1, n), else two picks."""
+    n = n_parts
+    coord = np.zeros((n + 1, n + 1))
+    for c in range(n + 1):
+        coord[c, min(c + 1, n)] = 1.0
+    return beta * coord + (1.0 - beta) * noncoord_matrix(n, alpha)
+
+
+def dense_expectation(n_parts, n_users, alpha, beta):
+    """Expected finished parts by propagating the dense kernel one user at a time."""
+    kernel = dense_kernel(n_parts, alpha, beta)
+    mass = np.zeros(n_parts + 1)
+    mass[0] = 1.0
+    for _ in range(n_users):
+        mass = mass @ kernel
+    return float(np.dot(np.arange(n_parts + 1), mass))
 
 
 def iterate_recurrence(n_parts, n_users, alpha, beta):

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import time
 
 import pytest
 
@@ -95,6 +97,27 @@ class TestIngest:
         with pytest.raises(MalformedEventError, match=f"line 7: {field}"):
             parse_event_line(line, 7)
 
+    @pytest.mark.parametrize("field,value", [
+        ("project_id", "5"), ("project_id", "null"), ("project_id", "true"),
+        ("project_id", '["p"]'), ("actor_id", "null"), ("actor_id", "7.5"),
+        ("actor_id", '{"id":"a"}'),
+    ])
+    def test_parse_rejects_non_string_ids(self, field, value):
+        ids = {"project_id": '"p"', "actor_id": '"a"', field: value}
+        line = ("{" + ",".join(f'"{k}":{v}' for k, v in ids.items())
+                + ',"timestamp":10,"channel":"work"}')
+        with pytest.raises(MalformedEventError, match=f"line 7: {field}"):
+            parse_event_line(line, 7)
+
+    def test_numeric_and_string_ids_do_not_merge(self, tmp_path, capsys):
+        events = tmp_path / "events.jsonl"
+        write_events(events, [
+            '{"project_id":"5","actor_id":"None","timestamp":1,"channel":"work"}',
+            '{"project_id":5,"actor_id":null,"timestamp":2,"channel":"work"}',
+        ])
+        assert run(["xcore", "--events", events, "--out", tmp_path / "o.csv"]) == 2
+        assert "line 2: project_id" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_usage_error_on_bad_flag_value(self, tmp_path, capsys):
@@ -127,6 +150,15 @@ class TestExitCodes:
         assert run(["simulate", "--n", 5, "--e", 3, "--alpha", 1, "--beta", 0.5,
                     "--runs", 10**15, "--out", tmp_path / "o.csv"]) == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--n", 5, "--e", 3, "--alpha", 1, "--grid-step", 1e-9],
+        ["dp", "--n", 20_000_000, "--e", 1, "--alpha", 0.5, "--beta", 0.5],
+    ], ids=["beta-grid", "exact-block"])
+    def test_resource_error_on_scan_bytes_budget(self, tmp_path, capsys, argv):
+        assert run([*argv, "--out", tmp_path / "o.csv"]) == 3
+        assert "budget" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_data_error_on_malformed_line(self, tmp_path, capsys):
         events = tmp_path / "events.jsonl"
         events.write_text("not json\n")
@@ -147,6 +179,37 @@ class TestModelCommands:
         assert run(["dp", "--n", 2, "--e", 2, "--alpha", 1, "--beta", 0,
                     "--out", out]) == 0
         assert out.read_text() == "expected_finished\n1.000000\n"
+
+    def test_dp_many_parts_one_user(self, tmp_path):
+        # a dense kernel at this size would be three 3.2 GB matrices
+        out = tmp_path / "dp.csv"
+        start = time.perf_counter()
+        assert run(["dp", "--n", 20_000, "--e", 1, "--alpha", 0.5, "--beta", 0.5,
+                    "--out", out]) == 0
+        assert time.perf_counter() - start < 5.0
+        # half the users finish one part; the other half 2 - (1 + alpha) / n on average
+        value = float(out.read_text().split("\n")[1])
+        assert value == pytest.approx(0.5 + 0.5 * (2 - 1.5 / 20_000), abs=1e-6)
+
+    # sha256 of the heatmap CSVs written before the exact kernel became banded
+    # and the grid scans batched; the bytes must not move
+    HEATMAP_DIGESTS = {
+        ("dp", "0"): "5eb279e6760524780876c4ddfa6efe943a00bf77f4885b019d88a6b6ae1932a5",
+        ("dp", "0.5"): "4a1aa219e075bbf26ea254d77ebd90890ef9cdeccaaad4598bb3f77859204a72",
+        ("dp", "1"): "91150a412e2140348e53bcd2f57af47aa3063f9e42734c72b3c27a6132cc5749",
+        ("cf", "0"): "6aa1bed830e3ac3d53dbd96ee5cbf39fbc845eb0e8cf0dc76acd69d9c558634f",
+        ("cf", "0.5"): "30d9525b185cbadf6a3b6ec1154211531934ee04a6f3128c53d46e6aacb4de97",
+        ("cf", "1"): "846ba7f3ce6204f8b7503b6a67df86c24ded7cd017add88c23de7e849178d68b",
+    }
+
+    @pytest.mark.parametrize("objective,alpha", sorted(HEATMAP_DIGESTS))
+    def test_heatmap_bytes_pinned(self, tmp_path, objective, alpha):
+        values = "1,2,3,5,10,20,40" if objective == "dp" else "1:30"
+        out = tmp_path / "grid.csv"
+        assert run(["heatmap", "--objective", objective, "--n", values, "--e", values,
+                    "--alpha", alpha, "--out", out]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == self.HEATMAP_DIGESTS[(objective, alpha)]
 
     def test_simulate_output(self, tmp_path):
         out = tmp_path / "sim.csv"

@@ -11,11 +11,12 @@ from crowdcoord.model import (
     ModelParams,
     collision_deltas,
     exact_expectation,
+    exact_expectations,
     kernel_matrix,
     monte_carlo,
 )
 
-from oracles import simulate, two_pick_outcome_dist
+from oracles import dense_expectation, dense_kernel, simulate, two_pick_outcome_dist
 
 alphas = st.sampled_from([0.0, 0.3, 0.5, 1.0])
 probs = st.floats(min_value=0.0, max_value=1.0)
@@ -136,6 +137,7 @@ class TestKernelRow:
         k = kernel_matrix(ModelParams(n, 1, alpha, beta))
         assert np.all(k >= 0.0)
         assert np.allclose(k.sum(axis=1), 1.0, atol=1e-12)
+        assert np.abs(k - dense_kernel(n, alpha, beta)).max() <= 1e-15
 
 
 class TestExactExpectation:
@@ -159,6 +161,41 @@ class TestExactExpectation:
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceededError):
             exact_expectation(ModelParams(200_000, 1_000, 0.5, 0.5))
+
+    def test_one_beta_over_the_byte_budget_is_refused(self):
+        # 20_000_000 state-steps pass the step budget, but one distribution
+        # with its picks needs 7 * 8 * (n + 1) bytes, over 2**30
+        with pytest.raises(BudgetExceededError, match="bytes"):
+            exact_expectations(20_000_000, 1, 0.5, [0.5])
+
+    def test_long_beta_vectors_are_split_within_the_byte_budget(self, monkeypatch):
+        import crowdcoord.model as model
+
+        betas = np.linspace(0.0, 1.0, 11)
+        whole = exact_expectations(30, 6, 0.4, betas)
+        # room for two betas per block: four (2, 31) blocks plus the band's three rows
+        monkeypatch.setattr(model, "SCAN_BYTES_BUDGET", 8 * 31 * (4 * 2 + 3))
+        assert np.array_equal(exact_expectations(30, 6, 0.4, betas), whole)
+
+    def test_rejects_betas_out_of_range(self):
+        with pytest.raises(ValueError, match="beta"):
+            exact_expectations(5, 3, 0.5, [0.2, 1.5])
+        with pytest.raises(ValueError, match="beta"):
+            exact_expectations(5, 3, 0.5, [np.nan])
+
+    @given(
+        n=st.integers(1, 60),
+        e=st.integers(1, 30),
+        alpha=probs,
+        betas=st.lists(probs, min_size=1, max_size=8),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_batched_equals_dense_oracle(self, n, e, alpha, betas):
+        batched = exact_expectations(n, e, alpha, betas)
+        assert batched.shape == (len(betas),)
+        for beta, value in zip(betas, batched):
+            assert abs(value - dense_expectation(n, e, alpha, beta)) <= 1e-12
+            assert value == exact_expectation(ModelParams(n, e, alpha, beta))
 
 
 class TestSimulate:

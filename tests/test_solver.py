@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crowdcoord.errors import BudgetExceededError
 from crowdcoord.solver import (
     BetaGrid,
     SearchConfig,
@@ -77,6 +78,24 @@ class TestApproxExpectation:
         it = iterate_recurrence(n, e, alpha, beta)
         assert cf == pytest.approx(it, rel=1e-9, abs=1e-9)
 
+    @given(
+        n=st.integers(1, 50),
+        e=st.integers(1, 200),
+        alpha=probs,
+        betas=st.lists(probs, min_size=1, max_size=8),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_array_beta_matches_scalar(self, n, e, alpha, betas):
+        batched = approx_expectation(n, e, alpha, np.array(betas))
+        for beta, value in zip(betas, batched):
+            assert value == pytest.approx(approx_expectation(n, e, alpha, beta),
+                                          rel=1e-12, abs=1e-12)
+
+    def test_array_beta_takes_the_limit_near_a_one(self):
+        values = approx_expectation(5, 10, 1.0, np.array([0.0, 1.0]))
+        assert values[1] == 10.0
+        assert values[0] == approx_expectation(5, 10, 1.0, 0.0)
+
     def test_iteration_examples(self):
         assert iterate_recurrence(1, 10, 1.0, 0.0) == 0.0
         assert iterate_recurrence(5, 3, 0.2, 1.0) == 3.0
@@ -124,6 +143,17 @@ class TestOptimalBeta:
         r = optimal_beta(5, 10, 1.0, "monte_carlo", SearchConfig(runs=2000, seed=3))
         assert r.runs == 2000
         assert round(r.beta_star * 100) == pytest.approx(r.beta_star * 100)
+
+    @pytest.mark.parametrize("objective", ["closed_form", "exact_dp", "monte_carlo"])
+    def test_grid_budget_refuses_before_allocating(self, objective):
+        # a 10**9-point grid would need 8 GB for the betas alone
+        with pytest.raises(BudgetExceededError, match="beta grid"):
+            optimal_beta(5, 5, 1.0, objective, SearchConfig(grid_step=1e-9, runs=10))
+
+    def test_fine_grid_below_the_budget_still_runs(self):
+        r = optimal_beta(20, 8, 1.0, "closed_form", SearchConfig(grid_step=1e-6))
+        coarse = optimal_beta(20, 8, 1.0, "closed_form")
+        assert r.beta_star == pytest.approx(coarse.beta_star, abs=1e-4)
 
     def test_unknown_objective(self):
         with pytest.raises(ValueError):
@@ -176,6 +206,12 @@ class TestBetaHeatmap:
         assert grid.cells[0][0] is not None
         assert grid.cells[0][1] is None
         assert (0, 1) in grid.errors
+
+    @pytest.mark.parametrize("objective", ["closed_form", "exact_dp"])
+    def test_grid_over_the_byte_budget_is_a_cell_error(self, objective):
+        grid = beta_heatmap([5], [5], 1.0, objective, SearchConfig(grid_step=1e-9))
+        assert grid.cells == [[None]]
+        assert "budget" in grid.errors[(0, 0)]
 
     def test_monte_carlo_budget_is_a_cell_error(self):
         grid = beta_heatmap([5], [5], 1.0, "monte_carlo", SearchConfig(runs=10**15))
