@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import IneligibleProjectError
 
@@ -18,19 +18,14 @@ CHANNELS = ("work", "discussion", "comment")
 COORDINATION_CHANNELS = ("discussion", "comment")
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
+    """One log record; ``cli.parse_event_line`` validates records read from files."""
+
     project_id: str
     actor_id: str
     timestamp: int
     channel: str
     size_delta: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.channel not in CHANNELS:
-            raise ValueError(f"channel must be one of {CHANNELS}, got {self.channel!r}")
-        if self.timestamp < 0:
-            raise ValueError(f"timestamp must be >= 0, got {self.timestamp}")
 
 
 @dataclass(frozen=True)

@@ -17,13 +17,14 @@ from pathlib import Path
 
 from . import __version__
 from .analytics import (
+    CHANNELS,
     COORDINATION_CHANNELS,
     Event,
     ProjectLog,
     core_curve,
     crowdedness_profile,
 )
-from .cohort import build_cohorts, cohort_to_csv
+from .cohort import FEATURED_YEARS, build_cohorts, cohort_to_csv
 from .errors import (
     BudgetExceededError,
     DataError,
@@ -41,7 +42,6 @@ from .stats import (
 )
 from .synth import STRUCTURES, SyntheticSpec, generate_synthetic
 
-_EVENT_KEYS = ("project_id", "actor_id", "timestamp", "channel", "size_delta")
 _META_COLUMNS = ("project_id", "final_size", "featured_year", "watchers")
 
 
@@ -87,16 +87,14 @@ def parse_event_line(line: str, line_no: int) -> Event:
         raise MalformedEventError(
             f"line {line_no}: size_delta must be an integer, got {size_delta!r}"
         )
-    try:
-        return Event(
-            project_id=project_id,
-            actor_id=actor_id,
-            timestamp=timestamp,
-            channel=record["channel"],
-            size_delta=size_delta,
+    channel = record["channel"]
+    if channel not in CHANNELS:
+        raise MalformedEventError(
+            f"line {line_no}: channel must be one of {CHANNELS}, got {channel!r}"
         )
-    except ValueError as exc:
-        raise MalformedEventError(f"line {line_no}: {exc}") from exc
+    if timestamp < 0:
+        raise MalformedEventError(f"line {line_no}: timestamp must be >= 0, got {timestamp}")
+    return Event(project_id, actor_id, timestamp, channel, size_delta)
 
 
 def event_to_json(event: Event) -> str:
@@ -121,13 +119,19 @@ def read_metadata(path: str) -> dict[str, dict]:
             if pid in metadata:
                 raise DataError(f"{path}: duplicate metadata row for {pid}")
             entry = {}
-            for key in ("final_size", "featured_year", "watchers"):
+            for key in _META_COLUMNS[1:]:
                 value = row.get(key)
                 if value not in (None, ""):
                     try:
                         entry[key] = int(value)
                     except ValueError as exc:
                         raise DataError(f"{path}: bad {key} for {pid}: {value!r}") from exc
+            year = entry.get("featured_year")
+            if year is not None and year not in FEATURED_YEARS:
+                raise DataError(
+                    f"{path}: featured_year for {pid} must be in {FEATURED_YEARS.start}.."
+                    f"{FEATURED_YEARS.stop - 1}, got {year}"
+                )
             metadata[pid] = entry
     return metadata
 

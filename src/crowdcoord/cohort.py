@@ -9,13 +9,16 @@ without replacement across the whole cohort so lists stay pairwise disjoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import MAXYEAR, MINYEAR, datetime, timezone
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .analytics import ProjectLog
 from .errors import IneligibleProjectError
+
+# featured years whose own start and the next year's start are representable
+FEATURED_YEARS = range(MINYEAR, MAXYEAR)
 
 
 @dataclass(frozen=True)
@@ -35,20 +38,23 @@ class Cohort:
     require_fewer_prior: bool
 
 
-def _event_year(timestamp: int) -> int:
-    return datetime.fromtimestamp(timestamp, tz=timezone.utc).year
+def _year_start(year: int) -> int:
+    return int(datetime(year, 1, 1, tzinfo=timezone.utc).timestamp())
 
 
 def edit_epoch_counts(project: ProjectLog, year: int) -> EpochCounts:
-    """Work events strictly before, within, and after the given UTC calendar year."""
+    """Work events strictly before, within, and after the given UTC calendar year.
+
+    Timestamps are compared with the year's bounds, so event order does not matter.
+    """
+    start, end = _year_start(year), _year_start(year + 1)
     before = during = after = 0
     for event in project.events:
         if event.channel != "work":
             continue
-        y = _event_year(event.timestamp)
-        if y < year:
+        if event.timestamp < start:
             before += 1
-        elif y == year:
+        elif event.timestamp < end:
             during += 1
         else:
             after += 1
@@ -61,9 +67,8 @@ def control_eligible(
     tolerance: float,
     require_fewer_prior: bool,
 ) -> bool:
+    """Whether a candidate matches; featured before and after counts must be nonzero."""
     fb, fa = featured_counts.before, featured_counts.after
-    if fb == 0 or fa == 0:
-        return False
     if abs(fb - candidate_counts.before) / fb >= tolerance:
         return False
     if abs(fa - candidate_counts.after) / fa >= tolerance:
@@ -116,8 +121,8 @@ def build_cohorts(
     """Allocate disjoint control lists for every featured project.
 
     Featured projects are visited in ascending id order; each takes up to k
-    controls from the not-yet-used eligible pool.  Featured projects with no
-    eligible controls (or zero epoch denominators) are dropped.
+    controls from the not-yet-used eligible pool.  Featured projects that are
+    ineligible or find no eligible control are dropped.
     """
     unknown = sorted(set(featured_labels) - set(corpus))
     if unknown:
@@ -129,19 +134,15 @@ def build_cohorts(
     union: list[str] = []
     used: set[str] = set()
     for idx, fid in enumerate(sorted(featured_labels)):
-        year = featured_labels[fid]
-        fc = edit_epoch_counts(corpus[fid], year)
-        if fc.before == 0 or fc.after == 0:
-            continue
-        available = [
-            corpus[pid]
-            for pid in pool_ids
-            if pid not in used
-        ]
+        available = [corpus[pid] for pid in pool_ids if pid not in used]
         sub_seed = int(np.random.SeedSequence([seed, idx]).generate_state(1)[0])
-        chosen = matched_controls(
-            corpus[fid], year, available, k, tolerance, require_fewer_prior, sub_seed
-        )
+        try:
+            chosen = matched_controls(
+                corpus[fid], featured_labels[fid], available, k, tolerance,
+                require_fewer_prior, sub_seed,
+            )
+        except IneligibleProjectError:
+            continue
         if not chosen:
             continue
         featured_out.append(fid)

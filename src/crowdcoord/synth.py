@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Optional
 
 import numpy as np
 
@@ -20,41 +19,36 @@ STRUCTURES = ("none", "crowded", "cohort")
 # one work event every ten minutes keeps timestamps well-ordered
 _STEP = 600
 
+# corpus shape: inclusive ranges, and channel events per work event
+MIN_ACTORS = 2
+MIN_WORK, MAX_WORK = 120, 400
+MIN_SIZE, MAX_SIZE = 1_000, 100_000
+COMMENT_RATE = 0.2
+DISCUSSION_RATE = 0.1
+MIN_YEAR, MAX_YEAR = 2003, 2007
+
 
 @dataclass(frozen=True)
 class SyntheticSpec:
     n_projects: int = 50
-    min_actors: int = 2
     max_actors: int = 20
-    min_work: int = 120
-    max_work: int = 400
     structure: str = "none"
     # crowded structure: coordination = crowding_scale * team / final_size
     crowding_scale: float = 4.0e5
-    min_size: int = 1_000
-    max_size: int = 100_000
-    comment_rate: float = 0.2
-    discussion_rate: float = 0.1
     # cohort structure
     n_featured: int = 0
     planted_controls: int = 0
     noise_candidates: int = 0
-    min_year: int = 2003
-    max_year: int = 2007
 
     def __post_init__(self) -> None:
         if self.n_projects < 1:
             raise ValueError("n_projects must be >= 1")
-        if not 1 <= self.min_actors <= self.max_actors:
-            raise ValueError("need 1 <= min_actors <= max_actors")
-        if not 1 <= self.min_work <= self.max_work:
-            raise ValueError("need 1 <= min_work <= max_work")
+        if self.max_actors < MIN_ACTORS:
+            raise ValueError(f"max_actors must be >= {MIN_ACTORS}")
         if self.structure not in STRUCTURES:
             raise ValueError(f"structure must be one of {STRUCTURES}")
         if self.structure == "cohort" and self.n_featured < 1:
             raise ValueError("cohort structure needs n_featured >= 1")
-        if not self.min_year <= self.max_year:
-            raise ValueError("need min_year <= max_year")
 
 
 @dataclass(frozen=True)
@@ -90,24 +84,22 @@ def _generate_flat(spec: SyntheticSpec, seed: int) -> SyntheticCorpus:
         if spec.structure == "crowded":
             # stratify both axes over decile bands so every grid cell is populated
             t_band, s_band = j % 10, (j // 10) % 10
-            team = spec.min_actors + int(
-                (spec.max_actors - spec.min_actors + 1) * (t_band + rng.random()) / 10.0
+            team = MIN_ACTORS + int(
+                (spec.max_actors - MIN_ACTORS + 1) * (t_band + rng.random()) / 10.0
             )
-            size = spec.min_size + int(
-                (spec.max_size - spec.min_size + 1) * (s_band + rng.random()) / 10.0
-            )
+            size = MIN_SIZE + int((MAX_SIZE - MIN_SIZE + 1) * (s_band + rng.random()) / 10.0)
             team = min(team, spec.max_actors)
-            size = min(size, spec.max_size)
+            size = min(size, MAX_SIZE)
         else:
-            team = int(rng.integers(spec.min_actors, spec.max_actors + 1))
-            size = int(rng.integers(spec.min_size, spec.max_size + 1))
-        n_work = int(rng.integers(spec.min_work, spec.max_work + 1))
+            team = int(rng.integers(MIN_ACTORS, spec.max_actors + 1))
+            size = int(rng.integers(MIN_SIZE, MAX_SIZE + 1))
+        n_work = int(rng.integers(MIN_WORK, MAX_WORK + 1))
         n_work = max(n_work, team)
         if spec.structure == "crowded":
             n_discussion = max(0, round(spec.crowding_scale * team / size))
         else:
-            n_discussion = int(rng.poisson(spec.discussion_rate * n_work))
-        n_comments = int(rng.poisson(spec.comment_rate * n_work))
+            n_discussion = int(rng.poisson(DISCUSSION_RATE * n_work))
+        n_comments = int(rng.poisson(COMMENT_RATE * n_work))
         actors = [f"u{j:04d}_{i}" for i in range(team)]
 
         ts = 0
@@ -173,7 +165,7 @@ def _generate_cohort(spec: SyntheticSpec, seed: int) -> SyntheticCorpus:
     serial = 0
     for f in range(spec.n_featured):
         fid = f"f{f:04d}"
-        year = int(rng.integers(spec.min_year, spec.max_year + 1))
+        year = int(rng.integers(MIN_YEAR, MAX_YEAR + 1))
         before = int(rng.integers(100, 400))
         during = int(rng.integers(5, 40))
         after = int(rng.integers(100, 400))

@@ -4,16 +4,19 @@ These deliberately take different computational paths than the library:
 loop-built dense kernels instead of the banded one, state-set enumeration
 instead of transition matrices, subset search instead
 of greedy prefixes, permutation enumeration instead of count recursions,
-step-by-step iteration instead of the closed form, and one scalar run at a
-time instead of vectorized Monte Carlo.
+step-by-step iteration instead of the closed form, one scalar run at a
+time instead of vectorized Monte Carlo, and one calendar date per event
+instead of comparisons against year boundaries.
 """
 
 from collections import defaultdict
+from datetime import datetime, timezone
 from itertools import combinations
 from math import comb
 
 import numpy as np
 
+from crowdcoord.cohort import EpochCounts
 from crowdcoord.solver import recurrence_coeffs
 
 
@@ -148,3 +151,19 @@ def enumerate_mwu_p(sample_a, sample_b):
         if u1 <= observed:
             hits += 1
     return min(1.0, 2.0 * hits / comb(n1 + n2, n1))
+
+
+def datetime_epoch_counts(project, year):
+    """Work events before, within and after a UTC calendar year, dating each event."""
+    before = during = after = 0
+    for event in project.events:
+        if event.channel != "work":
+            continue
+        y = datetime.fromtimestamp(event.timestamp, tz=timezone.utc).year
+        if y < year:
+            before += 1
+        elif y == year:
+            during += 1
+        else:
+            after += 1
+    return EpochCounts(before=before, during=during, after=after)

@@ -14,13 +14,18 @@ import pytest
 
 from crowdcoord.analytics import core_curve, crowdedness_profile, x_core
 from crowdcoord.cli import main
-from crowdcoord.cohort import build_cohorts, control_eligible, edit_epoch_counts
+from crowdcoord.cohort import build_cohorts, control_eligible
 from crowdcoord.model import ModelParams, collision_deltas, exact_expectation, monte_carlo
 from crowdcoord.solver import SearchConfig, approx_expectation, beta_heatmap, optimal_beta
 from crowdcoord.stats import decile_heatmap, mann_whitney_u, median_split_quadrants
 from crowdcoord.synth import SyntheticSpec, generate_synthetic
 
-from oracles import enumerate_mwu_p, iterate_recurrence, two_pick_outcome_dist
+from oracles import (
+    datetime_epoch_counts,
+    enumerate_mwu_p,
+    iterate_recurrence,
+    two_pick_outcome_dist,
+)
 
 
 def report(name):
@@ -276,9 +281,9 @@ def test_criterion_11_cohort_validity():
         assert controls, fid
         assert not set(controls) & seen
         seen |= set(controls)
-        fc = edit_epoch_counts(corpus[fid], labels[fid])
+        fc = datetime_epoch_counts(corpus[fid], labels[fid])
         for cid in controls:
-            cc = edit_epoch_counts(corpus[cid], labels[fid])
+            cc = datetime_epoch_counts(corpus[cid], labels[fid])
             # independent re-check of every eligibility condition
             assert abs(fc.before - cc.before) / fc.before < 0.05
             assert abs(fc.after - cc.after) / fc.after < 0.05

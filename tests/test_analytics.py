@@ -197,9 +197,3 @@ class TestProjectLog:
         ]
         log = ProjectLog.from_events("p", events)
         assert [e.actor_id for e in log.events] == ["c", "b", "a"]
-
-    def test_channel_validation(self):
-        with pytest.raises(ValueError):
-            Event("p", "a", 0, "email")
-        with pytest.raises(ValueError):
-            Event("p", "a", -1, "work")

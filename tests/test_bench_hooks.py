@@ -1,4 +1,4 @@
-"""The benchmark's tracer still finds every package function it wraps.
+"""The benchmark's tracer still finds and times every package function it wraps.
 
 ``bench/trace_child.py`` replaces named functions in the crowdcoord modules
 by looking them up with ``getattr``; a renamed or removed target would make
@@ -8,9 +8,18 @@ bench directory needs no installing.
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-TRACE_CHILD = Path(__file__).resolve().parents[1] / "bench" / "trace_child.py"
+import pytest
+
+from crowdcoord.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACE_CHILD = ROOT / "bench" / "trace_child.py"
 
 
 def load_trace_child():
@@ -29,3 +38,34 @@ def test_traced_targets_resolve():
         assert callable(getattr(module, name, None)), f"crowdcoord.{module_name}.{name}"
     analytics = importlib.import_module("crowdcoord.analytics")
     assert callable(analytics.ProjectLog.from_events.__func__)
+
+
+@pytest.mark.parametrize("command,synth,span", [
+    (["crowd", "--k", "20"], ["--projects", "6", "--structure", "crowded"],
+     "analytics.crowdedness_profile"),
+    (["cohort", "--k", "2"], ["--structure", "cohort", "--featured", "2",
+                              "--planted-controls", "2", "--noise-candidates", "1"],
+     "cohort.edit_epoch_counts"),
+])
+def test_trace_child_records_spans(tmp_path, command, synth, span):
+    corpus = tmp_path / "corpus"
+    assert main(["synth", *synth, "--seed", "3", "--out", str(corpus)]) == 0
+    spans_path = tmp_path / "spans.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, str(TRACE_CHILD), str(spans_path), "--", *command,
+         "--events", str(corpus / "events.jsonl"), "--metadata", str(corpus / "metadata.csv"),
+         "--out", str(tmp_path / "out.csv")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    spans = json.loads(spans_path.read_text())
+    by_name = {}
+    for _sid, _parent, name, start, end, attrs in spans:
+        assert end >= start, name
+        by_name.setdefault(name, []).append(attrs)
+    lines = (corpus / "events.jsonl").read_text().splitlines()
+    assert by_name["cli.ingest"] == [{"events": len(lines)}]
+    assert by_name[span], sorted(by_name)

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import re
 import time
+from datetime import datetime, timezone
 
 import pytest
 
@@ -109,6 +111,18 @@ class TestIngest:
         with pytest.raises(MalformedEventError, match=f"line 7: {field}"):
             parse_event_line(line, 7)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("channel", '"email"',
+         "channel must be one of ('work', 'discussion', 'comment'), got 'email'"),
+        ("timestamp", "-1", "timestamp must be >= 0, got -1"),
+    ], ids=["channel-email", "timestamp-negative"])
+    def test_parse_rejects_out_of_domain_values(self, field, value, message):
+        fields = {"channel": '"work"', "timestamp": "10", field: value}
+        line = ('{"project_id":"p","actor_id":"a",'
+                + ",".join(f'"{k}":{v}' for k, v in fields.items()) + "}")
+        with pytest.raises(MalformedEventError, match=re.escape(f"line 7: {message}")):
+            parse_event_line(line, 7)
+
     def test_numeric_and_string_ids_do_not_merge(self, tmp_path, capsys):
         events = tmp_path / "events.jsonl"
         write_events(events, [
@@ -163,6 +177,39 @@ class TestExitCodes:
         events = tmp_path / "events.jsonl"
         events.write_text("not json\n")
         assert run(["xcore", "--events", events, "--out", tmp_path / "o.csv"]) == 2
+
+    @pytest.mark.parametrize("year", [0, 9999])
+    def test_data_error_on_featured_year_out_of_range(self, tmp_path, capsys, year):
+        events = tmp_path / "events.jsonl"
+        write_events(events, [E1])
+        meta = tmp_path / "meta.csv"
+        meta.write_text(f"project_id,final_size,featured_year,watchers\np1,1,{year},\n")
+        assert run(["cohort", "--events", events, "--metadata", meta,
+                    "--out", tmp_path / "o.csv"]) == 2
+        assert f"featured_year for p1 must be in 1..9998, got {year}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("timestamp", [10**12, 10**20])
+    def test_cohort_far_future_work_timestamp(self, tmp_path, capsys, timestamp):
+        def work(pid, year, count):
+            start = int(datetime(year, 6, 1, tzinfo=timezone.utc).timestamp())
+            return [json.dumps({"project_id": pid, "actor_id": "a", "timestamp": start + i,
+                                "channel": "work"}) for i in range(count)]
+
+        events = tmp_path / "events.jsonl"
+        write_events(events, [
+            *work("f", 2003, 100), *work("f", 2005, 100),
+            *work("n", 2003, 102), *work("n", 2005, 101),
+            *work("z", 2003, 5),
+            json.dumps({"project_id": "z", "actor_id": "a", "timestamp": timestamp,
+                        "channel": "work"}),
+        ])
+        meta = tmp_path / "meta.csv"
+        meta.write_text("project_id,final_size,featured_year,watchers\nf,1,2004,\n")
+        out = tmp_path / "o.csv"
+        assert run(["cohort", "--events", events, "--metadata", meta, "--k", 2,
+                    "--out", out]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert out.read_text().split("\n")[2] == "f,n"
 
 
 class TestModelCommands:
@@ -287,3 +334,65 @@ class TestSynth:
                     "--out", tmp_path / "cohort.csv"]) == 0
         lines = (tmp_path / "cohort.csv").read_text().strip().split("\n")
         assert len(lines) == 2 + 5  # header comment, column row, five featured
+
+
+@pytest.fixture(scope="module")
+def small_corpora(tmp_path_factory):
+    root = tmp_path_factory.mktemp("corpora")
+    assert run(["synth", "--projects", 40, "--structure", "crowded", "--seed", 4,
+                "--out", root / "crowded"]) == 0
+    assert run(["synth", "--structure", "cohort", "--featured", 6, "--planted-controls", 6,
+                "--noise-candidates", 2, "--seed", 4, "--out", root / "cohort"]) == 0
+    return root
+
+
+class TestCorpusBytes:
+    # sha256 of the synth corpora and of the corpus-command CSVs, written
+    # before event checks moved to parse_event_line and cohort epochs to
+    # year-boundary comparisons; the bytes must not move
+    SYNTH_DIGESTS = {
+        ("crowded", "events.jsonl"):
+            "e4a901f4f80f797ccb79f6aaf1af6320bbcf86010d981e5f376b94023cec64d6",
+        ("crowded", "metadata.csv"):
+            "6cd45fd0f108686d33e981473e2e13cb36134bce0357f9f6e3bfb4400217c39b",
+        ("crowded", "ground_truth.json"):
+            "74f138a88f88f24a7de671dab74cd8135eee2d962ffdacb468ae1f2951f05100",
+        ("cohort", "events.jsonl"):
+            "ed0b66ae482fa5994e83118bd6f4934f62f6e55953dca19277bf33b3a237c1e0",
+        ("cohort", "metadata.csv"):
+            "a92d02c17a52c3997a93452a3511d935042a6624b1269117616b877d3c705e60",
+        ("cohort", "ground_truth.json"):
+            "46dd39e47a052364c359b35e774ab747e88456ff5e280beafa152c64b2de7bc8",
+    }
+    CSV_DIGESTS = {
+        "crowd": "c198a07619228b6d5b9148d53a362a40d0a13613315d1f7380730d641ecb8d72",
+        "quadrants": "0273b4661434fae1458016a0beeccf1e3772057c8775e2d84508a5a53b08795b",
+        "bins": "e0736e334f39c2920d959162d32067995644f7d0a532490464d7a04ddf4b0f2c",
+        "xcore": "11a46261ab31a6aea96e03acb48677e5da4fb10d9b43188b9af2fd316c199c63",
+        "cohort": "a389958ba3f6e23ff40828f1d851b8e52c29bb08022cba148c235f3f845c1914",
+        "cohort-fewer": "3f2637222ff84a60ba5bbde77e70c0a4be2e55b57021d91a011e430449ee36e9",
+    }
+
+    @pytest.mark.parametrize("corpus,name", sorted(SYNTH_DIGESTS))
+    def test_synth_bytes_pinned(self, small_corpora, corpus, name):
+        digest = hashlib.sha256((small_corpora / corpus / name).read_bytes()).hexdigest()
+        assert digest == self.SYNTH_DIGESTS[(corpus, name)]
+
+    @pytest.mark.parametrize("command", sorted(CSV_DIGESTS))
+    def test_csv_bytes_pinned(self, tmp_path, small_corpora, command):
+        def files(corpus):
+            return ["--events", small_corpora / corpus / "events.jsonl",
+                    "--metadata", small_corpora / corpus / "metadata.csv"]
+
+        argv = {
+            "crowd": ["crowd", *files("crowded"), "--k", 40],
+            "quadrants": ["quadrants", *files("crowded"), "--k", 40],
+            "bins": ["bins", *files("crowded"), "--k", 40],
+            "xcore": ["xcore", *files("crowded"), "--x", 0.5, "--x", 1.0],
+            "cohort": ["cohort", *files("cohort"), "--k", 3, "--seed", 7],
+            "cohort-fewer": ["cohort", *files("cohort"), "--k", 3, "--seed", 7,
+                             "--allow-fewer-prior"],
+        }[command]
+        out = tmp_path / "out.csv"
+        assert run([*argv, "--out", out]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.CSV_DIGESTS[command]

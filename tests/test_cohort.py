@@ -1,8 +1,10 @@
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from crowdcoord.analytics import Event, ProjectLog
+from crowdcoord.analytics import CHANNELS, Event, ProjectLog
 from crowdcoord.cohort import (
     EpochCounts,
     build_cohorts,
@@ -12,6 +14,8 @@ from crowdcoord.cohort import (
     matched_controls,
 )
 from crowdcoord.errors import IneligibleProjectError
+
+from oracles import datetime_epoch_counts
 
 
 def ts(year, serial=0):
@@ -46,6 +50,31 @@ class TestEpochCounts:
         ]
         log = ProjectLog.from_events("p", events)
         assert edit_epoch_counts(log, 2004) == EpochCounts(1, 0, 0)
+
+    @given(
+        year=st.integers(1972, 9900),
+        picks=st.lists(
+            st.tuples(st.integers(-1, 2), st.one_of(st.integers(-1, 1), st.integers(0, 2**31)),
+                      st.sampled_from(CHANNELS)),
+            max_size=40,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_datetime_oracle(self, year, picks):
+        # each timestamp is an offset from the start of year - 1 .. year + 2: one
+        # second either side of a boundary, or up to about 68 years later; the log
+        # is built directly, so it stays in draw order rather than time order
+        events = []
+        for shift, offset, channel in picks:
+            start = int(datetime(year + shift, 1, 1, tzinfo=timezone.utc).timestamp())
+            events.append(Event("p", "a", start + offset, channel))
+        log = ProjectLog("p", tuple(events))
+        assert edit_epoch_counts(log, year) == datetime_epoch_counts(log, year)
+
+    @pytest.mark.parametrize("timestamp", [10**12, 10**20])
+    def test_far_future_counts_after(self, timestamp):
+        log = ProjectLog.from_events("p", [Event("p", "a", timestamp, "work")])
+        assert edit_epoch_counts(log, 2004) == EpochCounts(0, 0, 1)
 
 
 class TestEligibility:
@@ -139,6 +168,16 @@ class TestBuildCohorts:
         cohort = build_cohorts(corpus, labels, k=1, seed=0)
         assert cohort.featured == ("fa",)
         assert cohort.controls_by_featured["fa"] == ("n0",)
+
+    def test_ineligible_featured_dropped(self):
+        corpus = {
+            "fa": article("fa", before=0, during=5, after=200),
+            "fb": article("fb", before=100, during=5, after=200),
+            "n0": article("n0", before=102, during=5, after=203),
+        }
+        cohort = build_cohorts(corpus, {"fa": 2004, "fb": 2004}, k=1, seed=0)
+        assert cohort.featured == ("fb",)
+        assert cohort.controls_by_featured["fb"] == ("n0",)
 
     def test_unique_perfect_matches(self):
         corpus = {}
