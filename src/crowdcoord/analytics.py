@@ -8,8 +8,10 @@ project's history.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import IneligibleProjectError
@@ -28,11 +30,17 @@ class Event(NamedTuple):
     size_delta: Optional[int] = None
 
 
+_timestamp = attrgetter("timestamp")
+
+
 @dataclass(frozen=True)
 class ProjectLog:
+    """One project's events in time order, also split by channel; built by ``from_events``."""
+
     project_id: str
     events: tuple[Event, ...]
     final_size: Optional[int] = None
+    by_channel: Mapping[str, tuple[Event, ...]] = field(kw_only=True, compare=False, repr=False)
 
     @classmethod
     def from_events(
@@ -41,15 +49,13 @@ class ProjectLog:
         events: Iterable[Event],
         final_size: Optional[int] = None,
     ) -> "ProjectLog":
-        # stable sort keeps input order on timestamp ties
-        ordered = tuple(sorted(events, key=lambda e: e.timestamp))
-        return cls(project_id=project_id, events=ordered, final_size=final_size)
-
-    def channel_events(self, channel: str) -> list[Event]:
-        return [e for e in self.events if e.channel == channel]
+        # stable sort keeps input order on timestamp ties, in events and in each channel
+        ordered = tuple(sorted(events, key=_timestamp))
+        by_channel = {ch: tuple([e for e in ordered if e.channel == ch]) for ch in CHANNELS}
+        return cls(project_id, ordered, final_size, by_channel=by_channel)
 
     def work_counts(self) -> dict[str, int]:
-        return dict(Counter(e.actor_id for e in self.events if e.channel == "work"))
+        return dict(Counter(e.actor_id for e in self.by_channel["work"]))
 
 
 def x_core(work_counts: Mapping[str, int], x: float) -> set[str]:
@@ -80,6 +86,7 @@ def x_core(work_counts: Mapping[str, int], x: float) -> set[str]:
 @dataclass(frozen=True)
 class CoreCurve:
     xs: tuple[float, ...]
+    core_size: tuple[int, ...]
     core_fraction: tuple[float, ...]
     d_share: tuple[Optional[float], ...]  # None when the project has no discussion
     c_share: tuple[Optional[float], ...]  # None when the project has no comments
@@ -96,15 +103,15 @@ def core_curve(project: ProjectLog, xs: Sequence[float]) -> CoreCurve:
         raise ValueError("xs must be strictly ascending")
     counts = project.work_counts()
     if not counts:
-        raise ValueError(f"project {project.project_id} has no work events")
-    participants = set(counts)
-    discussion = [e for e in project.channel_events("discussion") if e.actor_id in participants]
-    comments = [e for e in project.channel_events("comment") if e.actor_id in participants]
+        raise IneligibleProjectError(f"project {project.project_id} has no work events")
+    discussion = [e for e in project.by_channel["discussion"] if e.actor_id in counts]
+    comments = [e for e in project.by_channel["comment"] if e.actor_id in counts]
 
-    fractions, d_shares, c_shares = [], [], []
+    sizes, fractions, d_shares, c_shares = [], [], [], []
     for x in xs:
         core = x_core(counts, x)
-        fractions.append(len(core) / len(participants))
+        sizes.append(len(core))
+        fractions.append(len(core) / len(counts))
         d_shares.append(
             sum(e.actor_id in core for e in discussion) / len(discussion) if discussion else None
         )
@@ -113,6 +120,7 @@ def core_curve(project: ProjectLog, xs: Sequence[float]) -> CoreCurve:
         )
     return CoreCurve(
         xs=xs,
+        core_size=tuple(sizes),
         core_fraction=tuple(fractions),
         d_share=tuple(d_shares),
         c_share=tuple(c_shares),
@@ -148,29 +156,23 @@ def crowdedness_profile(
             f"coordination_channel must be one of {COORDINATION_CHANNELS}, "
             f"got {coordination_channel!r}"
         )
-    workers = {e.actor_id for e in project.events if e.channel == "work"}
-    coordinators = {e.actor_id for e in project.events if e.channel == coordination_channel}
-    engaged = workers & coordinators
+    work = project.by_channel["work"]
+    coordination = project.by_channel[coordination_channel]
+    engaged = {e.actor_id for e in work} & {e.actor_id for e in coordination}
     if not engaged:
         raise IneligibleProjectError(f"project {project.project_id} has no engaged users")
-    engaged_work = [
-        e for e in project.events if e.channel == "work" and e.actor_id in engaged
-    ]
+    engaged_work = [e for e in work if e.actor_id in engaged]
     if len(engaged_work) < k:
         raise IneligibleProjectError(
             f"project {project.project_id} has {len(engaged_work)} work events "
             f"by engaged users, need {k}"
         )
     threshold = engaged_work[k - 1].timestamp
-    early_team = frozenset(e.actor_id for e in engaged_work[:k])
-    early_coordination = sum(
-        e.timestamp < threshold for e in project.events if e.channel == coordination_channel
-    )
     return CrowdednessProfile(
         engaged_users=frozenset(engaged),
         threshold_time=threshold,
-        early_team=early_team,
-        early_coordination=early_coordination,
+        early_team=frozenset(e.actor_id for e in engaged_work[:k]),
+        early_coordination=bisect_left(coordination, threshold, key=_timestamp),
         output_size=project.final_size,
     )
 

@@ -289,16 +289,15 @@ def cmd_xcore(args) -> None:
     for pid, project in corpus.items():
         try:
             curve = core_curve(project, xs)
-        except ValueError as exc:
+        except IneligibleProjectError as exc:
             print(f"warning: skipping {pid}: {exc}", file=sys.stderr)
             continue
-        participants = len(project.work_counts())
-        for x, frac, d, c in zip(curve.xs, curve.core_fraction, curve.d_share, curve.c_share):
+        for x, size, frac, d, c in zip(
+            curve.xs, curve.core_size, curve.core_fraction, curve.d_share, curve.c_share
+        ):
             d_txt = f"{d:.6f}" if d is not None else "NA"
             c_txt = f"{c:.6f}" if c is not None else "NA"
-            lines.append(
-                f"{pid},{x:.4f},{round(frac * participants)},{frac:.6f},{d_txt},{c_txt}"
-            )
+            lines.append(f"{pid},{x:.4f},{size},{frac:.6f},{d_txt},{c_txt}")
     _write_output(args, "\n".join(lines) + "\n", inputs=_input_paths(args))
 
 

@@ -8,8 +8,11 @@ without replacement across the whole cohort so lists stay pairwise disjoint.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import MAXYEAR, MINYEAR, datetime, timezone
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -43,22 +46,11 @@ def _year_start(year: int) -> int:
 
 
 def edit_epoch_counts(project: ProjectLog, year: int) -> EpochCounts:
-    """Work events strictly before, within, and after the given UTC calendar year.
-
-    Timestamps are compared with the year's bounds, so event order does not matter.
-    """
-    start, end = _year_start(year), _year_start(year + 1)
-    before = during = after = 0
-    for event in project.events:
-        if event.channel != "work":
-            continue
-        if event.timestamp < start:
-            before += 1
-        elif event.timestamp < end:
-            during += 1
-        else:
-            after += 1
-    return EpochCounts(before=before, during=during, after=after)
+    """Work events strictly before, within, and after the given UTC calendar year."""
+    work = project.by_channel["work"]
+    before = bisect_left(work, _year_start(year), key=attrgetter("timestamp"))
+    not_after = bisect_left(work, _year_start(year + 1), lo=before, key=attrgetter("timestamp"))
+    return EpochCounts(before=before, during=not_after - before, after=len(work) - not_after)
 
 
 def control_eligible(
@@ -94,6 +86,8 @@ def matched_controls(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
     fc = edit_epoch_counts(featured, featured_year)
     if fc.before == 0 or fc.after == 0:
         raise IneligibleProjectError(

@@ -5,8 +5,9 @@ loop-built dense kernels instead of the banded one, state-set enumeration
 instead of transition matrices, subset search instead
 of greedy prefixes, permutation enumeration instead of count recursions,
 step-by-step iteration instead of the closed form, one scalar run at a
-time instead of vectorized Monte Carlo, and one calendar date per event
-instead of comparisons against year boundaries.
+time instead of vectorized Monte Carlo, one calendar date per event
+instead of comparisons against year boundaries, and channel filters over the
+whole time-ordered log instead of its per-channel split.
 """
 
 from collections import defaultdict
@@ -16,7 +17,9 @@ from math import comb
 
 import numpy as np
 
+from crowdcoord.analytics import COORDINATION_CHANNELS, CrowdednessProfile
 from crowdcoord.cohort import EpochCounts
+from crowdcoord.errors import IneligibleProjectError
 from crowdcoord.solver import recurrence_coeffs
 
 
@@ -167,3 +170,32 @@ def datetime_epoch_counts(project, year):
         else:
             after += 1
     return EpochCounts(before=before, during=during, after=after)
+
+
+def scan_crowdedness_profile(project, k=100, coordination_channel="discussion"):
+    """Crowdedness profile from four channel-filtering passes over ``project.events``."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if coordination_channel not in COORDINATION_CHANNELS:
+        raise ValueError(f"unknown coordination channel {coordination_channel!r}")
+    workers = {e.actor_id for e in project.events if e.channel == "work"}
+    coordinators = {e.actor_id for e in project.events if e.channel == coordination_channel}
+    engaged = workers & coordinators
+    if not engaged:
+        raise IneligibleProjectError(f"project {project.project_id} has no engaged users")
+    engaged_work = [
+        e for e in project.events if e.channel == "work" and e.actor_id in engaged
+    ]
+    if len(engaged_work) < k:
+        raise IneligibleProjectError(f"project {project.project_id} has too few work events")
+    threshold = engaged_work[k - 1].timestamp
+    early_coordination = sum(
+        e.timestamp < threshold for e in project.events if e.channel == coordination_channel
+    )
+    return CrowdednessProfile(
+        engaged_users=frozenset(engaged),
+        threshold_time=threshold,
+        early_team=frozenset(e.actor_id for e in engaged_work[:k]),
+        early_coordination=early_coordination,
+        output_size=project.final_size,
+    )

@@ -3,6 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crowdcoord.analytics import (
+    CHANNELS,
+    COORDINATION_CHANNELS,
     Event,
     ProjectLog,
     core_curve,
@@ -11,7 +13,7 @@ from crowdcoord.analytics import (
 )
 from crowdcoord.errors import IneligibleProjectError
 
-from oracles import brute_force_x_core
+from oracles import brute_force_x_core, scan_crowdedness_profile
 
 
 def make_log(pid="p", work=(), discussion=(), comment=(), final_size=None):
@@ -22,6 +24,13 @@ def make_log(pid="p", work=(), discussion=(), comment=(), final_size=None):
             events.append(Event(pid, actor, ts, channel))
     return ProjectLog.from_events(pid, events, final_size)
 
+
+# unsorted logs: few actors and timestamps, so channels share actors and tie in time
+shuffled_events = st.lists(
+    st.builds(Event, st.just("p"), st.sampled_from("abcd"), st.integers(0, 12),
+              st.sampled_from(CHANNELS)),
+    max_size=40,
+)
 
 work_counts_strategy = st.dictionaries(
     st.text(alphabet="abcdefghijkl", min_size=1, max_size=2),
@@ -93,6 +102,7 @@ class TestCoreCurve:
         )
         curve = core_curve(log, [0.5, 0.9, 1.0])
         # 0.5-core = {a}; 0.9-core = {a, b}; 1.0-core = all
+        assert curve.core_size == (1, 2, 3)
         assert curve.core_fraction == pytest.approx((1 / 3, 2 / 3, 1.0))
         assert curve.d_share == pytest.approx((1 / 5, 1.0, 1.0))
 
@@ -114,7 +124,7 @@ class TestCoreCurve:
         assert curve.c_share[-1] == 1.0
 
     def test_requires_work(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(IneligibleProjectError, match="project p has no work events"):
             core_curve(make_log(discussion=[("a", 0)]), [1.0])
 
 
@@ -187,6 +197,23 @@ class TestCrowdednessProfile:
         profile = crowdedness_profile(log, k=3, coordination_channel="comment")
         assert profile.early_coordination == 2
 
+    @given(
+        events=shuffled_events,
+        k=st.integers(1, 45),
+        channel=st.sampled_from(COORDINATION_CHANNELS),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scan_oracle(self, events, k, channel):
+        log = ProjectLog.from_events("p", events, final_size=7)
+        try:
+            expected = scan_crowdedness_profile(log, k, channel)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                crowdedness_profile(log, k, channel)
+            assert type(raised.value) is type(exc)
+        else:
+            assert crowdedness_profile(log, k, channel) == expected
+
 
 class TestProjectLog:
     def test_sorted_stable_on_ties(self):
@@ -197,3 +224,11 @@ class TestProjectLog:
         ]
         log = ProjectLog.from_events("p", events)
         assert [e.actor_id for e in log.events] == ["c", "b", "a"]
+
+    @given(events=shuffled_events)
+    @settings(max_examples=100, deadline=None)
+    def test_by_channel_is_the_filtered_time_order(self, events):
+        log = ProjectLog.from_events("p", events)
+        assert set(log.by_channel) == set(CHANNELS)
+        for channel in CHANNELS:
+            assert log.by_channel[channel] == tuple(e for e in log.events if e.channel == channel)

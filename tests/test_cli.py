@@ -188,6 +188,25 @@ class TestExitCodes:
                     "--out", tmp_path / "o.csv"]) == 2
         assert f"featured_year for p1 must be in 1..9998, got {year}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("xs", [[0], ["nan"], [0.5, 0.5]], ids=["zero", "nan", "repeated"])
+    def test_usage_error_on_bad_xcore_x(self, tmp_path, capsys, small_corpora, xs):
+        flags = [arg for x in xs for arg in ("--x", x)]
+        assert run(["xcore", "--events", small_corpora / "crowded" / "events.jsonl", *flags,
+                    "--out", tmp_path / "o.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "skipping" not in err, err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", 0, -1])
+    def test_usage_error_on_bad_cohort_tolerance(self, tmp_path, capsys, small_corpora,
+                                                 tolerance):
+        corpus = small_corpora / "cohort"
+        assert run(["cohort", "--events", corpus / "events.jsonl",
+                    "--metadata", corpus / "metadata.csv", "--k", 3,
+                    "--tolerance", tolerance, "--out", tmp_path / "o.csv"]) == 1
+        assert "tolerance must be finite and > 0" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     @pytest.mark.parametrize("timestamp", [10**12, 10**20])
     def test_cohort_far_future_work_timestamp(self, tmp_path, capsys, timestamp):
         def work(pid, year, count):
@@ -306,8 +325,8 @@ class TestSynth:
         assert len(corpus) == 10
         for pid, info in truth["projects"].items():
             log = corpus[pid]
-            assert len(log.channel_events("work")) == info["work"]
-            assert len(log.channel_events("comment")) == info["comments"]
+            assert len(log.by_channel["work"]) == info["work"]
+            assert len(log.by_channel["comment"]) == info["comments"]
 
     def test_same_seed_identical_bytes(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

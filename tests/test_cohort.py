@@ -62,13 +62,13 @@ class TestEpochCounts:
     @settings(max_examples=200, deadline=None)
     def test_matches_datetime_oracle(self, year, picks):
         # each timestamp is an offset from the start of year - 1 .. year + 2: one
-        # second either side of a boundary, or up to about 68 years later; the log
-        # is built directly, so it stays in draw order rather than time order
+        # second either side of a boundary, or up to about 68 years later; the
+        # events reach from_events in draw order rather than time order
         events = []
         for shift, offset, channel in picks:
             start = int(datetime(year + shift, 1, 1, tzinfo=timezone.utc).timestamp())
             events.append(Event("p", "a", start + offset, channel))
-        log = ProjectLog("p", tuple(events))
+        log = ProjectLog.from_events("p", events)
         assert edit_epoch_counts(log, year) == datetime_epoch_counts(log, year)
 
     @pytest.mark.parametrize("timestamp", [10**12, 10**20])
