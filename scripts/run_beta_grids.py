@@ -15,13 +15,13 @@ import os
 import time
 
 from crowdcoord import cli
+from crowdcoord.solver import OBJECTIVES
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default="results")
-    ap.add_argument("--objective", default="closed_form",
-                    choices=["closed_form", "exact_dp", "monte_carlo"])
+    ap.add_argument("--objective", default="closed_form", choices=OBJECTIVES)
     ap.add_argument("--runs", type=int, default=10_000)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--grid", default="2,5,10,20,40,80")

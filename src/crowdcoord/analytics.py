@@ -101,6 +101,9 @@ def core_curve(project: ProjectLog, xs: Sequence[float]) -> CoreCurve:
     xs = tuple(float(x) for x in xs)
     if list(xs) != sorted(set(xs)):
         raise ValueError("xs must be strictly ascending")
+    for x in xs:  # before the no-work check, so a bad x fails on every corpus
+        if not 0.0 < x <= 1.0:
+            raise ValueError(f"x must be in (0, 1], got {x}")
     counts = project.work_counts()
     if not counts:
         raise IneligibleProjectError(f"project {project.project_id} has no work events")

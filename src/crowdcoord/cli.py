@@ -45,13 +45,9 @@ from .synth import STRUCTURES, SyntheticSpec, generate_synthetic
 _META_COLUMNS = ("project_id", "final_size", "featured_year", "watchers")
 
 
-class CliUsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse would exit 2; we map usage errors to 1
-        raise CliUsageError(message)
+    def error(self, message):  # argparse would exit 2; main reports ValueError as usage, 1
+        raise ValueError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -475,9 +471,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         args.func(args)
-    except CliUsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
     except BudgetExceededError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return 3

@@ -19,6 +19,7 @@ import numpy as np
 
 from .analytics import ProjectLog
 from .errors import IneligibleProjectError
+from .model import spawn_seed
 
 # featured years whose own start and the next year's start are representable
 FEATURED_YEARS = range(MINYEAR, MAXYEAR)
@@ -129,11 +130,10 @@ def build_cohorts(
     used: set[str] = set()
     for idx, fid in enumerate(sorted(featured_labels)):
         available = [corpus[pid] for pid in pool_ids if pid not in used]
-        sub_seed = int(np.random.SeedSequence([seed, idx]).generate_state(1)[0])
         try:
             chosen = matched_controls(
                 corpus[fid], featured_labels[fid], available, k, tolerance,
-                require_fewer_prior, sub_seed,
+                require_fewer_prior, spawn_seed(seed, idx),
             )
         except IneligibleProjectError:
             continue

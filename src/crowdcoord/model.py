@@ -25,12 +25,10 @@ from .errors import BudgetExceededError
 # exact_expectations refuses above this many state-steps per beta (n_parts * n_users)
 STATE_STEP_BUDGET = 10**8
 
-# bytes of float64 arrays one beta scan may hold: exact_expectations' count
-# distributions, or optimal_beta's beta-length arrays
-SCAN_BYTES_BUDGET = 2**30
-
-# monte_carlo refuses when one (runs, 5) float64 uniform block exceeds this many bytes
-MC_BLOCK_BUDGET = 2**30
+# bytes of float64 arrays one call may hold: exact_expectations' count
+# distributions, optimal_beta's beta-length arrays, or monte_carlo's (runs, 5)
+# uniform block
+BYTES_BUDGET = 2**30
 
 # Recorded in run manifests so outputs are attributable to a generator.
 RNG_DESCRIPTION = (
@@ -38,6 +36,11 @@ RNG_DESCRIPTION = (
     "per user step, run i consuming row i, so results are reproducible and "
     "independent of evaluation order"
 )
+
+
+def spawn_seed(*entropy: int) -> int:
+    """One 32-bit seed per part of a seeded run, mixed from its entropy, e.g. (seed, index)."""
+    return int(np.random.SeedSequence(list(entropy)).generate_state(1)[0])
 
 
 @dataclass(frozen=True)
@@ -162,7 +165,7 @@ def exact_expectations(n_parts: int, n_users: int, alpha: float, betas) -> np.nd
     O(B * n_parts * n_users) time and O(B * n_parts) memory.  While a step
     runs, four such float64 blocks are alive (the mass, both picks and one
     product) besides the band's three rows; betas are taken in as few
-    blocks as keep that within SCAN_BYTES_BUDGET.
+    blocks as keep that within BYTES_BUDGET.
     """
     betas = np.asarray(betas, dtype=float)
     check_ranges(n_parts, n_users, alpha, betas)
@@ -171,11 +174,11 @@ def exact_expectations(n_parts: int, n_users: int, alpha: float, betas) -> np.nd
             f"n_parts * n_users = {n_parts * n_users} exceeds "
             f"{STATE_STEP_BUDGET} state-steps; use monte_carlo instead"
         )
-    rows = (SCAN_BYTES_BUDGET // (8 * (n_parts + 1)) - 3) // 4
+    rows = (BYTES_BUDGET // (8 * (n_parts + 1)) - 3) // 4
     if rows < 1:
         raise BudgetExceededError(
             f"n_parts = {n_parts} needs {8 * 7 * (n_parts + 1)} bytes of count "
-            f"distributions for one beta, over the {SCAN_BYTES_BUDGET}-byte budget"
+            f"distributions for one beta, over the {BYTES_BUDGET}-byte budget"
         )
     band = _band(n_parts, alpha)
     counts = np.arange(n_parts + 1)
@@ -205,10 +208,10 @@ def monte_carlo(params: ModelParams, runs: int, seed: int) -> SimResult:
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
-    if runs * 5 * 8 > MC_BLOCK_BUDGET:
+    if runs * 5 * 8 > BYTES_BUDGET:
         raise BudgetExceededError(
             f"runs = {runs} needs a {runs * 5 * 8}-byte uniform block per user step, "
-            f"over the {MC_BLOCK_BUDGET}-byte budget"
+            f"over the {BYTES_BUDGET}-byte budget"
         )
     n, alpha, beta = params.n_parts, params.alpha, params.beta
     rng = np.random.default_rng(seed)

@@ -16,12 +16,13 @@ import numpy as np
 
 from .errors import BudgetExceededError
 from .model import (
-    SCAN_BYTES_BUDGET,
+    BYTES_BUDGET,
     ModelParams,
     check_ranges,
     exact_expectation,
     exact_expectations,
     monte_carlo,
+    spawn_seed,
 )
 
 OBJECTIVES = ("closed_form", "exact_dp", "monte_carlo")
@@ -112,14 +113,17 @@ def approx_expectation(n_parts: int, n_users: int, alpha: float, beta):
         return n_users * p0
     if batched:
         # the limit form replaces the geometric sum wherever A is near 1;
-        # A = 0 there keeps the discarded sum finite
-        a = np.where(near_one, 0.0, a)
-    value = p0 * (a**n_users - 1.0) / (a - 1.0)
+        # A = 0 there keeps the discarded sum finite (set in place, so the grid
+        # holds no more than GRID_BYTES_PER_BETA).  Each power is the scalar
+        # path's float ** int: NumPy's array power may round the last bit
+        # differently, and dividing by A - 1 amplifies that near A = 1.
+        a[near_one] = 0.0
+        power = np.fromiter((float(x) ** n_users for x in a.flat), float, a.size)
+        power = power.reshape(a.shape)
+    else:
+        power = a**n_users
+    value = p0 * (power - 1.0) / (a - 1.0)
     return np.where(near_one, n_users * p0, value) if batched else value
-
-
-def _spawn_seed(*entropy: int) -> int:
-    return int(np.random.SeedSequence(list(entropy)).generate_state(1)[0])
 
 
 def _golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -153,7 +157,7 @@ def optimal_beta(
     objectives, whose grid values come from one batched call each.  The
     Monte Carlo objective is noisy, seeds each grid point by its index, and
     reports the best grid point instead of refining.  A grid whose own
-    arrays would exceed SCAN_BYTES_BUDGET is refused before anything is
+    arrays would exceed BYTES_BUDGET is refused before anything is
     allocated.
     """
     if objective not in OBJECTIVES:
@@ -163,10 +167,10 @@ def optimal_beta(
     check_ranges(n_parts, n_users, alpha, 0.0)
 
     n_betas = round(1.0 / config.grid_step) + 1
-    if n_betas * GRID_BYTES_PER_BETA > SCAN_BYTES_BUDGET:
+    if n_betas * GRID_BYTES_PER_BETA > BYTES_BUDGET:
         raise BudgetExceededError(
             f"grid_step = {config.grid_step} gives a {n_betas}-point beta grid needing "
-            f"{n_betas * GRID_BYTES_PER_BETA} bytes, over the {SCAN_BYTES_BUDGET}-byte budget"
+            f"{n_betas * GRID_BYTES_PER_BETA} bytes, over the {BYTES_BUDGET}-byte budget"
         )
     betas = np.linspace(0.0, 1.0, n_betas)
     if objective == "monte_carlo":
@@ -174,7 +178,7 @@ def optimal_beta(
             monte_carlo(
                 ModelParams(n_parts, n_users, alpha, float(b)),
                 config.runs,
-                _spawn_seed(config.seed, i),
+                spawn_seed(config.seed, i),
             ).mean_finished
             for i, b in enumerate(betas)
         ]
@@ -219,7 +223,10 @@ def beta_heatmap(
 ) -> BetaGrid:
     """Per-cell optimal beta over an (N, E) grid; rows are E, columns are N.
 
-    Per-cell failures are recorded in the grid's error map, not raised.
+    A budget refusal marks its cell None and is recorded in the grid's error
+    map.  Any other error is raised: the N and E lists are strictly ascending,
+    so a bad N, E, alpha, objective or runs fails at cell (0, 0) before any
+    work is done.
     """
     n_values = tuple(int(n) for n in n_values)
     e_values = tuple(int(e) for e in e_values)
@@ -233,10 +240,10 @@ def beta_heatmap(
     for ri, e in enumerate(e_values):
         row: list[OptResult | None] = []
         for ci, n in enumerate(n_values):
-            cell_config = replace(config, seed=_spawn_seed(config.seed, ri, ci))
+            cell_config = replace(config, seed=spawn_seed(config.seed, ri, ci))
             try:
                 row.append(optimal_beta(n, e, alpha, objective, cell_config))
-            except (ValueError, BudgetExceededError) as exc:
+            except BudgetExceededError as exc:
                 row.append(None)
                 errors[(ri, ci)] = str(exc)
         cells.append(row)

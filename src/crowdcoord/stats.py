@@ -106,9 +106,7 @@ def _normal_two_sided_p(u_min: float, n1: int, n2: int, combined: Sequence[float
     return min(1.0, math.erfc(abs(z) / math.sqrt(2.0)))
 
 
-def mann_whitney_u(
-    sample_a: Sequence[float], sample_b: Sequence[float], method: str = "auto"
-) -> UTestResult:
+def mann_whitney_u(sample_a: Sequence[float], sample_b: Sequence[float]) -> UTestResult:
     """Two-sided Mann-Whitney U test; U reported as min(U_a, U_b).
 
     Exact counts when n_a * n_b <= EXACT_LIMIT and the pooled sample is
@@ -128,20 +126,10 @@ def mann_whitney_u(
     u1 = n1 * n2 + n1 * (n1 + 1) / 2.0 - r1
     u2 = n1 * n2 - u1
     u_min = min(u1, u2)
-    has_ties = len(set(combined)) < len(combined)
-
-    if method == "auto":
-        method = "exact" if (n1 * n2 <= EXACT_LIMIT and not has_ties) else "normal_approx"
-    if method == "exact":
-        if has_ties:
-            raise ValueError("exact method requires tie-free samples")
-        if n1 * n2 > EXACT_LIMIT:
-            raise ValueError(f"exact method requires n_a * n_b <= {EXACT_LIMIT}")
-        p = _exact_two_sided_p(u_min, n1, n2)
-    elif method == "normal_approx":
-        p = _normal_two_sided_p(u_min, n1, n2, combined)
+    if n1 * n2 <= EXACT_LIMIT and len(set(combined)) == len(combined):
+        method, p = "exact", _exact_two_sided_p(u_min, n1, n2)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        method, p = "normal_approx", _normal_two_sided_p(u_min, n1, n2, combined)
     return UTestResult(u_statistic=u_min, p_value=p, band=significance_band(p), method=method)
 
 
@@ -220,10 +208,6 @@ def _decile_edges(values: Sequence[float]) -> list[float]:
     return [ordered[math.ceil(p / 100.0 * n) - 1] for p in range(10, 100, 10)]
 
 
-def _decile_index(edges: Sequence[float], value: float) -> int:
-    return bisect_left(edges, value)
-
-
 def decile_heatmap(
     records: Sequence[tuple[float, float, float]], agg: str = "mean"
 ) -> BinnedGrid:
@@ -242,7 +226,7 @@ def decile_heatmap(
 
     buckets: dict[tuple[int, int], list[float]] = {}
     for size, team, coordination in records:
-        key = (_decile_index(team_edges, team), _decile_index(size_edges, size))
+        key = (bisect_left(team_edges, team), bisect_left(size_edges, size))
         buckets.setdefault(key, []).append(math.log1p(coordination))
 
     values = np.full((10, 10), np.nan)

@@ -155,7 +155,12 @@ class TestExitCodes:
         ["heatmap", "--n", "2,5", "--e", "2,5", "--alpha", 1, "--objective", "mc",
          "--runs", 0],
         ["mwu", "--a", "1,nan", "--b", "2,3"],
-    ], ids=["grid-step-zero", "grid-step-negative", "mc-runs-zero", "mwu-nan"])
+        ["heatmap", "--n", "2,5", "--e", "2,5", "--alpha", 2],
+        ["heatmap", "--n", "2,5", "--e", "2,5", "--alpha", "nan"],
+        ["heatmap", "--n", "2,5", "--e", "2,5", "--alpha", 1, "--objective", "mc"],
+        ["heatmap", "--n", "0,5", "--e", "2,5", "--alpha", 1],
+    ], ids=["grid-step-zero", "grid-step-negative", "mc-runs-zero", "mwu-nan",
+            "heatmap-alpha-two", "heatmap-alpha-nan", "heatmap-mc-no-runs", "heatmap-n-zero"])
     def test_usage_error_on_out_of_domain_value(self, tmp_path, capsys, argv):
         assert run([*argv, "--out", tmp_path / "o.csv"]) == 1
         assert not (tmp_path / "o.csv").exists()
@@ -195,6 +200,14 @@ class TestExitCodes:
                     "--out", tmp_path / "o.csv"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and "skipping" not in err, err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_usage_error_on_bad_xcore_x_without_work_events(self, tmp_path, capsys):
+        events = tmp_path / "events.jsonl"
+        write_events(events, [E2])
+        assert run(["xcore", "--events", events, "--x", 0, "--out", tmp_path / "o.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err == "usage error: x must be in (0, 1], got 0.0\n", err
         assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("tolerance", ["nan", "inf", 0, -1])

@@ -6,6 +6,8 @@ import pytest
 
 from crowdcoord.stats import (
     QUADRANT_KEYS,
+    _exact_two_sided_p,
+    _normal_two_sided_p,
     binned_grid_to_csv,
     decile_heatmap,
     mann_whitney_u,
@@ -57,6 +59,7 @@ class TestMannWhitneyU:
     def test_all_values_tied(self):
         r = mann_whitney_u([5, 5, 5], [5, 5])
         assert r.p_value == 1.0
+        assert r.method == "normal_approx"
 
     def test_extreme_split_is_significant(self):
         a = [float(i) for i in range(30)]
@@ -99,17 +102,10 @@ class TestMannWhitneyU:
             n1, n2 = int(rng.integers(8, 21)), int(rng.integers(8, 21))
             pooled = rng.permutation(np.arange(1.0, n1 + n2 + 1.0))
             a, b = list(pooled[:n1]), list(pooled[n1:])
-            exact = mann_whitney_u(a, b, method="exact")
-            approx = mann_whitney_u(a, b, method="normal_approx")
-            assert abs(exact.p_value - approx.p_value) <= 0.02
-
-    def test_exact_refused_with_ties(self):
-        with pytest.raises(ValueError):
-            mann_whitney_u([1, 1], [2, 3], method="exact")
-
-    def test_exact_refused_above_limit(self):
-        with pytest.raises(ValueError):
-            mann_whitney_u(list(range(21)), list(range(100, 120)), method="exact")
+            u = mann_whitney_u(a, b).u_statistic
+            exact = _exact_two_sided_p(u, n1, n2)
+            approx = _normal_two_sided_p(u, n1, n2, a + b)
+            assert abs(exact - approx) <= 0.02
 
     def test_exact_matches_scipy(self):
         stats = pytest.importorskip("scipy.stats")
