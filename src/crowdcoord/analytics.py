@@ -92,18 +92,24 @@ class CoreCurve:
     c_share: tuple[Optional[float], ...]  # None when the project has no comments
 
 
+def core_xs(xs: Sequence[float]) -> tuple[float, ...]:
+    """The x values of a core curve as floats; ValueError unless strictly ascending in (0, 1]."""
+    xs = tuple(float(x) for x in xs)
+    if list(xs) != sorted(set(xs)):
+        raise ValueError("xs must be strictly ascending")
+    for x in xs:
+        if not 0.0 < x <= 1.0:
+            raise ValueError(f"x must be in (0, 1], got {x}")
+    return xs
+
+
 def core_curve(project: ProjectLog, xs: Sequence[float]) -> CoreCurve:
     """Core size fraction plus discussion/comment shares of the core, per x.
 
     Shares are taken over channel events authored by work participants, so
     that both shares reach 1 at x = 1 by construction.
     """
-    xs = tuple(float(x) for x in xs)
-    if list(xs) != sorted(set(xs)):
-        raise ValueError("xs must be strictly ascending")
-    for x in xs:  # before the no-work check, so a bad x fails on every corpus
-        if not 0.0 < x <= 1.0:
-            raise ValueError(f"x must be in (0, 1], got {x}")
+    xs = core_xs(xs)
     counts = project.work_counts()
     if not counts:
         raise IneligibleProjectError(f"project {project.project_id} has no work events")
@@ -139,6 +145,17 @@ class CrowdednessProfile:
     output_size: Optional[int]
 
 
+def check_profile_args(k: int, coordination_channel: str) -> None:
+    """Raise ValueError unless k >= 1 and the channel is a coordination channel."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if coordination_channel not in COORDINATION_CHANNELS:
+        raise ValueError(
+            f"coordination_channel must be one of {COORDINATION_CHANNELS}, "
+            f"got {coordination_channel!r}"
+        )
+
+
 def crowdedness_profile(
     project: ProjectLog,
     k: int = 100,
@@ -152,13 +169,7 @@ def crowdedness_profile(
     early coordination counts coordination events strictly before the
     threshold, by anyone.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if coordination_channel not in COORDINATION_CHANNELS:
-        raise ValueError(
-            f"coordination_channel must be one of {COORDINATION_CHANNELS}, "
-            f"got {coordination_channel!r}"
-        )
+    check_profile_args(k, coordination_channel)
     work = project.by_channel["work"]
     coordination = project.by_channel[coordination_channel]
     engaged = {e.actor_id for e in work} & {e.actor_id for e in coordination}

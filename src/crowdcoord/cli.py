@@ -21,7 +21,9 @@ from .analytics import (
     COORDINATION_CHANNELS,
     Event,
     ProjectLog,
+    check_profile_args,
     core_curve,
+    core_xs,
     crowdedness_profile,
 )
 from .cohort import FEATURED_YEARS, build_cohorts, cohort_to_csv
@@ -31,7 +33,7 @@ from .errors import (
     IneligibleProjectError,
     MalformedEventError,
 )
-from .model import RNG_DESCRIPTION, ModelParams, exact_expectation, monte_carlo
+from .model import INT64_MAX, RNG_DESCRIPTION, ModelParams, exact_expectation, monte_carlo
 from .solver import OBJECTIVES, SearchConfig, beta_heatmap, grid_to_csv, optimal_beta
 from .stats import (
     binned_grid_to_csv,
@@ -54,9 +56,14 @@ class _Parser(argparse.ArgumentParser):
 # ingestion and emission
 
 def parse_event_line(line: str, line_no: int) -> Event:
+    if not line.isascii():
+        try:
+            line.encode("utf-8")  # ingest decodes bad bytes to lone surrogates
+        except UnicodeEncodeError as exc:
+            raise MalformedEventError(f"line {line_no}: not valid UTF-8") from exc
     try:
         record = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, over-long integers, deep nesting
         raise MalformedEventError(f"line {line_no}: invalid JSON ({exc})") from exc
     if not isinstance(record, dict):
         raise MalformedEventError(f"line {line_no}: expected a JSON object")
@@ -107,8 +114,14 @@ def event_to_json(event: Event) -> str:
 
 def read_metadata(path: str) -> dict[str, dict]:
     metadata: dict[str, dict] = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            rows = list(csv.DictReader(fh))
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not valid UTF-8") from exc
+        except csv.Error as exc:  # e.g. a field over the csv module's size limit
+            raise DataError(f"{path}: {exc}") from exc
+        for row in rows:
             pid = row.get("project_id")
             if not pid:
                 raise DataError(f"{path}: metadata row without project_id")
@@ -122,6 +135,8 @@ def read_metadata(path: str) -> dict[str, dict]:
                         entry[key] = int(value)
                     except ValueError as exc:
                         raise DataError(f"{path}: bad {key} for {pid}: {value!r}") from exc
+                    if abs(entry[key]) > INT64_MAX:
+                        raise DataError(f"{path}: {key} for {pid} does not fit in 64 bits")
             year = entry.get("featured_year")
             if year is not None and year not in FEATURED_YEARS:
                 raise DataError(
@@ -137,7 +152,7 @@ def ingest(
 ) -> tuple[dict[str, ProjectLog], dict[str, dict]]:
     """Group events by project (time-sorted) and join optional metadata."""
     by_project: dict[str, list[Event]] = {}
-    with open(events_path) as fh:
+    with open(events_path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -200,10 +215,13 @@ def _params(args, skip=("func", "out")) -> dict:
     return {k: v for k, v in vars(args).items() if k not in skip}
 
 
-def _write_output(args, text: str, inputs: list[str] = ()) -> None:
+def _write_output(args, text: str) -> None:
+    """Write --out and its manifest, which hashes the corpus files a command read."""
     out = Path(args.out)
     out.write_text(text)
-    write_manifest(out, args.func.__name__.removeprefix("cmd_"), _params(args), list(inputs))
+    params = _params(args)
+    inputs = [params[key] for key in ("events", "metadata") if params.get(key)]
+    write_manifest(out, args.func.__name__.removeprefix("cmd_"), params, inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -278,38 +296,34 @@ def cmd_mwu(args) -> None:
 # ---------------------------------------------------------------------------
 # corpus subcommands
 
-def cmd_xcore(args) -> None:
+def _measured(args, measure):
+    """(project_id, measure(project)) over the corpus; warns on and skips ineligible projects."""
     corpus, _ = ingest(args.events, args.metadata)
-    xs = sorted(args.x) if args.x else [i / 10 for i in range(1, 11)]
-    lines = ["project_id,x,core_size,core_fraction,d_share,c_share"]
     for pid, project in corpus.items():
         try:
-            curve = core_curve(project, xs)
+            value = measure(project)
         except IneligibleProjectError as exc:
             print(f"warning: skipping {pid}: {exc}", file=sys.stderr)
             continue
+        yield pid, value
+
+
+def cmd_xcore(args) -> None:
+    xs = core_xs(sorted(args.x) if args.x else [i / 10 for i in range(1, 11)])
+    lines = ["project_id,x,core_size,core_fraction,d_share,c_share"]
+    for pid, curve in _measured(args, lambda project: core_curve(project, xs)):
         for x, size, frac, d, c in zip(
             curve.xs, curve.core_size, curve.core_fraction, curve.d_share, curve.c_share
         ):
             d_txt = f"{d:.6f}" if d is not None else "NA"
             c_txt = f"{c:.6f}" if c is not None else "NA"
             lines.append(f"{pid},{x:.4f},{size},{frac:.6f},{d_txt},{c_txt}")
-    _write_output(args, "\n".join(lines) + "\n", inputs=_input_paths(args))
+    _write_output(args, "\n".join(lines) + "\n")
 
 
-def _input_paths(args) -> list[str]:
-    return [args.events, args.metadata] if args.metadata else [args.events]
-
-
-def _profiles(args):
-    corpus, _ = ingest(args.events, args.metadata)
-    profiles = {}
-    for pid, project in corpus.items():
-        try:
-            profiles[pid] = crowdedness_profile(project, args.k, args.channel)
-        except IneligibleProjectError as exc:
-            print(f"warning: skipping {pid}: {exc}", file=sys.stderr)
-    return profiles
+def _profiles(args) -> dict:
+    check_profile_args(args.k, args.channel)
+    return dict(_measured(args, lambda project: crowdedness_profile(project, args.k, args.channel)))
 
 
 def cmd_crowd(args) -> None:
@@ -321,7 +335,7 @@ def cmd_crowd(args) -> None:
             f"{pid},{len(profile.engaged_users)},{len(profile.early_team)},"
             f"{profile.threshold_time},{profile.early_coordination},{size}"
         )
-    _write_output(args, "\n".join(lines) + "\n", inputs=_input_paths(args))
+    _write_output(args, "\n".join(lines) + "\n")
 
 
 def _records(args):
@@ -339,12 +353,12 @@ def _records(args):
 
 def cmd_quadrants(args) -> None:
     summary = median_split_quadrants(_records(args))
-    _write_output(args, quadrants_to_csv(summary), inputs=_input_paths(args))
+    _write_output(args, quadrants_to_csv(summary))
 
 
 def cmd_bins(args) -> None:
     grid = decile_heatmap(_records(args), agg=args.agg)
-    _write_output(args, binned_grid_to_csv(grid), inputs=_input_paths(args))
+    _write_output(args, binned_grid_to_csv(grid))
 
 
 def cmd_cohort(args) -> None:
@@ -364,7 +378,7 @@ def cmd_cohort(args) -> None:
         require_fewer_prior=not args.allow_fewer_prior,
         seed=args.seed,
     )
-    _write_output(args, cohort_to_csv(cohort), inputs=_input_paths(args))
+    _write_output(args, cohort_to_csv(cohort))
 
 
 def cmd_synth(args) -> None:

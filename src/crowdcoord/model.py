@@ -30,6 +30,8 @@ STATE_STEP_BUDGET = 10**8
 # uniform block
 BYTES_BUDGET = 2**30
 
+INT64_MAX = int(np.iinfo(np.int64).max)
+
 # Recorded in run manifests so outputs are attributable to a generator.
 RNG_DESCRIPTION = (
     "numpy default_rng (PCG64); monte_carlo draws one (runs, 5) uniform block "
@@ -65,6 +67,8 @@ def check_ranges(n_parts: int, n_users: int, alpha: float, beta) -> None:
     """
     if n_parts < 1:
         raise ValueError(f"n_parts must be >= 1, got {n_parts}")
+    if n_parts > INT64_MAX:  # counts are int64 arrays
+        raise ValueError(f"n_parts must be <= {INT64_MAX}, got {n_parts}")
     if n_users < 1:
         raise ValueError(f"n_users must be >= 1, got {n_users}")
     if not 0.0 <= alpha <= 1.0:
@@ -214,13 +218,16 @@ def monte_carlo(params: ModelParams, runs: int, seed: int) -> SimResult:
             f"over the {BYTES_BUDGET}-byte budget"
         )
     n, alpha, beta = params.n_parts, params.alpha, params.beta
+
+    def pick(c, hit, clash):  # one uniformly random contribution, the rule _band states
+        empty = hit * n < n - c
+        return c + empty - (~empty & (clash < alpha))
     rng = np.random.default_rng(seed)
     c = np.zeros(runs, dtype=np.int64)
     for _ in range(params.n_users):
         u = rng.random((runs, 5))
-        c1 = np.where(u[:, 1] * n < n - c, c + 1, np.where(u[:, 2] < alpha, c - 1, c))
-        c2 = np.where(u[:, 3] * n < n - c1, c1 + 1, np.where(u[:, 4] < alpha, c1 - 1, c1))
-        c = np.where(u[:, 0] < beta, np.minimum(c + 1, n), c2)
+        c = np.where(u[:, 0] < beta, np.minimum(c + 1, n),
+                     pick(pick(c, u[:, 1], u[:, 2]), u[:, 3], u[:, 4]))
     mean = float(c.mean())
     if runs > 1:
         std_error = float(c.std(ddof=1) / math.sqrt(runs))

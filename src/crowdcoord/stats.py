@@ -16,8 +16,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-BANDS = ("p001", "p01", "p05", "ns")
-
 # exact counts are computed up to this product of sample sizes (tie-free only)
 EXACT_LIMIT = 400
 

@@ -20,6 +20,7 @@ import numpy as np
 from crowdcoord.analytics import COORDINATION_CHANNELS, CrowdednessProfile
 from crowdcoord.cohort import EpochCounts
 from crowdcoord.errors import IneligibleProjectError
+from crowdcoord.model import SimResult
 from crowdcoord.solver import recurrence_coeffs
 
 
@@ -93,6 +94,32 @@ def simulate(params, seed):
             elif rng.random() < params.alpha:
                 c -= 1
     return c
+
+
+def block_simulate(params, runs, seed):
+    """monte_carlo one scalar run at a time, reading the same (runs, 5) block per user.
+
+    Run i takes row i: column 0 decides coordination, columns 1-2 are the
+    first pick (hit, clash) and columns 3-4 the second.
+    """
+    rng = np.random.default_rng(seed)
+    n = params.n_parts
+    counts = np.zeros(runs, dtype=np.int64)
+    for _ in range(params.n_users):
+        block = rng.random((runs, 5))
+        for i in range(runs):
+            c = int(counts[i])
+            if block[i, 0] < params.beta:
+                c = min(c + 1, n)
+            else:
+                for hit, clash in (block[i, 1:3], block[i, 3:5]):
+                    if hit * n < n - c:
+                        c += 1
+                    elif clash < params.alpha:
+                        c -= 1
+            counts[i] = c
+    std_error = float(counts.std(ddof=1) / np.sqrt(runs)) if runs > 1 else 0.0
+    return SimResult(float(counts.mean()), std_error, runs, seed)
 
 
 def two_pick_outcome_dist(c, n, alpha):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import re
 import time
 from datetime import datetime, timezone
@@ -159,10 +160,18 @@ class TestExitCodes:
         ["heatmap", "--n", "2,5", "--e", "2,5", "--alpha", "nan"],
         ["heatmap", "--n", "2,5", "--e", "2,5", "--alpha", 1, "--objective", "mc"],
         ["heatmap", "--n", "0,5", "--e", "2,5", "--alpha", 1],
+        ["simulate", "--n", 10**30, "--e", 3, "--alpha", 1, "--beta", 0.5],
+        ["optimize", "--objective", "cf", "--n", 10**200, "--e", 3, "--alpha", 1],
+        ["xcore", "--events", os.devnull, "--x", 0],
+        ["crowd", "--events", os.devnull, "--k", 0],
     ], ids=["grid-step-zero", "grid-step-negative", "mc-runs-zero", "mwu-nan",
-            "heatmap-alpha-two", "heatmap-alpha-nan", "heatmap-mc-no-runs", "heatmap-n-zero"])
+            "heatmap-alpha-two", "heatmap-alpha-nan", "heatmap-mc-no-runs", "heatmap-n-zero",
+            "simulate-n-over-int64", "optimize-cf-n-over-int64", "xcore-x-zero-no-events",
+            "crowd-k-zero-no-events"])
     def test_usage_error_on_out_of_domain_value(self, tmp_path, capsys, argv):
         assert run([*argv, "--out", tmp_path / "o.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1, err
         assert not (tmp_path / "o.csv").exists()
 
     def test_resource_error_on_monte_carlo_budget(self, tmp_path, capsys):
@@ -182,6 +191,35 @@ class TestExitCodes:
         events = tmp_path / "events.jsonl"
         events.write_text("not json\n")
         assert run(["xcore", "--events", events, "--out", tmp_path / "o.csv"]) == 2
+
+    @pytest.mark.parametrize("line", [
+        b"[" * 100_000,
+        b'{"project_id":"p\xff","actor_id":"a","timestamp":1,"channel":"work"}',
+        b'{"project_id":"p","actor_id":"a","timestamp":' + b"1" * 5000 + b',"channel":"work"}',
+    ], ids=["deep-nesting", "invalid-utf8", "long-integer"])
+    def test_data_error_on_unreadable_event_line(self, tmp_path, capsys, line):
+        events = tmp_path / "events.jsonl"
+        events.write_bytes(E1.encode() + b"\n" + line + b"\n")
+        assert run(["xcore", "--events", events, "--out", tmp_path / "o.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: line 2: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("row", [
+        b"p1,1\xff,,",
+        b"p1," + b"1" * 200_000 + b",,",
+        b"p1,1" + b"0" * 400 + b",,",
+    ], ids=["invalid-utf8", "field-over-csv-limit", "final-size-over-int64"])
+    def test_data_error_on_unreadable_metadata(self, tmp_path, capsys, row):
+        events = tmp_path / "events.jsonl"
+        write_events(events, [E1, E1.replace("work", "discussion")])
+        meta = tmp_path / "meta.csv"
+        meta.write_bytes(b"project_id,final_size,featured_year,watchers\n" + row + b"\n")
+        assert run(["quadrants", "--events", events, "--metadata", meta, "--k", 1,
+                    "--out", tmp_path / "o.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {meta}: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("year", [0, 9999])
     def test_data_error_on_featured_year_out_of_range(self, tmp_path, capsys, year):

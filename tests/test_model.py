@@ -16,7 +16,13 @@ from crowdcoord.model import (
     monte_carlo,
 )
 
-from oracles import dense_expectation, dense_kernel, simulate, two_pick_outcome_dist
+from oracles import (
+    block_simulate,
+    dense_expectation,
+    dense_kernel,
+    simulate,
+    two_pick_outcome_dist,
+)
 
 alphas = st.sampled_from([0.0, 0.3, 0.5, 1.0])
 probs = st.floats(min_value=0.0, max_value=1.0)
@@ -225,6 +231,20 @@ class TestMonteCarlo:
     def test_zero_runs_rejected(self):
         with pytest.raises(ValueError):
             monte_carlo(params(2), 0, 0)
+    @given(
+        n=st.integers(1, 6),
+        e=st.integers(1, 6),
+        alpha=probs,
+        beta=probs,
+        runs=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_scalar_runs_over_the_same_blocks(self, n, e, alpha, beta, runs, seed):
+        # pins the (runs, 5) block layout that RNG_DESCRIPTION promises
+        p = ModelParams(n, e, alpha, beta)
+        assert monte_carlo(p, runs, seed) == block_simulate(p, runs, seed)
+
     def test_reproducible(self):
         p = ModelParams(6, 9, 0.4, 0.5)
         assert monte_carlo(p, 500, 11) == monte_carlo(p, 500, 11)
