@@ -41,7 +41,7 @@ def main():
         status = cli.main([subcommand, *files, "--out", str(out / name)])
         if status:
             return status
-    print((out / "quadrants.csv").read_text(), end="")
+    print((out / "quadrants.csv").read_text(encoding="utf-8"), end="")
     return 0
 
 

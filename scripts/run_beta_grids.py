@@ -37,7 +37,7 @@ def main():
                            "--seed", str(args.seed), "--out", path])
         if status:
             return status
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             rows = [line.split(",")[1:] for line in fh if not line.startswith(("#", ","))]
         stars = [float(v) for row in rows for v in row if v.strip() != "NA"]
         print(f"{path}: mean beta*={sum(stars) / len(stars):.3f} "

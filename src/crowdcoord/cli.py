@@ -26,7 +26,7 @@ from .analytics import (
     core_xs,
     crowdedness_profile,
 )
-from .cohort import FEATURED_YEARS, build_cohorts, cohort_to_csv
+from .cohort import FEATURED_YEARS, build_cohorts, check_cohort_args, cohort_to_csv
 from .errors import (
     BudgetExceededError,
     DataError,
@@ -173,7 +173,7 @@ def ingest(
 
 
 def write_events(path: Path, events) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for event in events:
             fh.write(event_to_json(event) + "\n")
 
@@ -187,7 +187,7 @@ def write_metadata(path: Path, metadata: dict[str, dict]) -> None:
         writer.writerow(
             [pid] + [entry.get(col, "") for col in _META_COLUMNS[1:]]
         )
-    path.write_text(buf.getvalue())
+    path.write_text(buf.getvalue(), encoding="utf-8")
 
 
 def _sha256(path: str) -> str:
@@ -208,7 +208,7 @@ def write_manifest(out_path: Path, subcommand: str, params: dict, inputs: list[s
         "version": __version__,
     }
     path = Path(str(out_path) + ".manifest.json")
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def _params(args, skip=("func", "out")) -> dict:
@@ -218,7 +218,7 @@ def _params(args, skip=("func", "out")) -> dict:
 def _write_output(args, text: str) -> None:
     """Write --out and its manifest, which hashes the corpus files a command read."""
     out = Path(args.out)
-    out.write_text(text)
+    out.write_text(text, encoding="utf-8")
     params = _params(args)
     inputs = [params[key] for key in ("events", "metadata") if params.get(key)]
     write_manifest(out, args.func.__name__.removeprefix("cmd_"), params, inputs)
@@ -362,6 +362,7 @@ def cmd_bins(args) -> None:
 
 
 def cmd_cohort(args) -> None:
+    check_cohort_args(args.k, args.tolerance)
     corpus, metadata = ingest(args.events, args.metadata)
     featured = {
         pid: entry["featured_year"]
@@ -395,7 +396,7 @@ def cmd_synth(args) -> None:
     write_events(out_dir / "events.jsonl", corpus.events)
     write_metadata(out_dir / "metadata.csv", corpus.metadata)
     (out_dir / "ground_truth.json").write_text(
-        json.dumps(corpus.ground_truth, sort_keys=True, indent=2) + "\n"
+        json.dumps(corpus.ground_truth, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
     write_manifest(out_dir / "corpus", "synth", _params(args), [])
 

@@ -71,6 +71,14 @@ def control_eligible(
     return True
 
 
+def check_cohort_args(k: int, tolerance: float) -> None:
+    """Raise ValueError unless k >= 1 and the tolerance is finite and > 0."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
+
+
 def matched_controls(
     featured: ProjectLog,
     featured_year: int,
@@ -85,10 +93,7 @@ def matched_controls(
     Sampling takes a prefix of a seeded permutation of the eligible ids, so
     results for smaller k are nested within those for larger k.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not (math.isfinite(tolerance) and tolerance > 0):
-        raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
+    check_cohort_args(k, tolerance)
     fc = edit_epoch_counts(featured, featured_year)
     if fc.before == 0 or fc.after == 0:
         raise IneligibleProjectError(

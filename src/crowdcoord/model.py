@@ -22,13 +22,15 @@ import numpy as np
 
 from .errors import BudgetExceededError
 
-# exact_expectations refuses above this many state-steps per beta (n_parts * n_users)
-STATE_STEP_BUDGET = 10**8
-
-# bytes of float64 arrays one call may hold: exact_expectations' count
-# distributions, optimal_beta's beta-length arrays, or monte_carlo's (runs, 5)
-# uniform block
+# what one model-track call may use, charged through charge() before any work:
+# state-steps (one count distribution or one run moved on by one user; 10**8 of
+# them is seconds of work) and bytes of the arrays the call holds at its peak
+STEP_BUDGET = 10**8
 BYTES_BUDGET = 2**30
+
+# bytes monte_carlo holds per run, rounded up from the measured tracemalloc peak
+# of 88: the (runs, 5) uniform block, the int64 state and the picks' temporaries
+MC_BYTES_PER_RUN = 128
 
 INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -38,6 +40,16 @@ RNG_DESCRIPTION = (
     "per user step, run i consuming row i, so results are reproducible and "
     "independent of evaluation order"
 )
+
+
+def charge(what: str, steps: int, nbytes: int) -> None:
+    """Refuse a call, before any work, that needs more than the step or byte budget.
+
+    The model track's one budget check: each call charges what it will use itself.
+    """
+    for used, unit, cap in ((steps, "state-steps", STEP_BUDGET), (nbytes, "bytes", BYTES_BUDGET)):
+        if used > cap:
+            raise BudgetExceededError(f"{what} needs {used} {unit}, over its budget of {cap}")
 
 
 def spawn_seed(*entropy: int) -> int:
@@ -168,22 +180,15 @@ def exact_expectations(n_parts: int, n_users: int, alpha: float, betas) -> np.nd
     B betas and moves through the pentadiagonal kernel one user at a time:
     O(B * n_parts * n_users) time and O(B * n_parts) memory.  While a step
     runs, four such float64 blocks are alive (the mass, both picks and one
-    product) besides the band's three rows; betas are taken in as few
-    blocks as keep that within BYTES_BUDGET.
+    product) besides the band's three rows; the call is charged
+    B * n_parts * n_users steps and one beta's bytes, and betas are taken in
+    as few blocks as keep within BYTES_BUDGET.
     """
     betas = np.asarray(betas, dtype=float)
     check_ranges(n_parts, n_users, alpha, betas)
-    if n_parts * n_users > STATE_STEP_BUDGET:
-        raise BudgetExceededError(
-            f"n_parts * n_users = {n_parts * n_users} exceeds "
-            f"{STATE_STEP_BUDGET} state-steps; use monte_carlo instead"
-        )
-    rows = (BYTES_BUDGET // (8 * (n_parts + 1)) - 3) // 4
-    if rows < 1:
-        raise BudgetExceededError(
-            f"n_parts = {n_parts} needs {8 * 7 * (n_parts + 1)} bytes of count "
-            f"distributions for one beta, over the {BYTES_BUDGET}-byte budget"
-        )
+    charge(f"exact_expectations at B = {len(betas)}, n_parts = {n_parts}, n_users = {n_users}",
+           len(betas) * n_parts * n_users, 8 * 7 * (n_parts + 1))
+    rows = (BYTES_BUDGET // (8 * (n_parts + 1)) - 3) // 4  # >= 1 once one beta's bytes pass
     band = _band(n_parts, alpha)
     counts = np.arange(n_parts + 1)
     values = []
@@ -212,11 +217,8 @@ def monte_carlo(params: ModelParams, runs: int, seed: int) -> SimResult:
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
-    if runs * 5 * 8 > BYTES_BUDGET:
-        raise BudgetExceededError(
-            f"runs = {runs} needs a {runs * 5 * 8}-byte uniform block per user step, "
-            f"over the {BYTES_BUDGET}-byte budget"
-        )
+    charge(f"monte_carlo with runs = {runs}, n_users = {params.n_users}",
+           runs * params.n_users, runs * MC_BYTES_PER_RUN)
     n, alpha, beta = params.n_parts, params.alpha, params.beta
 
     def pick(c, hit, clash):  # one uniformly random contribution, the rule _band states

@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import BudgetExceededError
 from .model import (
-    BYTES_BUDGET,
     ModelParams,
+    charge,
     check_ranges,
     exact_expectation,
     exact_expectations,
@@ -56,6 +56,9 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.grid_step <= 1.0:
             raise ValueError(f"grid_step must be in (0, 1], got {self.grid_step}")
+        intervals = 1.0 / self.grid_step  # refused, not rounded onto another grid
+        if not math.isfinite(intervals) or abs(intervals - round(intervals)) > 1e-12 * intervals:
+            raise ValueError(f"grid_step must be 1 / an integer, got {self.grid_step}")
         if self.runs is not None and self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
 
@@ -156,9 +159,8 @@ def optimal_beta(
     then golden-section refinement on the bracketing interval for the smooth
     objectives, whose grid values come from one batched call each.  The
     Monte Carlo objective is noisy, seeds each grid point by its index, and
-    reports the best grid point instead of refining.  A grid whose own
-    arrays would exceed BYTES_BUDGET is refused before anything is
-    allocated.
+    reports the best grid point instead of refining.  The grid's own arrays
+    are charged before anything is allocated.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
@@ -167,11 +169,8 @@ def optimal_beta(
     check_ranges(n_parts, n_users, alpha, 0.0)
 
     n_betas = round(1.0 / config.grid_step) + 1
-    if n_betas * GRID_BYTES_PER_BETA > BYTES_BUDGET:
-        raise BudgetExceededError(
-            f"grid_step = {config.grid_step} gives a {n_betas}-point beta grid needing "
-            f"{n_betas * GRID_BYTES_PER_BETA} bytes, over the {BYTES_BUDGET}-byte budget"
-        )
+    charge(f"grid_step = {config.grid_step} gives a {n_betas}-point beta grid that",
+           0, n_betas * GRID_BYTES_PER_BETA)
     betas = np.linspace(0.0, 1.0, n_betas)
     if objective == "monte_carlo":
         values = [

@@ -47,6 +47,14 @@ class SyntheticSpec:
             raise ValueError(f"max_actors must be >= {MIN_ACTORS}")
         if self.structure not in STRUCTURES:
             raise ValueError(f"structure must be one of {STRUCTURES}")
+        cohort_counts = {"n_featured": self.n_featured, "planted_controls": self.planted_controls,
+                         "noise_candidates": self.noise_candidates}
+        for name, count in cohort_counts.items():  # refused, not ignored
+            if count < 0:
+                raise ValueError(f"{name} must be >= 0, got {count}")
+            if count and self.structure != "cohort":
+                raise ValueError(f"{name} = {count} needs the cohort structure, "
+                                 f"got {self.structure!r}")
         if self.structure == "cohort" and self.n_featured < 1:
             raise ValueError("cohort structure needs n_featured >= 1")
 

@@ -2,8 +2,11 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 import time
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 
@@ -164,10 +167,21 @@ class TestExitCodes:
         ["optimize", "--objective", "cf", "--n", 10**200, "--e", 3, "--alpha", 1],
         ["xcore", "--events", os.devnull, "--x", 0],
         ["crowd", "--events", os.devnull, "--k", 0],
+        ["cohort", "--events", os.devnull, "--metadata", os.devnull, "--k", 0],
+        ["cohort", "--events", os.devnull, "--metadata", os.devnull, "--tolerance", "nan"],
+        ["optimize", "--n", 20, "--e", 8, "--alpha", 1, "--objective", "mc", "--runs", 200,
+         "--grid-step", 0.3],
+        ["optimize", "--n", 5, "--e", 3, "--alpha", 1, "--grid-step", 5e-324],
+        ["synth", "--structure", "cohort", "--featured", 1, "--planted-controls", -2,
+         "--noise-candidates", -1],
+        ["synth", "--projects", 3, "--featured", 5],
     ], ids=["grid-step-zero", "grid-step-negative", "mc-runs-zero", "mwu-nan",
             "heatmap-alpha-two", "heatmap-alpha-nan", "heatmap-mc-no-runs", "heatmap-n-zero",
             "simulate-n-over-int64", "optimize-cf-n-over-int64", "xcore-x-zero-no-events",
-            "crowd-k-zero-no-events"])
+            "crowd-k-zero-no-events", "cohort-k-zero-no-featured",
+            "cohort-tolerance-nan-no-featured", "grid-step-not-reciprocal",
+            "grid-step-reciprocal-overflows",
+            "synth-negative-counts", "synth-featured-without-cohort"])
     def test_usage_error_on_out_of_domain_value(self, tmp_path, capsys, argv):
         assert run([*argv, "--out", tmp_path / "o.csv"]) == 1
         err = capsys.readouterr().err
@@ -185,6 +199,20 @@ class TestExitCodes:
     def test_resource_error_on_scan_bytes_budget(self, tmp_path, capsys, argv):
         assert run([*argv, "--out", tmp_path / "o.csv"]) == 3
         assert "budget" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--objective", "dp", "--n", 2000, "--e", 1000, "--alpha", 1],
+        ["simulate", "--n", 10, "--e", 1_000_000, "--runs", 10_000_000, "--alpha", 1,
+         "--beta", 0.5],
+    ], ids=["exact-beta-grid", "monte-carlo-runs-by-users"])
+    def test_resource_error_on_step_budget(self, tmp_path, capsys, argv):
+        # each call is charged every state-step it makes: 101 * N * E for the
+        # exact grid, runs * E for Monte Carlo
+        assert run([*argv, "--out", tmp_path / "o.csv"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("resource error:") and "state-steps" in err, err
+        assert err.count("\n") == 1, err
         assert not (tmp_path / "o.csv").exists()
 
     def test_data_error_on_malformed_line(self, tmp_path, capsys):
@@ -364,6 +392,22 @@ class TestModelCommands:
         assert manifest["subcommand"] == "dp"
         assert manifest["params"]["n"] == 2
         assert "rng" in manifest and "version" in manifest
+
+
+def test_outputs_are_utf8_under_an_ascii_locale(tmp_path):
+    events = tmp_path / "events.jsonl"
+    events.write_text('{"project_id":"Caf\u00e9","actor_id":"a","timestamp":1,'
+                      '"channel":"work"}\n', encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "crowdcoord.cli", "xcore", "--events", str(events),
+         "--out", str(tmp_path / "o.csv")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "Café".encode("utf-8") in (tmp_path / "o.csv").read_bytes()
 
 
 class TestSynth:

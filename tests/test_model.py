@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from crowdcoord.errors import BudgetExceededError
 from crowdcoord.model import (
+    MC_BYTES_PER_RUN,
     DeltaDistribution,
     ModelParams,
     collision_deltas,
@@ -231,6 +233,17 @@ class TestMonteCarlo:
     def test_zero_runs_rejected(self):
         with pytest.raises(ValueError):
             monte_carlo(params(2), 0, 0)
+
+    @pytest.mark.parametrize("runs", [50_000, 200_000])
+    def test_peak_memory_within_the_bytes_charged(self, runs):
+        tracemalloc.start()
+        try:
+            monte_carlo(ModelParams(10, 5, 1.0, 0.5), runs, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= runs * MC_BYTES_PER_RUN
+
     @given(
         n=st.integers(1, 6),
         e=st.integers(1, 6),
