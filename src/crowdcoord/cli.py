@@ -383,6 +383,11 @@ def cmd_cohort(args) -> None:
 
 
 def cmd_synth(args) -> None:
+    if args.projects is None:
+        args.projects = SyntheticSpec.n_projects
+    elif args.structure == "cohort":
+        raise ValueError("--projects does not apply to --structure cohort, whose projects are "
+                         "its featured, planted-control and noise-candidate counts")
     spec = SyntheticSpec(
         n_projects=args.projects,
         structure=args.structure,
@@ -471,7 +476,8 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
 
     p = add("synth", cmd_synth, "generate a synthetic corpus (out is a directory)")
-    p.add_argument("--projects", type=int, default=50)
+    p.add_argument("--projects", type=int, default=None,
+                   help=f"default {SyntheticSpec.n_projects}; not with --structure cohort")
     p.add_argument("--structure", default="none", choices=list(STRUCTURES))
     p.add_argument("--featured", type=int, default=0)
     p.add_argument("--planted-controls", type=int, default=0)

@@ -28,16 +28,23 @@ from .errors import BudgetExceededError
 STEP_BUDGET = 10**8
 BYTES_BUDGET = 2**30
 
-# bytes monte_carlo holds per run, rounded up from the measured tracemalloc peak
-# of 88: the (runs, 5) uniform block, the int64 state and the picks' temporaries
-MC_BYTES_PER_RUN = 128
+# Monte Carlo memory besides the (B, runs) count state, from tracemalloc peaks.
+# A user step is applied to blocks of at most MC_BLOCK run-states, which caps its
+# temporaries at MC_BLOCK_BYTES (measured up to 0.93 MB, with int64 counts).
+# MC_BYTES_PER_RUN is the rest (measured 48): the (runs, 5) uniform block and one
+# beta's float64 deviations while its standard error is taken.
+MC_BLOCK = 2**14
+MC_BLOCK_BYTES = 2**20
+MC_BYTES_PER_RUN = 64
 
 INT64_MAX = int(np.iinfo(np.int64).max)
 
 # Recorded in run manifests so outputs are attributable to a generator.
 RNG_DESCRIPTION = (
     "numpy default_rng (PCG64); monte_carlo draws one (runs, 5) uniform block "
-    "per user step, run i consuming row i, so results are reproducible and "
+    "per user step, run i consuming row i, and every beta of a pass shares those "
+    "draws (common random numbers): optimize seeds one pass over its beta grid, "
+    "heatmap one pass per N column, so results are reproducible and "
     "independent of evaluation order"
 )
 
@@ -208,31 +215,84 @@ def exact_expectation(params: ModelParams) -> float:
                                     [params.beta])[0])
 
 
+def _count_dtype(n_parts: int):
+    """The smallest integer dtype that holds every finished count, 0..n_parts.
+
+    No step forms a count above n_parts (a coordinator adds c < n rather than
+    clamping c + 1), so int8 serves n_parts <= 127 and int16 n_parts <= 32,767.
+    """
+    for dtype in (np.int8, np.int16, np.int32):
+        if n_parts <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
+
+
+def monte_carlo_means(n_parts: int, e_values, alpha: float, betas, runs: int,
+                      seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error of the finished count, per beta, after each requested user count.
+
+    Common random numbers: a (B, runs) state moves through the users in
+    lockstep, and each user step draws one (runs, 5) uniform block that every
+    beta shares, run i reading row i.  So each beta's row evolves exactly as it
+    would in a pass of its own with the same seed, and one pass to the largest
+    E records every smaller E on the way.  Returns two (len(e_values), B)
+    arrays.  A step is applied to blocks of at most MC_BLOCK run-states.  The
+    call is charged B * runs * max(E) state-steps, and the bytes of the state,
+    the per-run arrays and one block's temporaries.
+    """
+    betas = np.asarray(betas, dtype=float)
+    e_values = [int(e) for e in e_values]
+    if not e_values or e_values != sorted(set(e_values)):
+        raise ValueError(f"e_values must be non-empty and strictly ascending, got {e_values}")
+    check_ranges(n_parts, e_values[0], alpha, betas)
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
+    n, n_betas, e_max = n_parts, len(betas), e_values[-1]
+    dtype = _count_dtype(n)
+    charge(f"monte_carlo at B = {n_betas}, runs = {runs}, n_users = {e_max}",
+           n_betas * runs * e_max,
+           runs * (MC_BYTES_PER_RUN + n_betas * np.dtype(dtype).itemsize) + MC_BLOCK_BYTES)
+
+    def pick(c, hit, clash):  # one uniformly random contribution, the rule _band states
+        empty = hit < n - c  # hit is already scaled by n
+        return c + empty - (clash > empty)
+    rng = np.random.default_rng(seed)
+    counts = np.zeros((n_betas, runs), dtype=dtype)
+    width = min(runs, MC_BLOCK)
+    rows = max(1, MC_BLOCK // width)
+    means = np.empty((len(e_values), n_betas))
+    std_errors = np.zeros((len(e_values), n_betas))
+    recorded = 0
+    u = np.empty((runs, 5))
+    for e in range(1, e_max + 1):
+        rng.random(out=u)
+        for lo in range(0, runs, width):
+            d = u[lo:lo + width]
+            coord, hit1, hit2 = np.ascontiguousarray(d[:, 0]), d[:, 1] * n, d[:, 3] * n
+            clash1, clash2 = d[:, 2] < alpha, d[:, 4] < alpha
+            for top in range(0, n_betas, rows):
+                c = counts[top:top + rows, lo:lo + width]
+                picked = pick(pick(c, hit1, clash1), hit2, clash2)
+                # a coordinator finishes an empty part if one is left (np.where is slower)
+                c[...] = picked + (coord < betas[top:top + rows, None]) * (c + (c < n) - picked)
+        if e == e_values[recorded]:
+            for b, row in enumerate(counts):
+                means[recorded, b] = row.mean()
+                if runs > 1:
+                    std_errors[recorded, b] = row.std(ddof=1) / math.sqrt(runs)
+            recorded += 1
+    return means, std_errors
+
+
 def monte_carlo(params: ModelParams, runs: int, seed: int) -> SimResult:
     """Mean and standard error of the finished count over independent runs.
 
-    All runs advance in lockstep; each user step consumes one (runs, 5)
-    uniform block and run i uses row i, so the estimate does not depend on
-    the order runs are aggregated in.
+    The one-beta, one-E case of monte_carlo_means: all runs advance in
+    lockstep, each user step consumes one (runs, 5) uniform block and run i
+    uses row i, so the estimate does not depend on the order runs are
+    aggregated in.
     """
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
-    charge(f"monte_carlo with runs = {runs}, n_users = {params.n_users}",
-           runs * params.n_users, runs * MC_BYTES_PER_RUN)
-    n, alpha, beta = params.n_parts, params.alpha, params.beta
-
-    def pick(c, hit, clash):  # one uniformly random contribution, the rule _band states
-        empty = hit * n < n - c
-        return c + empty - (~empty & (clash < alpha))
-    rng = np.random.default_rng(seed)
-    c = np.zeros(runs, dtype=np.int64)
-    for _ in range(params.n_users):
-        u = rng.random((runs, 5))
-        c = np.where(u[:, 0] < beta, np.minimum(c + 1, n),
-                     pick(pick(c, u[:, 1], u[:, 2]), u[:, 3], u[:, 4]))
-    mean = float(c.mean())
-    if runs > 1:
-        std_error = float(c.std(ddof=1) / math.sqrt(runs))
-    else:
-        std_error = 0.0
-    return SimResult(mean_finished=mean, std_error=std_error, runs=runs, seed=seed)
+    means, std_errors = monte_carlo_means(params.n_parts, [params.n_users], params.alpha,
+                                          [params.beta], runs, seed)
+    return SimResult(mean_finished=float(means[0, 0]), std_error=float(std_errors[0, 0]),
+                     runs=runs, seed=seed)

@@ -21,7 +21,7 @@ from .model import (
     check_ranges,
     exact_expectation,
     exact_expectations,
-    monte_carlo,
+    monte_carlo_means,
     spawn_seed,
 )
 
@@ -146,6 +146,37 @@ def _golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, flo
     return x, f(x)
 
 
+def _check_search(objective: str, config: SearchConfig) -> None:
+    if objective not in OBJECTIVES:
+        raise ValueError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
+    if objective == "monte_carlo" and config.runs is None:
+        raise ValueError("monte_carlo objective requires a runs setting")
+
+
+def _beta_grid(config: SearchConfig) -> np.ndarray:
+    """The coarse beta grid, its own arrays charged before anything is allocated."""
+    n_betas = round(1.0 / config.grid_step) + 1
+    charge(f"grid_step = {config.grid_step} gives a {n_betas}-point beta grid that",
+           0, n_betas * GRID_BYTES_PER_BETA)
+    return np.linspace(0.0, 1.0, n_betas)
+
+
+def _grid_best(values: list[float]) -> int:
+    """Index of the best grid value; ties within TIE_TOL break toward the smallest beta."""
+    best_i = 0
+    for i, v in enumerate(values):
+        if v > values[best_i] + TIE_TOL:
+            best_i = i
+    return best_i
+
+
+def _monte_carlo_best(betas: np.ndarray, means: np.ndarray, config: SearchConfig) -> OptResult:
+    values = means.tolist()
+    best_i = _grid_best(values)
+    return OptResult(beta_star=float(betas[best_i]), value=values[best_i],
+                     objective="monte_carlo", grid_step=config.grid_step, runs=config.runs)
+
+
 def optimal_beta(
     n_parts: int,
     n_users: int,
@@ -158,30 +189,18 @@ def optimal_beta(
     Coarse grid scan (ties within TIE_TOL break toward the smallest beta),
     then golden-section refinement on the bracketing interval for the smooth
     objectives, whose grid values come from one batched call each.  The
-    Monte Carlo objective is noisy, seeds each grid point by its index, and
-    reports the best grid point instead of refining.  The grid's own arrays
-    are charged before anything is allocated.
+    Monte Carlo objective is noisy: one pass seeded with config.seed scores
+    the whole grid on shared draws (monte_carlo_means), and the best grid
+    point is reported instead of refining.  The grid's own arrays are charged
+    before anything is allocated.
     """
-    if objective not in OBJECTIVES:
-        raise ValueError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
-    if objective == "monte_carlo" and config.runs is None:
-        raise ValueError("monte_carlo objective requires a runs setting")
+    _check_search(objective, config)
     check_ranges(n_parts, n_users, alpha, 0.0)
-
-    n_betas = round(1.0 / config.grid_step) + 1
-    charge(f"grid_step = {config.grid_step} gives a {n_betas}-point beta grid that",
-           0, n_betas * GRID_BYTES_PER_BETA)
-    betas = np.linspace(0.0, 1.0, n_betas)
+    betas = _beta_grid(config)
     if objective == "monte_carlo":
-        values = [
-            monte_carlo(
-                ModelParams(n_parts, n_users, alpha, float(b)),
-                config.runs,
-                spawn_seed(config.seed, i),
-            ).mean_finished
-            for i, b in enumerate(betas)
-        ]
-    elif objective == "closed_form":
+        means, _ = monte_carlo_means(n_parts, [n_users], alpha, betas, config.runs, config.seed)
+        return _monte_carlo_best(betas, means[0], config)
+    if objective == "closed_form":
         def f(beta: float) -> float:
             return approx_expectation(n_parts, n_users, alpha, beta)
         values = approx_expectation(n_parts, n_users, alpha, betas).tolist()
@@ -190,27 +209,38 @@ def optimal_beta(
             return exact_expectation(ModelParams(n_parts, n_users, alpha, beta))
         values = exact_expectations(n_parts, n_users, alpha, betas).tolist()
 
-    best_i = 0
-    for i, v in enumerate(values):
-        if v > values[best_i] + TIE_TOL:
-            best_i = i
-    best_beta = float(betas[best_i])
-    best_value = float(values[best_i])
+    best_i = _grid_best(values)
+    best_beta, best_value = float(betas[best_i]), float(values[best_i])
+    lo = float(betas[max(best_i - 1, 0)])
+    hi = float(betas[min(best_i + 1, len(betas) - 1)])
+    x, fx = _golden_section_max(f, lo, hi, REFINE_TOL)
+    if fx > best_value + TIE_TOL:
+        best_beta, best_value = x, fx
+    return OptResult(beta_star=best_beta, value=best_value, objective=objective,
+                     grid_step=config.grid_step)
 
-    if objective != "monte_carlo":
-        lo = float(betas[max(best_i - 1, 0)])
-        hi = float(betas[min(best_i + 1, len(betas) - 1)])
-        x, fx = _golden_section_max(f, lo, hi, REFINE_TOL)
-        if fx > best_value + TIE_TOL:
-            best_beta, best_value = x, fx
 
-    return OptResult(
-        beta_star=best_beta,
-        value=best_value,
-        objective=objective,
-        grid_step=config.grid_step,
-        runs=config.runs if objective == "monte_carlo" else None,
-    )
+def _monte_carlo_column(n_parts: int, e_values: tuple[int, ...], alpha: float,
+                        config: SearchConfig) -> list[OptResult | str]:
+    """Every row of one N column from one shared-draw pass, seeded with config.seed.
+
+    Row i equals optimal_beta(n_parts, e_values[i], alpha, "monte_carlo",
+    config): the pass to the largest E records each smaller E on its way.  A
+    refused pass is retried without its largest E, whose row becomes the
+    refusal text; a charge comes before any work, so the retry is free.
+    """
+    check_ranges(n_parts, e_values[0], alpha, 0.0)
+    refused: list[OptResult | str] = []
+    for stop in range(len(e_values), 0, -1):
+        try:
+            betas = _beta_grid(config)
+            means, _ = monte_carlo_means(n_parts, e_values[:stop], alpha, betas,
+                                         config.runs, config.seed)
+        except BudgetExceededError as exc:
+            refused.insert(0, str(exc))
+            continue
+        return [_monte_carlo_best(betas, row, config) for row in means] + refused
+    return refused
 
 
 def beta_heatmap(
@@ -222,10 +252,14 @@ def beta_heatmap(
 ) -> BetaGrid:
     """Per-cell optimal beta over an (N, E) grid; rows are E, columns are N.
 
-    A budget refusal marks its cell None and is recorded in the grid's error
-    map.  Any other error is raised: the N and E lists are strictly ascending,
-    so a bad N, E, alpha, objective or runs fails at cell (0, 0) before any
-    work is done.
+    The exact and closed-form objectives call optimal_beta once per cell.
+    The Monte Carlo objective scores each N column in one shared-draw pass,
+    seeded with spawn_seed(config.seed, column index).  A budget refusal
+    marks its cell None and is recorded in the grid's error map; a Monte
+    Carlo cell is refused exactly when a pass to its own E is over budget.
+    Any other error is raised: the N and E lists are strictly ascending, so a
+    bad N, E, alpha, objective or runs fails at cell (0, 0) before any work is
+    done.
     """
     n_values = tuple(int(n) for n in n_values)
     e_values = tuple(int(e) for e in e_values)
@@ -233,19 +267,24 @@ def beta_heatmap(
         raise ValueError("n_values and e_values must be non-empty")
     if list(n_values) != sorted(set(n_values)) or list(e_values) != sorted(set(e_values)):
         raise ValueError("n_values and e_values must be strictly ascending")
+    _check_search(objective, config)
 
-    cells: list[list[OptResult | None]] = []
-    errors: dict[tuple[int, int], str] = {}
-    for ri, e in enumerate(e_values):
-        row: list[OptResult | None] = []
-        for ci, n in enumerate(n_values):
-            cell_config = replace(config, seed=spawn_seed(config.seed, ri, ci))
-            try:
-                row.append(optimal_beta(n, e, alpha, objective, cell_config))
-            except BudgetExceededError as exc:
-                row.append(None)
-                errors[(ri, ci)] = str(exc)
-        cells.append(row)
+    def solve(n: int, e: int) -> OptResult | str:
+        try:
+            return optimal_beta(n, e, alpha, objective, config)
+        except BudgetExceededError as exc:
+            return str(exc)
+
+    if objective == "monte_carlo":
+        columns = [_monte_carlo_column(n, e_values, alpha,
+                                       replace(config, seed=spawn_seed(config.seed, ci)))
+                   for ci, n in enumerate(n_values)]
+    else:
+        columns = [[solve(n, e) for e in e_values] for n in n_values]
+    errors = {(ri, ci): cell for ci, column in enumerate(columns)
+              for ri, cell in enumerate(column) if isinstance(cell, str)}
+    cells = [[None if isinstance(column[ri], str) else column[ri] for column in columns]
+             for ri in range(len(e_values))]
     return BetaGrid(
         n_values=n_values,
         e_values=e_values,

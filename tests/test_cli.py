@@ -175,13 +175,15 @@ class TestExitCodes:
         ["synth", "--structure", "cohort", "--featured", 1, "--planted-controls", -2,
          "--noise-candidates", -1],
         ["synth", "--projects", 3, "--featured", 5],
+        ["synth", "--structure", "cohort", "--featured", 2, "--projects", 500],
     ], ids=["grid-step-zero", "grid-step-negative", "mc-runs-zero", "mwu-nan",
             "heatmap-alpha-two", "heatmap-alpha-nan", "heatmap-mc-no-runs", "heatmap-n-zero",
             "simulate-n-over-int64", "optimize-cf-n-over-int64", "xcore-x-zero-no-events",
             "crowd-k-zero-no-events", "cohort-k-zero-no-featured",
             "cohort-tolerance-nan-no-featured", "grid-step-not-reciprocal",
             "grid-step-reciprocal-overflows",
-            "synth-negative-counts", "synth-featured-without-cohort"])
+            "synth-negative-counts", "synth-featured-without-cohort",
+            "synth-projects-under-cohort"])
     def test_usage_error_on_out_of_domain_value(self, tmp_path, capsys, argv):
         assert run([*argv, "--out", tmp_path / "o.csv"]) == 1
         err = capsys.readouterr().err
@@ -205,10 +207,12 @@ class TestExitCodes:
         ["optimize", "--objective", "dp", "--n", 2000, "--e", 1000, "--alpha", 1],
         ["simulate", "--n", 10, "--e", 1_000_000, "--runs", 10_000_000, "--alpha", 1,
          "--beta", 0.5],
-    ], ids=["exact-beta-grid", "monte-carlo-runs-by-users"])
+        ["optimize", "--objective", "mc", "--n", 5, "--e", 100, "--runs", 100_000,
+         "--alpha", 1],
+    ], ids=["exact-beta-grid", "monte-carlo-runs-by-users", "monte-carlo-beta-grid"])
     def test_resource_error_on_step_budget(self, tmp_path, capsys, argv):
         # each call is charged every state-step it makes: 101 * N * E for the
-        # exact grid, runs * E for Monte Carlo
+        # exact grid, B * runs * E for a Monte Carlo pass over B betas
         assert run([*argv, "--out", tmp_path / "o.csv"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("resource error:") and "state-steps" in err, err

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crowdcoord.errors import BudgetExceededError
+import crowdcoord.model as model
 from crowdcoord.model import (
+    MC_BLOCK_BYTES,
     MC_BYTES_PER_RUN,
     DeltaDistribution,
     ModelParams,
@@ -16,6 +18,7 @@ from crowdcoord.model import (
     exact_expectations,
     kernel_matrix,
     monte_carlo,
+    monte_carlo_means,
 )
 
 from oracles import (
@@ -177,8 +180,6 @@ class TestExactExpectation:
             exact_expectations(20_000_000, 1, 0.5, [0.5])
 
     def test_long_beta_vectors_are_split_within_the_byte_budget(self, monkeypatch):
-        import crowdcoord.model as model
-
         betas = np.linspace(0.0, 1.0, 11)
         whole = exact_expectations(30, 6, 0.4, betas)
         # room for two betas per block: four (2, 31) blocks plus the band's three rows
@@ -261,6 +262,62 @@ class TestMonteCarlo:
     def test_reproducible(self):
         p = ModelParams(6, 9, 0.4, 0.5)
         assert monte_carlo(p, 500, 11) == monte_carlo(p, 500, 11)
+
+    # int8 and int16 counts, and 20_000 runs take two blocks of run-states
+    @pytest.mark.parametrize("n,alpha,runs,seed", [
+        (5, 1.0, 300, 3), (20, 0.4, 2_000, 9), (130, 0.0, 50, 1), (3, 0.5, 20_000, 11),
+    ])
+    def test_shared_pass_equals_one_pass_per_beta(self, n, alpha, runs, seed):
+        betas = np.linspace(0.0, 1.0, 11)
+        e_values = [1, 4, 9]
+        means, std_errors = monte_carlo_means(n, e_values, alpha, betas, runs, seed)
+        assert means.shape == std_errors.shape == (3, 11)
+        for i, e in enumerate(e_values):
+            for b, beta in enumerate(betas):
+                alone = monte_carlo(ModelParams(n, e, alpha, float(beta)), runs, seed)
+                assert (means[i, b], std_errors[i, b]) == (alone.mean_finished, alone.std_error)
+
+    @given(
+        n=st.integers(1, 6),
+        e_values=st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True).map(sorted),
+        alpha=probs,
+        betas=st.lists(probs, min_size=1, max_size=4),
+        runs=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+        block=st.sampled_from([1, 2, 5]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_blocked_shared_pass_matches_scalar_runs(self, n, e_values, alpha, betas, runs,
+                                                     seed, block):
+        # blocks far smaller than the runs split both the runs and the betas
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "MC_BLOCK", block)
+            means, std_errors = monte_carlo_means(n, e_values, alpha, betas, runs, seed)
+        for i, e in enumerate(e_values):
+            for b, beta in enumerate(betas):
+                alone = block_simulate(ModelParams(n, e, alpha, beta), runs, seed)
+                assert (means[i, b], std_errors[i, b]) == (alone.mean_finished, alone.std_error)
+
+    @pytest.mark.parametrize("n", [127, 128, 32_767, 32_768])
+    def test_counts_at_the_dtype_boundaries(self, n):
+        # every user coordinates and the last finds no empty part: a count that
+        # overflowed its dtype would wrap negative
+        assert monte_carlo(ModelParams(n, n + 1, 0.0, 1.0), 2, 0).mean_finished == n
+
+    def test_shared_pass_peak_memory_within_the_bytes_charged(self):
+        runs, n_betas = 20_000, 101
+        tracemalloc.start()
+        try:
+            monte_carlo_means(10, [2, 3], 1.0, np.linspace(0.0, 1.0, n_betas), runs, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= runs * (MC_BYTES_PER_RUN + n_betas) + MC_BLOCK_BYTES  # int8 counts
+
+    @pytest.mark.parametrize("e_values", [[], [3, 2], [2, 2]])
+    def test_user_counts_must_ascend(self, e_values):
+        with pytest.raises(ValueError, match="ascending"):
+            monte_carlo_means(5, e_values, 1.0, [0.5], 10, 0)
 
     @pytest.mark.parametrize(
         "n,e,alpha,beta",

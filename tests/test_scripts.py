@@ -16,6 +16,8 @@ ROOT = Path(__file__).resolve().parents[1]
      ["decile_grid.csv", "metadata.csv", "quadrants.csv"]),
     ("run_beta_grids.py", ["--grid", "2,5"],
      ["beta_closed_form_alpha0.csv", "beta_closed_form_alpha1.csv"]),
+    ("run_beta_grids.py", ["--objective", "monte_carlo", "--runs", "200", "--grid", "2,5"],
+     ["beta_monte_carlo_alpha0.csv", "beta_monte_carlo_alpha1.csv"]),
 ])
 def test_script_writes_csvs_with_manifests(tmp_path, script, args, results):
     env = dict(os.environ)

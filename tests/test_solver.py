@@ -3,8 +3,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dataclasses import replace
+
+import crowdcoord.model as model
 from crowdcoord.errors import BudgetExceededError
+from crowdcoord.model import ModelParams, monte_carlo, spawn_seed
 from crowdcoord.solver import (
+    TIE_TOL,
     BetaGrid,
     SearchConfig,
     approx_expectation,
@@ -146,6 +151,19 @@ class TestOptimalBeta:
         assert r.runs == 2000
         assert round(r.beta_star * 100) == pytest.approx(r.beta_star * 100)
 
+    @pytest.mark.parametrize("n,e,alpha", [(5, 10, 1.0), (20, 8, 0.3), (150, 3, 0.0)])
+    def test_monte_carlo_scores_the_grid_on_one_seed(self, n, e, alpha):
+        config = SearchConfig(grid_step=0.05, runs=300, seed=7)
+        betas = np.linspace(0.0, 1.0, 21)
+        values = [monte_carlo(ModelParams(n, e, alpha, float(b)), 300, 7).mean_finished
+                  for b in betas]
+        best = 0
+        for i, v in enumerate(values):
+            if v > values[best] + TIE_TOL:
+                best = i
+        r = optimal_beta(n, e, alpha, "monte_carlo", config)
+        assert (r.beta_star, r.value) == (float(betas[best]), values[best])
+
     @pytest.mark.parametrize("objective", ["closed_form", "exact_dp", "monte_carlo"])
     def test_grid_budget_refuses_before_allocating(self, objective):
         # a 10**9-point grid would need 8 GB for the betas alone
@@ -214,6 +232,39 @@ class TestBetaHeatmap:
         grid = beta_heatmap([5], [5], 1.0, objective, SearchConfig(grid_step=1e-9))
         assert grid.cells == [[None]]
         assert "budget" in grid.errors[(0, 0)]
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_monte_carlo_cells_equal_optimal_beta_with_the_column_seed(self, alpha):
+        config = SearchConfig(runs=400, seed=12)
+        n_values, e_values = (2, 5, 130), (1, 4, 9)
+        grid = beta_heatmap(n_values, e_values, alpha, "monte_carlo", config)
+        assert grid.errors == {}
+        for ri, e in enumerate(e_values):
+            for ci, n in enumerate(n_values):
+                column_config = replace(config, seed=spawn_seed(config.seed, ci))
+                assert grid.cells[ri][ci] == optimal_beta(n, e, alpha, "monte_carlo",
+                                                          column_config)
+
+    def test_monte_carlo_cell_is_refused_exactly_when_its_own_pass_is(self, monkeypatch):
+        # room for 101 betas * 50 runs * 5 users: the E = 6 row is refused, and the
+        # retried pass gives the smaller rows their usual values
+        monkeypatch.setattr(model, "STEP_BUDGET", 101 * 50 * 5)
+        config = SearchConfig(runs=50, seed=4)
+        grid = beta_heatmap([3, 8], [2, 5, 6], 1.0, "monte_carlo", config)
+        assert grid.cells[2] == [None, None]
+        assert sorted(grid.errors) == [(2, 0), (2, 1)]
+        assert "n_users = 6" in grid.errors[(2, 0)] and "budget" in grid.errors[(2, 0)]
+        for ri, e in enumerate([2, 5]):
+            for ci, n in enumerate([3, 8]):
+                column_config = replace(config, seed=spawn_seed(config.seed, ci))
+                assert grid.cells[ri][ci] == optimal_beta(n, e, 1.0, "monte_carlo",
+                                                          column_config)
+
+    @pytest.mark.parametrize("alpha,runs", [(2.0, 10), (1.0, None)])
+    def test_monte_carlo_usage_errors_raise_before_any_pass(self, alpha, runs):
+        with pytest.raises(ValueError):
+            beta_heatmap([5], [5, 10**9], alpha, "monte_carlo",
+                         SearchConfig(runs=runs, grid_step=1e-9))
 
     def test_monte_carlo_budget_is_a_cell_error(self):
         grid = beta_heatmap([5], [5], 1.0, "monte_carlo", SearchConfig(runs=10**15))
