@@ -40,8 +40,8 @@ def main():
         with open(path, encoding="utf-8") as fh:
             rows = [line.split(",")[1:] for line in fh if not line.startswith(("#", ","))]
         stars = [float(v) for row in rows for v in row if v.strip() != "NA"]
-        print(f"{path}: mean beta*={sum(stars) / len(stars):.3f} "
-              f"({len(stars)} cells, {time.time() - t0:.1f}s)")
+        mean = f"{sum(stars) / len(stars):.3f}" if stars else "NA"  # every cell NA: none to average
+        print(f"{path}: mean beta*={mean} ({len(stars)} cells, {time.time() - t0:.1f}s)")
     return 0
 
 

@@ -12,7 +12,10 @@ import csv
 import hashlib
 import io
 import json
+import re
 import sys
+from collections import defaultdict
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
@@ -101,15 +104,37 @@ def parse_event_line(line: str, line_no: int) -> Event:
 
 
 def event_to_json(event: Event) -> str:
-    record = {
-        "project_id": event.project_id,
-        "actor_id": event.actor_id,
-        "timestamp": event.timestamp,
-        "channel": event.channel,
-    }
-    if event.size_delta is not None:
-        record["size_delta"] = event.size_delta
-    return json.dumps(record, separators=(",", ":"))
+    """The canonical event line: the bytes ``json.dumps`` gives for the event's record
+    with ``separators=(",", ":")``, which escapes strings with this same function and
+    writes integers with ``int.__repr__``."""
+    text = (
+        f'{{"project_id":{encode_basestring_ascii(event.project_id)},'
+        f'"actor_id":{encode_basestring_ascii(event.actor_id)},'
+        f'"timestamp":{int.__repr__(event.timestamp)},'
+        f'"channel":{encode_basestring_ascii(event.channel)}'
+    )
+    if event.size_delta is None:
+        return text + "}"
+    return f'{text},"size_delta":{int.__repr__(event.size_delta)}}}'
+
+
+# The canonical line as event_to_json writes it, for ids of printable ASCII other than
+# '"' and '\\'.  A match decodes to exactly the Event that parse_event_line returns:
+# - the line is ASCII, so it passes the UTF-8 check;
+# - it is one JSON object with four or five distinct keys in one order, so json.loads
+#   gives a dict with every required field and no duplicate key overriding another;
+# - an id without '"', '\\' or a control character is a JSON string of its own
+#   characters, so it decodes to the matched text;
+# - timestamp is a JSON integer with no sign or leading zero and size_delta one with no
+#   "-0"; at most 18 digits keeps both far below the interpreter's limit on integer
+#   digits, so int() gives the value json.loads does, and timestamp >= 0;
+# - the channel is one of CHANNELS.
+# Every other line, valid or not, goes to parse_event_line, the only code that rejects one.
+_CANONICAL_LINE = re.compile(
+    r'\{"project_id":"([ !#-\[\]-~]*)","actor_id":"([ !#-\[\]-~]*)",'
+    r'"timestamp":(0|[1-9][0-9]{0,17}),"channel":"(work|discussion|comment)"'
+    r'(?:,"size_delta":(0|-?[1-9][0-9]{0,17}))?\}'
+).fullmatch
 
 
 def read_metadata(path: str) -> dict[str, dict]:
@@ -151,14 +176,23 @@ def ingest(
     events_path: str, metadata_path: str | None = None
 ) -> tuple[dict[str, ProjectLog], dict[str, dict]]:
     """Group events by project (time-sorted) and join optional metadata."""
-    by_project: dict[str, list[Event]] = {}
+    by_project: defaultdict[str, list[Event]] = defaultdict(list)
+    intern = sys.intern  # one string object per distinct id and channel
     with open(events_path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            event = parse_event_line(line, line_no)
-            by_project.setdefault(event.project_id, []).append(event)
+            match = _CANONICAL_LINE(line)
+            if match is None:
+                pid, actor, timestamp, channel, delta = parse_event_line(line, line_no)
+            else:
+                pid, actor, timestamp, channel, delta = match.groups()
+                timestamp = int(timestamp)
+                if delta is not None:
+                    delta = int(delta)
+            pid = intern(pid)
+            by_project[pid].append(Event(pid, intern(actor), timestamp, intern(channel), delta))
     metadata = read_metadata(metadata_path) if metadata_path else {}
     unknown = sorted(set(metadata) - set(by_project))
     if unknown:

@@ -6,10 +6,12 @@ instead of transition matrices, subset search instead
 of greedy prefixes, permutation enumeration instead of count recursions,
 step-by-step iteration instead of the closed form, one scalar run at a
 time instead of vectorized Monte Carlo, one calendar date per event
-instead of comparisons against year boundaries, and channel filters over the
-whole time-ordered log instead of its per-channel split.
+instead of comparisons against year boundaries, channel filters over the
+whole time-ordered log instead of its per-channel split, and ``json.dumps`` over
+a record dict instead of formatting the event line directly.
 """
 
+import json
 from collections import defaultdict
 from datetime import datetime, timezone
 from itertools import combinations
@@ -226,3 +228,16 @@ def scan_crowdedness_profile(project, k=100, coordination_channel="discussion"):
         early_coordination=early_coordination,
         output_size=project.final_size,
     )
+
+
+def json_event_line(event):
+    """The event's line as ``json.dumps`` writes its record dict, keys in field order."""
+    record = {
+        "project_id": event.project_id,
+        "actor_id": event.actor_id,
+        "timestamp": event.timestamp,
+        "channel": event.channel,
+    }
+    if event.size_delta is not None:
+        record["size_delta"] = event.size_delta
+    return json.dumps(record, separators=(",", ":"))

@@ -7,11 +7,17 @@ import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from crowdcoord import cli
+from crowdcoord.analytics import CHANNELS, Event
 from crowdcoord.cli import event_to_json, ingest, main, parse_event_line
 from crowdcoord.errors import MalformedEventError
+from oracles import json_event_line
 
 
 def run(args):
@@ -135,6 +141,129 @@ class TestIngest:
         ])
         assert run(["xcore", "--events", events, "--out", tmp_path / "o.csv"]) == 2
         assert "line 2: project_id" in capsys.readouterr().err
+
+
+# ids that event_to_json writes without an escape: printable ASCII other than '"' and '\\'
+CANONICAL_IDS = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E,
+                                      blacklist_characters='"\\'))
+ANY_IDS = st.text(st.characters(blacklist_categories=()))  # lone surrogates included
+DIGITS_18 = 10**18 - 1
+
+
+def typed(events):
+    """Each event with the types of its fields, so that 1 and True or 1.0 differ."""
+    return [(event, list(map(type, event))) for event in events]
+
+
+def ingested(directory, lines):
+    """Typed events of ingesting the lines as one file, or the MalformedEventError message."""
+    path = directory / "events.jsonl"
+    # surrogateescape writes back the undecodable bytes that ingest reads as lone surrogates
+    path.write_bytes("".join(f"{line}\n" for line in lines).encode("utf-8", "surrogateescape"))
+    try:
+        corpus, _ = ingest(str(path))
+    except MalformedEventError as exc:
+        return str(exc)
+    return typed(event for project in corpus.values() for event in project.events)
+
+
+def parsed(line, line_no=1):
+    try:
+        return typed([parse_event_line(line, line_no)])
+    except MalformedEventError as exc:
+        return str(exc)
+
+
+def near_miss(project_id='"p"', timestamp="1", tail=""):
+    return (f'{{"project_id":{project_id},"actor_id":"a","timestamp":{timestamp},'
+            f'"channel":"work"{tail}}}')
+
+
+class TestCanonicalLine:
+    """ingest decodes event_to_json's lines without parse_event_line, to the same Events."""
+
+    @given(event=st.builds(Event, CANONICAL_IDS, CANONICAL_IDS, st.integers(0, DIGITS_18),
+                           st.sampled_from(CHANNELS),
+                           st.none() | st.integers(-DIGITS_18, DIGITS_18)))
+    @settings(max_examples=200, deadline=None)
+    def test_canonical_line_skips_parse_event_line(self, tmp_path_factory, event):
+        line = event_to_json(event)
+        with mock.patch.object(cli, "parse_event_line", side_effect=AssertionError(line)):
+            got = ingested(tmp_path_factory.getbasetemp(), [line])
+        assert got == parsed(line) == typed([event])
+
+    @given(event=st.builds(Event, ANY_IDS, ANY_IDS, st.integers(0), st.sampled_from(CHANNELS),
+                           st.none() | st.integers()))
+    @settings(max_examples=200, deadline=None)
+    def test_any_written_line_decodes_as_parse_event_line(self, tmp_path_factory, event):
+        line = event_to_json(event)
+        got = ingested(tmp_path_factory.getbasetemp(), [line])
+        assert got == parsed(line) == typed([event])
+
+    @pytest.mark.parametrize("line", [
+        near_miss(project_id=r'"p\u0031"'),
+        near_miss(project_id='"p\u00e9"'),
+        near_miss(project_id=r'"\ud800"'),
+        near_miss(project_id='"\udced\udca0\udc80"'),  # a UTF-8-encoded surrogate: not UTF-8
+        near_miss(project_id='"tab\there"'),
+        near_miss(project_id='"del\x7f"'),
+        '{"project_id": "p","actor_id": "a","timestamp": 1,"channel": "work"}',
+        '{"actor_id":"a","project_id":"p","timestamp":1,"channel":"work"}',
+        near_miss(tail=',"channel":"comment"'),
+        near_miss(tail=',"size_delta":null'),
+        near_miss(timestamp="-0"),
+        near_miss(tail=',"size_delta":-0'),
+        near_miss(timestamp="01"),
+        near_miss(tail=',"size_delta":-01'),
+        near_miss(timestamp="1" + "0" * 18),
+        near_miss(timestamp="9" * 5000),
+        near_miss(timestamp="true"),
+        near_miss(timestamp="1.0"),
+        near_miss(tail=',"size_delta":1e3'),
+        near_miss().replace('"work"', '"Work"'),
+    ], ids=["escaped-id", "non-ascii-id", "escaped-lone-surrogate", "undecodable-bytes",
+            "raw-tab-in-id", "del-in-id", "spaces", "reordered", "duplicate-channel",
+            "null-size-delta", "minus-zero-timestamp", "minus-zero-size-delta",
+            "leading-zero", "leading-zero-size-delta", "19-digits", "5000-digits", "true",
+            "float", "exponent", "unknown-channel"])
+    def test_near_miss_decodes_as_parse_event_line(self, tmp_path, line):
+        assert ingested(tmp_path, [line]) == parsed(line)
+
+    def test_malformed_line_after_canonical_lines(self, tmp_path):
+        bad = near_miss(timestamp="1.0")
+        got = ingested(tmp_path, [E1, E3, "", near_miss(project_id=r'"p\u0031"'), bad])
+        assert got == parsed(bad, 5)
+        assert got.startswith("line 5: timestamp must be an integer")
+
+    def test_ids_and_channels_are_shared(self, tmp_path):
+        lines = [
+            '{"project_id":"proj","actor_id":"alice","timestamp":1,"channel":"work"}',
+            '{"project_id":"proj","actor_id":"alice","timestamp":2,"channel":"work"}',
+            '{"project_id": "proj","actor_id": "alice","timestamp": 3,"channel": "work"}',
+            '{"project_id":"other","actor_id":"alice","timestamp":4,"channel":"work"}',
+        ]
+        events = [event for event, _ in ingested(tmp_path, lines)]
+        assert len(events) == 4
+        for field in ("project_id", "actor_id", "channel"):
+            values = [getattr(e, field) for e in events if e.project_id == "proj"]
+            assert all(v is values[0] for v in values), field
+        assert events[0].actor_id is events[3].actor_id
+        assert events[0].channel is events[3].channel
+
+
+@pytest.mark.parametrize("text", ['quo"te', "back\\slash", "ctl\x00\x1f\n\x7f",
+                                  "n\u00f6n-ascii \u2713 \U0001d11e", "lone \ud800 surrogate"])
+@pytest.mark.parametrize("size_delta", [None, 0, -12])
+def test_event_to_json_matches_json_dumps(text, size_delta):
+    event = Event(text, f"actor {text}", 17, "comment", size_delta)
+    assert event_to_json(event) == json_event_line(event)
+
+
+@given(event=st.builds(Event, ANY_IDS, ANY_IDS, st.integers(), st.sampled_from(CHANNELS),
+                       st.none() | st.integers()))
+@settings(max_examples=300, deadline=None)
+def test_event_to_json_matches_json_dumps_on_any_event(event):
+    assert event_to_json(event) == json_event_line(event)
 
 
 class TestExitCodes:

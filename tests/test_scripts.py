@@ -18,6 +18,9 @@ ROOT = Path(__file__).resolve().parents[1]
      ["beta_closed_form_alpha0.csv", "beta_closed_form_alpha1.csv"]),
     ("run_beta_grids.py", ["--objective", "monte_carlo", "--runs", "200", "--grid", "2,5"],
      ["beta_monte_carlo_alpha0.csv", "beta_monte_carlo_alpha1.csv"]),
+    # every cell over the Monte Carlo budget, so every cell NA
+    ("run_beta_grids.py", ["--objective", "monte_carlo", "--runs", "100000000", "--grid", "2,5"],
+     ["beta_monte_carlo_alpha0.csv", "beta_monte_carlo_alpha1.csv"]),
 ])
 def test_script_writes_csvs_with_manifests(tmp_path, script, args, results):
     env = dict(os.environ)
