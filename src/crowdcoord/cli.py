@@ -180,7 +180,7 @@ def ingest(
     intern = sys.intern  # one string object per distinct id and channel
     with open(events_path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
+            line = line.strip(" \t\n\r")  # JSON's whitespace only
             if not line:
                 continue
             match = _CANONICAL_LINE(line)

@@ -82,7 +82,7 @@ def check_ranges(n_parts: int, n_users: int, alpha: float, beta) -> None:
 
     ``beta`` is a float or an ndarray of betas, all of which must lie in
     [0, 1].  A plain function rather than a ``ModelParams`` construction,
-    because the closed-form objective calls it on every evaluation.
+    because the batched calls check a whole array of betas at once.
     """
     if n_parts < 1:
         raise ValueError(f"n_parts must be >= 1, got {n_parts}")
@@ -98,16 +98,6 @@ def check_ranges(n_parts: int, n_users: int, alpha: float, beta) -> None:
         in_range = 0.0 <= beta <= 1.0
     if not in_range:
         raise ValueError(f"beta must be in [0, 1], got {beta}")
-
-
-@dataclass(frozen=True)
-class DeltaDistribution:
-    """Distribution of the net change in finished parts from one non-coordinator."""
-
-    probs: dict[int, float]  # keys -2..+2
-
-    def total(self) -> float:
-        return sum(self.probs.values())
 
 
 @dataclass(frozen=True)
@@ -156,28 +146,12 @@ def _step(mass: np.ndarray, band, beta) -> np.ndarray:
 
 
 def kernel_matrix(params: ModelParams) -> np.ndarray:
-    """Dense per-user transition kernel; row c is one step from a unit mass at c."""
+    """Dense per-user transition kernel; row c is one step from a unit mass at c.
+
+    At beta = 0, entry (c, c + k) is the paper's collision probability X_{c,k}.
+    """
     band = _band(params.n_parts, params.alpha)
     return _step(np.eye(params.n_parts + 1), band, params.beta)
-
-
-def _check_count(c: int, n_parts: int) -> None:
-    if not 0 <= c <= n_parts:
-        raise ValueError(f"finished count {c} outside [0, {n_parts}]")
-
-
-def collision_deltas(c: int, params: ModelParams) -> DeltaDistribution:
-    """Exact distribution of the net change produced by one non-coordinating user."""
-    _check_count(c, params.n_parts)
-    band = _band(params.n_parts, params.alpha)
-    unit = np.zeros(params.n_parts + 1)
-    unit[c] = 1.0
-    row = _pick(_pick(unit, band), band)
-    probs = {}
-    for k in (-2, -1, 0, 1, 2):
-        idx = c + k
-        probs[k] = float(row[idx]) if 0 <= idx <= params.n_parts else 0.0
-    return DeltaDistribution(probs)
 
 
 def exact_expectations(n_parts: int, n_users: int, alpha: float, betas) -> np.ndarray:
@@ -273,7 +247,7 @@ def monte_carlo_means(n_parts: int, e_values, alpha: float, betas, runs: int,
             for top in range(0, n_betas, rows):
                 c = counts[top:top + rows, lo:lo + width]
                 picked = pick(pick(c, hit1, clash1), hit2, clash2)
-                # a coordinator finishes an empty part if one is left (np.where is slower)
+                # a coordinator finishes an empty part if one is left (faster than a select)
                 c[...] = picked + (coord < betas[top:top + rows, None]) * (c + (c < n) - picked)
         if e == e_values[recorded]:
             for b, row in enumerate(counts):

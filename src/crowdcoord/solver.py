@@ -29,22 +29,19 @@ OBJECTIVES = ("closed_form", "exact_dp", "monte_carlo")
 
 # below this distance from A = 1 the limit form E * P0 is used
 A1_EPS = 1e-12
+# below this distance from A = 1 (and above A1_EPS) the geometric sum is taken
+# as expm1(E * log1p(A - 1)) / (A - 1), since (A**E - 1) / (A - 1) cancels there
+A1_STABLE = 1e-6
 # golden-section refinement stops when the bracket is narrower than this
 REFINE_TOL = 1e-6
 # a beta must beat the incumbent by more than this to replace it
 TIE_TOL = 1e-12
-# bytes optimal_beta holds per grid beta, rounded up from the measured peaks: 57
-# for the closed form (the grid, its float64 temporaries, the values as a list)
-# and 48 for the other objectives (exact_expectations bounds its block itself)
+# bytes optimal_beta holds per grid beta, rounded up from the measured peaks: 40
+# for the closed form (the grid and the values as a list of floats) and 48 for
+# the other objectives (exact_expectations bounds its block itself)
 GRID_BYTES_PER_BETA = 64
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-@dataclass(frozen=True)
-class RecurrenceCoeffs:
-    a: float | np.ndarray
-    p0: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -85,48 +82,36 @@ class BetaGrid:
     errors: dict[tuple[int, int], str] = field(default_factory=dict)
 
 
-def recurrence_coeffs(n_parts: int, alpha: float, beta) -> RecurrenceCoeffs:
-    """Multiplier A and constant P0 of the deterministic recurrence (independent of E).
-
-    ``beta`` is a float or an ndarray; with an ndarray, A and P0 are arrays
-    of the same shape.
-    """
-    check_ranges(n_parts, 1, alpha, beta)
-    n = n_parts
+def _coeffs(n: int, alpha: float, beta: float) -> tuple[float, float]:
     w = (1.0 - beta) * (1.0 + alpha)
-    a = w * (1.0 + alpha) / n**2 - 2.0 * w / n + 1.0
-    p0 = -w / n + 2.0 - beta
-    return RecurrenceCoeffs(a=a, p0=p0)
+    return w * (1.0 + alpha) / n**2 - 2.0 * w / n + 1.0, -w / n + 2.0 - beta
 
 
-def approx_expectation(n_parts: int, n_users: int, alpha: float, beta):
+def _closed_form(n_parts: int, n_users: int, alpha: float, beta: float) -> float:
+    """approx_expectation without the range check, for callers that made it once."""
+    a, p0 = _coeffs(n_parts, alpha, beta)
+    d = a - 1.0
+    if abs(d) <= A1_EPS:
+        return n_users * p0
+    if abs(d) < A1_STABLE:
+        return p0 * math.expm1(n_users * math.log1p(d)) / d
+    return p0 * (a**n_users - 1.0) / d
+
+
+def recurrence_coeffs(n_parts: int, alpha: float, beta: float) -> tuple[float, float]:
+    """Multiplier A and constant P0 of the deterministic recurrence (independent of E)."""
+    check_ranges(n_parts, 1, alpha, beta)
+    return _coeffs(n_parts, alpha, beta)
+
+
+def approx_expectation(n_parts: int, n_users: int, alpha: float, beta: float) -> float:
     """Closed-form expected finished parts after n_users.
 
-    ``beta`` is a float, giving a float, or an ndarray, giving one value per
-    beta.  Does not model saturation: at beta = 1 it returns n_users even
-    when n_users > n_parts.
+    Does not model saturation: at beta = 1 it returns n_users even when
+    n_users > n_parts.
     """
-    if n_users < 1:
-        raise ValueError(f"n_users must be >= 1, got {n_users}")
-    coeffs = recurrence_coeffs(n_parts, alpha, beta)
-    a, p0 = coeffs.a, coeffs.p0
-    near_one = abs(a - 1.0) <= A1_EPS
-    batched = isinstance(near_one, np.ndarray)
-    if not batched and near_one:
-        return n_users * p0
-    if batched:
-        # the limit form replaces the geometric sum wherever A is near 1;
-        # A = 0 there keeps the discarded sum finite (set in place, so the grid
-        # holds no more than GRID_BYTES_PER_BETA).  Each power is the scalar
-        # path's float ** int: NumPy's array power may round the last bit
-        # differently, and dividing by A - 1 amplifies that near A = 1.
-        a[near_one] = 0.0
-        power = np.fromiter((float(x) ** n_users for x in a.flat), float, a.size)
-        power = power.reshape(a.shape)
-    else:
-        power = a**n_users
-    value = p0 * (power - 1.0) / (a - 1.0)
-    return np.where(near_one, n_users * p0, value) if batched else value
+    check_ranges(n_parts, n_users, alpha, beta)
+    return _closed_form(n_parts, n_users, alpha, beta)
 
 
 def _golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -188,7 +173,8 @@ def optimal_beta(
 
     Coarse grid scan (ties within TIE_TOL break toward the smallest beta),
     then golden-section refinement on the bracketing interval for the smooth
-    objectives, whose grid values come from one batched call each.  The
+    objectives.  The exact objective scores its grid in one batched call; the
+    closed form scores grid and refinement with the same scalar formula.  The
     Monte Carlo objective is noisy: one pass seeded with config.seed scores
     the whole grid on shared draws (monte_carlo_means), and the best grid
     point is reported instead of refining.  The grid's own arrays are charged
@@ -202,8 +188,8 @@ def optimal_beta(
         return _monte_carlo_best(betas, means[0], config)
     if objective == "closed_form":
         def f(beta: float) -> float:
-            return approx_expectation(n_parts, n_users, alpha, beta)
-        values = approx_expectation(n_parts, n_users, alpha, betas).tolist()
+            return _closed_form(n_parts, n_users, alpha, beta)
+        values = [f(b) for b in map(float, betas)]
     else:
         def f(beta: float) -> float:
             return exact_expectation(ModelParams(n_parts, n_users, alpha, beta))

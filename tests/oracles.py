@@ -74,10 +74,10 @@ def iterate_recurrence(n_parts, n_users, alpha, beta):
     """Iterative evaluation of the recurrence P_{i+1} = A P_i + P0 from P_0 = 0."""
     if n_users < 1:
         raise ValueError(f"n_users must be >= 1, got {n_users}")
-    coeffs = recurrence_coeffs(n_parts, alpha, beta)
+    a, p0 = recurrence_coeffs(n_parts, alpha, beta)
     p = 0.0
     for _ in range(n_users):
-        p = coeffs.a * p + coeffs.p0
+        p = a * p + p0
     return p
 
 

@@ -15,7 +15,7 @@ import pytest
 from crowdcoord.analytics import core_curve, crowdedness_profile, x_core
 from crowdcoord.cli import main
 from crowdcoord.cohort import build_cohorts, control_eligible
-from crowdcoord.model import ModelParams, collision_deltas, exact_expectation, monte_carlo
+from crowdcoord.model import ModelParams, exact_expectation, kernel_matrix, monte_carlo
 from crowdcoord.solver import SearchConfig, approx_expectation, beta_heatmap, optimal_beta
 from crowdcoord.stats import decile_heatmap, mann_whitney_u, median_split_quadrants
 from crowdcoord.synth import SyntheticSpec, generate_synthetic
@@ -58,12 +58,13 @@ def test_criterion_01_collision_formula_oracle():
     start = time.time()
     for n in range(1, 21):
         for alpha in (0.0, 0.3, 0.5, 1.0):
-            params = ModelParams(n, 1, alpha, 0.0)
+            # at beta = 0, row c of the kernel is one non-coordinator's move from c
+            kernel = kernel_matrix(ModelParams(n, 1, alpha, 0.0))
             for c in range(n + 1):
-                got = collision_deltas(c, params).probs
                 expected = two_pick_outcome_dist(c, n, alpha)
                 for k in (-2, -1, 0, 1, 2):
-                    assert abs(got[k] - expected.get(k, 0.0)) <= 1e-12, (n, c, alpha, k)
+                    got = kernel[c, c + k] if 0 <= c + k <= n else 0.0
+                    assert abs(got - expected.get(k, 0.0)) <= 1e-12, (n, c, alpha, k)
     elapsed = time.time() - start
     assert elapsed < 5.0, f"oracle sweep took {elapsed:.1f}s"
     report(f"criterion 1: collision formulas match enumeration for all C <= N <= 20 ({elapsed:.1f}s)")

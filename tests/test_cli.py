@@ -366,6 +366,21 @@ class TestExitCodes:
         assert err.startswith("data error: line 2: ") and err.count("\n") == 1, err
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("line", [E1 + "\x1c", "\u00a0" + E1], ids=["x1c", "nbsp"])
+    def test_data_error_on_non_json_whitespace(self, tmp_path, capsys, line):
+        # json.loads rejects both lines, so ingest strips only JSON's whitespace
+        events = tmp_path / "events.jsonl"
+        events.write_text(E2 + "\n" + line + "\n", encoding="utf-8")
+        assert run(["xcore", "--events", events, "--out", tmp_path / "o.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: line 2: invalid JSON") and err.count("\n") == 1, err
+
+    def test_json_whitespace_around_a_line_is_accepted(self, tmp_path):
+        events = tmp_path / "events.jsonl"
+        events.write_bytes(f" \t{E1}\t \r\n\r\n \t\n{E2}\r\n".encode())
+        corpus, _ = ingest(str(events))
+        assert [e.actor_id for e in corpus["p1"].events] == ["b", "a"]
+
     @pytest.mark.parametrize("row", [
         b"p1,1\xff,,",
         b"p1," + b"1" * 200_000 + b",,",

@@ -11,9 +11,7 @@ import crowdcoord.model as model
 from crowdcoord.model import (
     MC_BLOCK_BYTES,
     MC_BYTES_PER_RUN,
-    DeltaDistribution,
     ModelParams,
-    collision_deltas,
     exact_expectation,
     exact_expectations,
     kernel_matrix,
@@ -37,6 +35,12 @@ def params(n, e=1, alpha=0.0, beta=0.0):
     return ModelParams(n_parts=n, n_users=e, alpha=alpha, beta=beta)
 
 
+def kernel_row_deltas(c, n, alpha):
+    """Net change k -> probability from one non-coordinator at count c (kernel row c, beta = 0)."""
+    row = kernel_matrix(params(n, alpha=alpha))[c]
+    return {k: float(row[c + k]) if 0 <= c + k <= n else 0.0 for k in (-2, -1, 0, 1, 2)}
+
+
 class TestParams:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -51,35 +55,29 @@ class TestParams:
 
 class TestCollisionDeltas:
     def test_no_finished_parts_full_clash(self):
-        d = collision_deltas(0, params(5, alpha=1.0))
-        assert d.probs[2] == pytest.approx(0.8, abs=1e-12)
-        assert d.probs[0] == pytest.approx(0.2, abs=1e-12)
-        assert d.probs[1] == d.probs[-1] == d.probs[-2] == 0.0
+        d = kernel_row_deltas(0, 5, 1.0)
+        assert d[2] == pytest.approx(0.8, abs=1e-12)
+        assert d[0] == pytest.approx(0.2, abs=1e-12)
+        assert d[1] == d[-1] == d[-2] == 0.0
 
     def test_all_finished_full_clash(self):
-        d = collision_deltas(4, params(4, alpha=1.0))
-        assert d.probs[-2] == pytest.approx(0.75, abs=1e-12)
-        assert d.probs[0] == pytest.approx(0.25, abs=1e-12)
+        d = kernel_row_deltas(4, 4, 1.0)
+        assert d[-2] == pytest.approx(0.75, abs=1e-12)
+        assert d[0] == pytest.approx(0.25, abs=1e-12)
 
     def test_half_clash_midstate(self):
         # frozen from the two-pick enumeration oracle
-        d = collision_deltas(1, params(2, alpha=0.5))
-        assert d.probs[1] == pytest.approx(0.375, abs=1e-12)
-        assert d.probs[-1] == pytest.approx(0.0625, abs=1e-12)
-        assert d.probs[0] == pytest.approx(0.5625, abs=1e-12)
-        assert d.probs[2] == d.probs[-2] == 0.0
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            collision_deltas(6, params(5))
-        with pytest.raises(ValueError):
-            collision_deltas(-1, params(5))
+        d = kernel_row_deltas(1, 2, 0.5)
+        assert d[1] == pytest.approx(0.375, abs=1e-12)
+        assert d[-1] == pytest.approx(0.0625, abs=1e-12)
+        assert d[0] == pytest.approx(0.5625, abs=1e-12)
+        assert d[2] == d[-2] == 0.0
 
     @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 1.0])
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_matches_enumeration(self, n, alpha):
         for c in range(n + 1):
-            got = collision_deltas(c, params(n, alpha=alpha)).probs
+            got = kernel_row_deltas(c, n, alpha)
             expected = two_pick_outcome_dist(c, n, alpha)
             for k in (-2, -1, 0, 1, 2):
                 assert got[k] == pytest.approx(expected.get(k, 0.0), abs=1e-12)
@@ -89,7 +87,7 @@ class TestCollisionDeltas:
         for n in (3, 7, 12):
             for alpha in (0.0, 0.4, 1.0):
                 for c in range(n + 1):
-                    d = collision_deltas(c, params(n, alpha=alpha)).probs
+                    d = kernel_row_deltas(c, n, alpha)
                     assert d[2] == pytest.approx((n - c) * (n - c - 1) / n**2, abs=1e-12)
                     assert d[1] == pytest.approx(
                         (1 - alpha) * (c * (n - c) + (n - c) * (c + 1)) / n**2, abs=1e-12
@@ -106,11 +104,11 @@ class TestCollisionDeltas:
     @settings(max_examples=50, deadline=None)
     def test_normalized(self, n, alpha):
         for c in range(n + 1):
-            d = collision_deltas(c, params(n, alpha=alpha))
-            assert d.total() == pytest.approx(1.0, abs=1e-12)
-            assert all(p >= 0.0 for p in d.probs.values())
-        at_zero = collision_deltas(0, params(n, alpha=alpha))
-        assert at_zero.probs[-1] == 0.0 and at_zero.probs[-2] == 0.0
+            d = kernel_row_deltas(c, n, alpha)
+            assert sum(d.values()) == pytest.approx(1.0, abs=1e-12)
+            assert all(p >= 0.0 for p in d.values())
+        at_zero = kernel_row_deltas(0, n, alpha)
+        assert at_zero[-1] == 0.0 and at_zero[-2] == 0.0
 
     @pytest.mark.parametrize("n", [2, 5, 17, 50])
     @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
@@ -119,7 +117,7 @@ class TestCollisionDeltas:
         slope = (1 + alpha) ** 2 / n**2 - 2 * (1 + alpha) / n
         intercept = 2 - (1 + alpha) / n
         for c in range(n + 1):
-            d = collision_deltas(c, params(n, alpha=alpha)).probs
+            d = kernel_row_deltas(c, n, alpha)
             mean = sum(k * p for k, p in d.items())
             assert mean == pytest.approx(slope * c + intercept, abs=1e-10)
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +11,7 @@ import crowdcoord.model as model
 from crowdcoord.errors import BudgetExceededError
 from crowdcoord.model import ModelParams, monte_carlo, spawn_seed
 from crowdcoord.solver import (
+    GRID_BYTES_PER_BETA,
     TIE_TOL,
     BetaGrid,
     SearchConfig,
@@ -27,18 +30,17 @@ probs = st.floats(min_value=0.0, max_value=1.0)
 class TestRecurrenceCoeffs:
     def test_collapse_at_full_coordination(self):
         for n in (1, 4, 100):
-            c = recurrence_coeffs(n, 0.37, 1.0)
-            assert c.a == 1.0 and c.p0 == 1.0
+            assert recurrence_coeffs(n, 0.37, 1.0) == (1.0, 1.0)
 
     def test_single_part_full_clash(self):
-        c = recurrence_coeffs(1, 1.0, 0.0)
-        assert c.a == pytest.approx(1.0)
-        assert c.p0 == pytest.approx(0.0)
+        a, p0 = recurrence_coeffs(1, 1.0, 0.0)
+        assert a == pytest.approx(1.0)
+        assert p0 == pytest.approx(0.0)
 
     def test_two_parts_no_clash(self):
-        c = recurrence_coeffs(2, 0.0, 0.0)
-        assert c.a == pytest.approx(0.25)
-        assert c.p0 == pytest.approx(1.5)
+        a, p0 = recurrence_coeffs(2, 0.0, 0.0)
+        assert a == pytest.approx(0.25)
+        assert p0 == pytest.approx(1.5)
 
     def test_invalid_ranges(self):
         with pytest.raises(ValueError):
@@ -68,7 +70,7 @@ class TestApproxExpectation:
             w = delta / -g
             beta = 1.0 - w / (1 + alpha)
             e = 50
-            limit = e * recurrence_coeffs(n, alpha, beta).p0
+            limit = e * recurrence_coeffs(n, alpha, beta)[1]
             assert abs(approx_expectation(n, e, alpha, beta) - limit) <= 1e-6
 
     @given(
@@ -77,31 +79,13 @@ class TestApproxExpectation:
         alpha=probs,
         beta=probs,
     )
+    # |A - 1| about 1e-10, where (A**E - 1) / (A - 1) cancels
+    @example(n=1, e=12, alpha=0.99999, beta=0.99999)
     @settings(max_examples=200, deadline=None)
     def test_closed_form_equals_iteration(self, n, e, alpha, beta):
         cf = approx_expectation(n, e, alpha, beta)
         it = iterate_recurrence(n, e, alpha, beta)
         assert cf == pytest.approx(it, rel=1e-9, abs=1e-9)
-
-    @given(
-        n=st.integers(1, 50),
-        e=st.integers(1, 200),
-        alpha=probs,
-        betas=st.lists(probs, min_size=1, max_size=8),
-    )
-    # A near 1, where a last-bit difference in A**E is amplified by 1 / (A - 1)
-    @example(n=31, e=161, alpha=0.009741350769732595, betas=[0.99999])
-    @settings(max_examples=100, deadline=None)
-    def test_array_beta_matches_scalar(self, n, e, alpha, betas):
-        batched = approx_expectation(n, e, alpha, np.array(betas))
-        for beta, value in zip(betas, batched):
-            assert value == pytest.approx(approx_expectation(n, e, alpha, beta),
-                                          rel=1e-12, abs=1e-12)
-
-    def test_array_beta_takes_the_limit_near_a_one(self):
-        values = approx_expectation(5, 10, 1.0, np.array([0.0, 1.0]))
-        assert values[1] == 10.0
-        assert values[0] == approx_expectation(5, 10, 1.0, 0.0)
 
     def test_iteration_examples(self):
         assert iterate_recurrence(1, 10, 1.0, 0.0) == 0.0
@@ -141,6 +125,24 @@ class TestOptimalBeta:
         grid = np.linspace(0.0, 1.0, 101)
         values = [approx_expectation(12, 9, 1.0, float(b)) for b in grid]
         assert r.value >= max(values) - 1e-9
+
+    @pytest.mark.parametrize("n", [1, 7, 300, 10**9])
+    @pytest.mark.parametrize("e", [1, 12, 500])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_closed_form_value_is_the_closed_form_at_beta_star(self, n, e, alpha):
+        # grid and refinement score with the one formula that approx_expectation exposes
+        r = optimal_beta(n, e, alpha, "closed_form")
+        assert r.value == approx_expectation(n, e, alpha, r.beta_star)
+
+    def test_closed_form_grid_peak_within_the_bytes_charged(self):
+        config = SearchConfig(grid_step=1e-5)
+        tracemalloc.start()
+        try:
+            optimal_beta(20, 8, 1.0, "closed_form", config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= (round(1.0 / config.grid_step) + 1) * GRID_BYTES_PER_BETA
 
     def test_monte_carlo_needs_runs(self):
         with pytest.raises(ValueError):
