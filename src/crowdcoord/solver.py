@@ -10,6 +10,7 @@ and over (N, E) grids.
 from __future__ import annotations
 
 import math
+from itertools import chain, islice
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -37,9 +38,12 @@ REFINE_TOL = 1e-6
 # a beta must beat the incumbent by more than this to replace it
 TIE_TOL = 1e-12
 # bytes optimal_beta holds per grid beta, rounded up from the measured peaks: 40
-# for the closed form (the grid and the values as a list of floats) and 48 for
-# the other objectives (exact_expectations bounds its block itself)
+# for the closed form (the grid and one cell's values as a list of floats) and 48
+# for the other objectives (exact_expectations bounds its block itself)
 GRID_BYTES_PER_BETA = 64
+# the closed-form search scores at most this many (cell, beta) points per scan block
+# and refines at most this many cells at once: its temporaries stay bounded
+CF_BLOCK = 2**11
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -82,26 +86,38 @@ class BetaGrid:
     errors: dict[tuple[int, int], str] = field(default_factory=dict)
 
 
-def _coeffs(n: int, alpha: float, beta: float) -> tuple[float, float]:
+def _coeffs(n, n_sq, alpha: float, beta):
     w = (1.0 - beta) * (1.0 + alpha)
-    return w * (1.0 + alpha) / n**2 - 2.0 * w / n + 1.0, -w / n + 2.0 - beta
+    return w * (1.0 + alpha) / n_sq - 2.0 * w / n + 1.0, -w / n + 2.0 - beta
 
 
-def _closed_form(n_parts: int, n_users: int, alpha: float, beta: float) -> float:
-    """approx_expectation without the range check, for callers that made it once."""
-    a, p0 = _coeffs(n_parts, alpha, beta)
-    d = a - 1.0
-    if abs(d) <= A1_EPS:
-        return n_users * p0
-    if abs(d) < A1_STABLE:
-        return p0 * math.expm1(n_users * math.log1p(d)) / d
-    return p0 * (a**n_users - 1.0) / d
+def _closed_form(n_values, e_values, alpha: float):
+    """The closed form over cells (N, E): f(cell, beta) scores beta[j] in cell[j], unchecked.
+
+    N enters as Python's float / int division takes it, E as Python ints (an
+    int64 could overflow), and each A**E is a scalar float ** int: NumPy's
+    array power can round a last bit differently.
+    """
+    n, n_sq = np.array([(float(v), float(v**2)) for v in map(int, n_values)]).T
+    es = np.array([int(e) for e in e_values], dtype=object)
+
+    def f(cell, beta: np.ndarray) -> np.ndarray:
+        e = es[cell].tolist()
+        a, p0 = _coeffs(n[cell], n_sq[cell], alpha, beta)
+        d = a - 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            values = p0 * (np.fromiter(map(float.__pow__, a.tolist(), e), float, len(e)) - 1.0) / d
+        near = np.flatnonzero(np.abs(d) < A1_STABLE).tolist()
+        for i, di, p in zip(near, d[near].tolist(), p0[near].tolist()):
+            values[i] = e[i] * p if abs(di) <= A1_EPS else p * math.expm1(e[i] * math.log1p(di)) / di
+        return values
+    return f
 
 
 def recurrence_coeffs(n_parts: int, alpha: float, beta: float) -> tuple[float, float]:
     """Multiplier A and constant P0 of the deterministic recurrence (independent of E)."""
     check_ranges(n_parts, 1, alpha, beta)
-    return _coeffs(n_parts, alpha, beta)
+    return _coeffs(float(n_parts), float(n_parts**2), alpha, beta)
 
 
 def approx_expectation(n_parts: int, n_users: int, alpha: float, beta: float) -> float:
@@ -111,24 +127,7 @@ def approx_expectation(n_parts: int, n_users: int, alpha: float, beta: float) ->
     n_users > n_parts.
     """
     check_ranges(n_parts, n_users, alpha, beta)
-    return _closed_form(n_parts, n_users, alpha, beta)
-
-
-def _golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > tol:
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INVPHI * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INVPHI * (hi - lo)
-            fd = f(d)
-    x = (lo + hi) / 2.0
-    return x, f(x)
+    return float(_closed_form([n_parts], [n_users], alpha)([0], np.array([beta], dtype=float))[0])
 
 
 def _check_search(objective: str, config: SearchConfig) -> None:
@@ -162,6 +161,47 @@ def _monte_carlo_best(betas: np.ndarray, means: np.ndarray, config: SearchConfig
                      objective="monte_carlo", grid_step=config.grid_step, runs=config.runs)
 
 
+def _grid_rows(f, n_cells: int, betas: np.ndarray):
+    """Each cell's grid values in turn, f scoring blocks of CF_BLOCK (cell, beta) points."""
+    n_betas, n_points = len(betas), n_cells * len(betas)
+    blocks = (np.divmod(np.arange(start, min(start + CF_BLOCK, n_points)), n_betas)
+              for start in range(0, n_points, CF_BLOCK))
+    points = chain.from_iterable(f(cell, betas[beta]).tolist() for cell, beta in blocks)
+    return (list(islice(points, n_betas)) for _ in range(n_cells))
+
+
+def _refine(f, betas: np.ndarray, rows, objective: str, config: SearchConfig) -> list[OptResult]:
+    """Golden-section refinement of each cell's best grid point (rows yields its grid values).
+
+    Brackets move in lockstep, CF_BLOCK cells at a time: each iteration scores those still
+    wider than REFINE_TOL in one call f(cell, beta), in the order a search of its own would.
+    """
+    best = [(i, row[i]) for row in rows for i in [_grid_best(row)]]
+    results = []
+    for start in range(0, len(best), CF_BLOCK):
+        block = best[start:start + CF_BLOCK]
+        cells, i = np.arange(start, start + len(block)), np.array([i for i, _ in block])
+        lo, hi = betas[np.maximum(i - 1, 0)], betas[np.minimum(i + 1, len(betas) - 1)]
+        c, d = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
+        fc, fd = f(cells, c), f(cells, d)
+        live = np.flatnonzero(hi - lo > REFINE_TOL)
+        while len(live):
+            down = fc[live] >= fd[live]
+            left, right = live[down], live[~down]
+            hi[left], d[left], fd[left] = d[left], c[left], fc[left]
+            c[left] = hi[left] - _INVPHI * (hi[left] - lo[left])
+            lo[right], c[right], fc[right] = c[right], d[right], fd[right]
+            d[right] = lo[right] + _INVPHI * (hi[right] - lo[right])
+            fx = f(cells[live], np.where(down, c[live], d[live]))
+            fc[left], fd[right] = fx[down], fx[~down]
+            live = live[hi[live] - lo[live] > REFINE_TOL]
+        x = (lo + hi) / 2.0
+        for (i, v), xi, fi in zip(block, x.tolist(), f(cells, x).tolist()):
+            beta, value = (xi, fi) if fi > v + TIE_TOL else (float(betas[i]), v)
+            results.append(OptResult(beta, value, objective, config.grid_step))
+    return results
+
+
 def optimal_beta(
     n_parts: int,
     n_users: int,
@@ -174,11 +214,11 @@ def optimal_beta(
     Coarse grid scan (ties within TIE_TOL break toward the smallest beta),
     then golden-section refinement on the bracketing interval for the smooth
     objectives.  The exact objective scores its grid in one batched call; the
-    closed form scores grid and refinement with the same scalar formula.  The
-    Monte Carlo objective is noisy: one pass seeded with config.seed scores
-    the whole grid on shared draws (monte_carlo_means), and the best grid
-    point is reported instead of refining.  The grid's own arrays are charged
-    before anything is allocated.
+    closed form is the one-cell case of the lockstep search that beta_heatmap
+    runs over a whole grid.  The Monte Carlo objective is noisy: one pass
+    seeded with config.seed scores the whole grid on shared draws
+    (monte_carlo_means), and the best grid point is reported instead of
+    refining.  The grid's own arrays are charged before anything is allocated.
     """
     _check_search(objective, config)
     check_ranges(n_parts, n_users, alpha, 0.0)
@@ -187,23 +227,14 @@ def optimal_beta(
         means, _ = monte_carlo_means(n_parts, [n_users], alpha, betas, config.runs, config.seed)
         return _monte_carlo_best(betas, means[0], config)
     if objective == "closed_form":
-        def f(beta: float) -> float:
-            return _closed_form(n_parts, n_users, alpha, beta)
-        values = [f(b) for b in map(float, betas)]
-    else:
-        def f(beta: float) -> float:
-            return exact_expectation(ModelParams(n_parts, n_users, alpha, beta))
-        values = exact_expectations(n_parts, n_users, alpha, betas).tolist()
+        cf = _closed_form([n_parts], [n_users], alpha)
+        return _refine(cf, betas, _grid_rows(cf, 1, betas), objective, config)[0]
 
-    best_i = _grid_best(values)
-    best_beta, best_value = float(betas[best_i]), float(values[best_i])
-    lo = float(betas[max(best_i - 1, 0)])
-    hi = float(betas[min(best_i + 1, len(betas) - 1)])
-    x, fx = _golden_section_max(f, lo, hi, REFINE_TOL)
-    if fx > best_value + TIE_TOL:
-        best_beta, best_value = x, fx
-    return OptResult(beta_star=best_beta, value=best_value, objective=objective,
-                     grid_step=config.grid_step)
+    def exact(_, beta: np.ndarray) -> np.ndarray:
+        return np.array([exact_expectation(ModelParams(n_parts, n_users, alpha, b))
+                         for b in beta.tolist()])
+    rows = [exact_expectations(n_parts, n_users, alpha, betas).tolist()]
+    return _refine(exact, betas, rows, objective, config)[0]
 
 
 def _monte_carlo_column(n_parts: int, e_values: tuple[int, ...], alpha: float,
@@ -215,7 +246,6 @@ def _monte_carlo_column(n_parts: int, e_values: tuple[int, ...], alpha: float,
     refused pass is retried without its largest E, whose row becomes the
     refusal text; a charge comes before any work, so the retry is free.
     """
-    check_ranges(n_parts, e_values[0], alpha, 0.0)
     refused: list[OptResult | str] = []
     for stop in range(len(e_values), 0, -1):
         try:
@@ -238,14 +268,13 @@ def beta_heatmap(
 ) -> BetaGrid:
     """Per-cell optimal beta over an (N, E) grid; rows are E, columns are N.
 
-    The exact and closed-form objectives call optimal_beta once per cell.
-    The Monte Carlo objective scores each N column in one shared-draw pass,
-    seeded with spawn_seed(config.seed, column index).  A budget refusal
-    marks its cell None and is recorded in the grid's error map; a Monte
-    Carlo cell is refused exactly when a pass to its own E is over budget.
-    Any other error is raised: the N and E lists are strictly ascending, so a
-    bad N, E, alpha, objective or runs fails at cell (0, 0) before any work is
-    done.
+    The exact objective calls optimal_beta once per cell, and the closed form
+    refines all cells in lockstep to optimal_beta's results.  The Monte Carlo
+    objective scores each N column in one shared-draw pass, seeded with
+    spawn_seed(config.seed, column index).  A budget refusal marks its cell
+    None and is recorded in the grid's error map; a Monte Carlo cell is
+    refused exactly when a pass to its own E is over budget.  Any other error
+    is raised before any work: E is ascending, so each N is checked at E[0].
     """
     n_values = tuple(int(n) for n in n_values)
     e_values = tuple(int(e) for e in e_values)
@@ -254,6 +283,8 @@ def beta_heatmap(
     if list(n_values) != sorted(set(n_values)) or list(e_values) != sorted(set(e_values)):
         raise ValueError("n_values and e_values must be strictly ascending")
     _check_search(objective, config)
+    for n in n_values:
+        check_ranges(n, e_values[0], alpha, 0.0)
 
     def solve(n: int, e: int) -> OptResult | str:
         try:
@@ -265,6 +296,15 @@ def beta_heatmap(
         columns = [_monte_carlo_column(n, e_values, alpha,
                                        replace(config, seed=spawn_seed(config.seed, ci)))
                    for ci, n in enumerate(n_values)]
+    elif objective == "closed_form":
+        n_cells = len(n_values) * len(e_values)
+        cf = _closed_form([n for n in n_values for _ in e_values], e_values * len(n_values), alpha)
+        try:
+            betas = _beta_grid(config)
+            found = _refine(cf, betas, _grid_rows(cf, n_cells, betas), objective, config)
+        except BudgetExceededError as exc:
+            found = [str(exc)] * n_cells
+        columns = [found[i:i + len(e_values)] for i in range(0, n_cells, len(e_values))]
     else:
         columns = [[solve(n, e) for e in e_values] for n in n_values]
     errors = {(ri, ci): cell for ci, column in enumerate(columns)

@@ -4,7 +4,8 @@ These deliberately take different computational paths than the library:
 loop-built dense kernels instead of the banded one, state-set enumeration
 instead of transition matrices, subset search instead
 of greedy prefixes, permutation enumeration instead of count recursions,
-step-by-step iteration instead of the closed form, one scalar run at a
+step-by-step iteration instead of the closed form, one point and one
+bracket at a time instead of the lockstep closed-form search, one scalar run at a
 time instead of vectorized Monte Carlo, one calendar date per event
 instead of comparisons against year boundaries, channel filters over the
 whole time-ordered log instead of its per-channel split, and ``json.dumps`` over
@@ -12,6 +13,7 @@ a record dict instead of formatting the event line directly.
 """
 
 import json
+import math
 from collections import defaultdict
 from datetime import datetime, timezone
 from itertools import combinations
@@ -23,7 +25,7 @@ from crowdcoord.analytics import COORDINATION_CHANNELS, CrowdednessProfile
 from crowdcoord.cohort import EpochCounts
 from crowdcoord.errors import IneligibleProjectError
 from crowdcoord.model import SimResult
-from crowdcoord.solver import recurrence_coeffs
+from crowdcoord.solver import A1_EPS, A1_STABLE, recurrence_coeffs
 
 
 def one_pick_matrix(n_parts, alpha):
@@ -79,6 +81,38 @@ def iterate_recurrence(n_parts, n_users, alpha, beta):
     for _ in range(n_users):
         p = a * p + p0
     return p
+
+
+def scalar_closed_form(n_parts, n_users, alpha, beta):
+    """The closed form at one point in Python floats, each branch of the geometric sum by hand."""
+    w = (1.0 - beta) * (1.0 + alpha)
+    a = w * (1.0 + alpha) / n_parts**2 - 2.0 * w / n_parts + 1.0
+    p0 = -w / n_parts + 2.0 - beta
+    d = a - 1.0
+    if abs(d) <= A1_EPS:
+        return n_users * p0
+    if abs(d) < A1_STABLE:
+        return p0 * math.expm1(n_users * math.log1p(d)) / d
+    return p0 * (a**n_users - 1.0) / d
+
+
+def golden_section_max(f, lo, hi, tol):
+    """Golden-section search for the maximum of f on [lo, hi], one bracket, scalar floats."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = hi - invphi * (hi - lo)
+    d = lo + invphi * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > tol:
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            c = hi - invphi * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + invphi * (hi - lo)
+            fd = f(d)
+    x = (lo + hi) / 2.0
+    return x, f(x)
 
 
 def simulate(params, seed):

@@ -8,13 +8,23 @@ from hypothesis import strategies as st
 from dataclasses import replace
 
 import crowdcoord.model as model
+import crowdcoord.solver as solver
 from crowdcoord.errors import BudgetExceededError
-from crowdcoord.model import ModelParams, monte_carlo, spawn_seed
+from crowdcoord.model import (
+    INT64_MAX,
+    ModelParams,
+    exact_expectation,
+    exact_expectations,
+    monte_carlo,
+    spawn_seed,
+)
 from crowdcoord.solver import (
     GRID_BYTES_PER_BETA,
+    REFINE_TOL,
     TIE_TOL,
     BetaGrid,
     SearchConfig,
+    _closed_form,
     approx_expectation,
     beta_heatmap,
     grid_to_csv,
@@ -22,7 +32,7 @@ from crowdcoord.solver import (
     recurrence_coeffs,
 )
 
-from oracles import iterate_recurrence
+from oracles import golden_section_max, iterate_recurrence, scalar_closed_form
 
 probs = st.floats(min_value=0.0, max_value=1.0)
 
@@ -87,6 +97,26 @@ class TestApproxExpectation:
         it = iterate_recurrence(n, e, alpha, beta)
         assert cf == pytest.approx(it, rel=1e-9, abs=1e-9)
 
+    @given(
+        cells=st.lists(st.tuples(st.one_of(st.integers(1, 100), st.integers(1, INT64_MAX)),
+                                 st.integers(1, 10**6), probs), min_size=1, max_size=8),
+        alpha=probs,
+    )
+    # |A - 1| <= A1_EPS: beta = 1, and N = INT64_MAX, where A rounds to 1
+    @example(cells=[(5, 3, 1.0), (INT64_MAX, 2000, 0.3), (INT64_MAX, 7, 0.0)], alpha=0.9)
+    # the A1_STABLE band (|A - 1| about 2e-10 and 6.4e-7) beside a generic cell
+    @example(cells=[(1, 12, 0.99999), (7, 9, 0.4)], alpha=0.99999)
+    @example(cells=[(31, 161, 0.99999)], alpha=0.00974)
+    # the generic branch, where NumPy's array power rounds these A**E differently
+    @example(cells=[(2, 100, 0.9), (30, 2423, 0.9014274576114836)], alpha=1.0)
+    @settings(max_examples=200, deadline=None)
+    def test_array_formula_is_the_scalar_oracle_bit_for_bit(self, cells, alpha):
+        ns, es, betas = zip(*cells)
+        values = _closed_form(ns, es, alpha)(np.arange(len(cells)), np.array(betas))
+        expected = [scalar_closed_form(n, e, alpha, beta).hex() for n, e, beta in cells]
+        assert [v.hex() for v in values.tolist()] == expected
+        assert [approx_expectation(n, e, alpha, beta).hex() for n, e, beta in cells] == expected
+
     def test_iteration_examples(self):
         assert iterate_recurrence(1, 10, 1.0, 0.0) == 0.0
         assert iterate_recurrence(5, 3, 0.2, 1.0) == 3.0
@@ -143,6 +173,34 @@ class TestOptimalBeta:
         finally:
             tracemalloc.stop()
         assert peak <= (round(1.0 / config.grid_step) + 1) * GRID_BYTES_PER_BETA
+
+    # interior optima, where the refined point wins, and optima on the edges
+    @pytest.mark.parametrize("objective,n,e,alpha", [
+        (objective, *cell) for objective in ("closed_form", "exact_dp")
+        for cell in [(5, 2, 1.0), (5, 3, 0.5), (10, 5, 0.3), (10, 8, 0.3), (20, 8, 1.0),
+                     (20, 12, 0.5), (50, 20, 1.0), (1, 12, 0.99999), (31, 161, 0.00974),
+                     (150, 3, 0.0)]
+    ] + [("closed_form", 300, 100, 1.0), ("closed_form", 10**9, 500, 0.5),
+         ("closed_form", 4 * 10**9, 2000, 1.0)])
+    def test_search_is_the_scalar_oracle_search_bit_for_bit(self, objective, n, e, alpha):
+        betas = np.linspace(0.0, 1.0, 101)
+        if objective == "closed_form":
+            def f(beta):
+                return scalar_closed_form(n, e, alpha, beta)
+            values = [f(b) for b in map(float, betas)]
+        else:
+            def f(beta):
+                return exact_expectation(ModelParams(n, e, alpha, beta))
+            values = exact_expectations(n, e, alpha, betas).tolist()
+        best = 0
+        for i, v in enumerate(values):
+            if v > values[best] + TIE_TOL:
+                best = i
+        x, fx = golden_section_max(f, float(betas[max(best - 1, 0)]),
+                                   float(betas[min(best + 1, 100)]), REFINE_TOL)
+        expected = (x, fx) if fx > values[best] + TIE_TOL else (float(betas[best]), values[best])
+        r = optimal_beta(n, e, alpha, objective)
+        assert (r.beta_star.hex(), r.value.hex()) == tuple(v.hex() for v in expected)
 
     def test_monte_carlo_needs_runs(self):
         with pytest.raises(ValueError):
@@ -234,6 +292,39 @@ class TestBetaHeatmap:
         grid = beta_heatmap([5], [5], 1.0, objective, SearchConfig(grid_step=1e-9))
         assert grid.cells == [[None]]
         assert "budget" in grid.errors[(0, 0)]
+
+    @pytest.mark.parametrize("grid_step", [0.01, 0.05])
+    @pytest.mark.parametrize("alpha", [0.0, 0.00974, 0.5, 0.99999, 1.0])
+    def test_closed_form_cells_equal_optimal_beta(self, alpha, grid_step):
+        config = SearchConfig(grid_step=grid_step)
+        n_values, e_values = (1, 2, 7, 31, 300, 10**5, 4 * 10**9), (1, 3, 12, 161, 2000)
+        grid = beta_heatmap(n_values, e_values, alpha, "closed_form", config)
+        assert grid.errors == {}
+        for ri, e in enumerate(e_values):
+            for ci, n in enumerate(n_values):
+                assert repr(grid.cells[ri][ci]) == repr(optimal_beta(n, e, alpha, "closed_form",
+                                                                     config))
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_closed_form_block_boundaries_do_not_move_results(self, monkeypatch, block):
+        # 12 cells of 11 betas: scan blocks of 2 or 7 points straddle rows, and
+        # refinement blocks of 7 cells leave a short last block
+        args = ((1, 5, 40, 10**6), (1, 12, 300), 0.5, "closed_form", SearchConfig(grid_step=0.1))
+        expected = repr(beta_heatmap(*args))
+        monkeypatch.setattr(solver, "CF_BLOCK", block)
+        assert repr(beta_heatmap(*args)) == expected
+
+    def test_closed_form_fine_grid_memory_is_bounded_by_the_block(self):
+        # the scan holds one block of points and one cell's row, never a whole
+        # heatmap's grid: 100 cells x 10,001 betas would be 8 MB as float64 alone
+        tracemalloc.start()
+        try:
+            beta_heatmap(range(1, 11), range(1, 11), 0.5, "closed_form",
+                         SearchConfig(grid_step=1e-4))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
     def test_monte_carlo_cells_equal_optimal_beta_with_the_column_seed(self, alpha):
