@@ -1,10 +1,11 @@
 """End-to-end crowdedness analysis on a planted synthetic corpus.
 
 Generates a corpus whose coordination volume is proportional to
-team_size / project_size, writes it as events.jsonl + metadata.csv, and runs
-``crowdcoord quadrants`` and ``crowdcoord bins`` on it: the median-split
-quadrants (whose low/high,high/low row is the rank test between the crowded
-and sparse quadrants) and the decile heatmap.  Prints the quadrants CSV.
+team_size / project_size, writes it as events.jsonl + metadata.csv, and
+writes what ``crowdcoord quadrants`` and ``crowdcoord bins`` write for it, from
+one ingest: the median-split quadrants (whose low/high,high/low row is the rank
+test between the crowded and sparse quadrants) and the decile heatmap, each
+with its manifest.  Prints the quadrants CSV.
 
 Usage:
     python3 scripts/crowding_pipeline.py --out results/ [--projects 300]
@@ -15,6 +16,12 @@ import argparse
 from pathlib import Path
 
 from crowdcoord import cli
+from crowdcoord.stats import (
+    binned_grid_to_csv,
+    decile_heatmap,
+    median_split_quadrants,
+    quadrants_to_csv,
+)
 from crowdcoord.synth import SyntheticSpec, generate_synthetic
 
 
@@ -37,12 +44,19 @@ def main():
 
     files = ["--events", str(out / "events.jsonl"), "--metadata", str(out / "metadata.csv"),
              "--k", str(args.k)]
-    for subcommand, name in (("quadrants", "quadrants.csv"), ("bins", "decile_grid.csv")):
-        status = cli.main([subcommand, *files, "--out", str(out / name)])
-        if status:
-            return status
-    print((out / "quadrants.csv").read_text(encoding="utf-8"), end="")
-    return 0
+
+    def quadrants_and_bins():  # the two commands' outputs, byte for byte, from one ingest
+        parser = cli.build_parser()
+        quadrants = parser.parse_args(["quadrants", *files, "--out", str(out / "quadrants.csv")])
+        bins = parser.parse_args(["bins", *files, "--out", str(out / "decile_grid.csv")])
+        records = cli.profile_records(quadrants)
+        cli.write_output(quadrants, quadrants_to_csv(median_split_quadrants(records)))
+        cli.write_output(bins, binned_grid_to_csv(decile_heatmap(records, agg=bins.agg)))
+
+    status = cli.exit_status(quadrants_and_bins)
+    if status == 0:
+        print((out / "quadrants.csv").read_text(encoding="utf-8"), end="")
+    return status
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ import os
 import time
 
 from crowdcoord import cli
-from crowdcoord.solver import OBJECTIVES
+from crowdcoord.constants import OBJECTIVES
 
 
 def main():

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -17,6 +18,7 @@ import sys
 from collections import defaultdict
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .analytics import (
@@ -30,14 +32,13 @@ from .analytics import (
     crowdedness_profile,
 )
 from .cohort import FEATURED_YEARS, build_cohorts, check_cohort_args, cohort_to_csv
+from .constants import INT64_MAX, OBJECTIVES, RNG_DESCRIPTION
 from .errors import (
     BudgetExceededError,
     DataError,
     IneligibleProjectError,
     MalformedEventError,
 )
-from .model import INT64_MAX, RNG_DESCRIPTION, ModelParams, exact_expectation, monte_carlo
-from .solver import OBJECTIVES, SearchConfig, beta_heatmap, grid_to_csv, optimal_beta
 from .stats import (
     binned_grid_to_csv,
     decile_heatmap,
@@ -46,6 +47,9 @@ from .stats import (
     quadrants_to_csv,
 )
 from .synth import STRUCTURES, SyntheticSpec, generate_synthetic
+
+if TYPE_CHECKING:
+    from .solver import SearchConfig
 
 _META_COLUMNS = ("project_id", "final_size", "featured_year", "watchers")
 
@@ -178,21 +182,30 @@ def ingest(
     """Group events by project (time-sorted) and join optional metadata."""
     by_project: defaultdict[str, list[Event]] = defaultdict(list)
     intern = sys.intern  # one string object per distinct id and channel
-    with open(events_path, encoding="utf-8", errors="surrogateescape") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip(" \t\n\r")  # JSON's whitespace only
-            if not line:
-                continue
-            match = _CANONICAL_LINE(line)
-            if match is None:
-                pid, actor, timestamp, channel, delta = parse_event_line(line, line_no)
-            else:
-                pid, actor, timestamp, channel, delta = match.groups()
-                timestamp = int(timestamp)
-                if delta is not None:
-                    delta = int(delta)
-            pid = intern(pid)
-            by_project[pid].append(Event(pid, intern(actor), timestamp, intern(channel), delta))
+    # Events hold only strings, ints and None, so they form no cycles, but the cyclic
+    # collector tracks each one and its passes walk them all: pause it while they pile up.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        with open(events_path, encoding="utf-8", errors="surrogateescape") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip(" \t\n\r")  # JSON's whitespace only
+                if not line:
+                    continue
+                match = _CANONICAL_LINE(line)
+                if match is None:
+                    pid, actor, timestamp, channel, delta = parse_event_line(line, line_no)
+                else:
+                    pid, actor, timestamp, channel, delta = match.groups()
+                    timestamp = int(timestamp)
+                    if delta is not None:
+                        delta = int(delta)
+                pid = intern(pid)
+                by_project[pid].append(
+                    Event(pid, intern(actor), timestamp, intern(channel), delta))
+    finally:
+        if collecting:
+            gc.enable()
     metadata = read_metadata(metadata_path) if metadata_path else {}
     unknown = sorted(set(metadata) - set(by_project))
     if unknown:
@@ -249,7 +262,7 @@ def _params(args, skip=("func", "out")) -> dict:
     return {k: v for k, v in vars(args).items() if k not in skip}
 
 
-def _write_output(args, text: str) -> None:
+def write_output(args, text: str) -> None:
     """Write --out and its manifest, which hashes the corpus files a command read."""
     out = Path(args.out)
     out.write_text(text, encoding="utf-8")
@@ -259,22 +272,27 @@ def _write_output(args, text: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# model / solver subcommands
+# model / solver subcommands: each imports the model track (and NumPy) itself,
+# so the corpus commands start without them
 
 def cmd_simulate(args) -> None:
+    from .model import ModelParams, monte_carlo
+
     params = ModelParams(args.n, args.e, args.alpha, args.beta)
     result = monte_carlo(params, args.runs, args.seed)
     text = (
         "mean_finished,std_error,runs,seed\n"
         f"{result.mean_finished:.6f},{result.std_error:.6f},{result.runs},{result.seed}\n"
     )
-    _write_output(args, text)
+    write_output(args, text)
 
 
 def cmd_dp(args) -> None:
+    from .model import ModelParams, exact_expectation
+
     params = ModelParams(args.n, args.e, args.alpha, args.beta)
     value = exact_expectation(params)
-    _write_output(args, f"expected_finished\n{value:.6f}\n")
+    write_output(args, f"expected_finished\n{value:.6f}\n")
 
 
 _OBJECTIVE_ALIASES = {"dp": "exact_dp", "cf": "closed_form", "mc": "monte_carlo"}
@@ -282,18 +300,22 @@ _OBJECTIVE_ALIASES = {"dp": "exact_dp", "cf": "closed_form", "mc": "monte_carlo"
 
 def _search(args) -> tuple[str, SearchConfig]:
     """Objective name and search settings shared by optimize and heatmap."""
+    from .solver import SearchConfig
+
     objective = _OBJECTIVE_ALIASES.get(args.objective, args.objective)
     return objective, SearchConfig(grid_step=args.grid_step, runs=args.runs, seed=args.seed)
 
 
 def cmd_optimize(args) -> None:
+    from .solver import optimal_beta
+
     result = optimal_beta(args.n, args.e, args.alpha, *_search(args))
     text = (
         "beta_star,value,objective,grid_step,runs\n"
         f"{result.beta_star:.4f},{result.value:.6f},{result.objective},"
         f"{result.grid_step},{result.runs if result.runs is not None else 'NA'}\n"
     )
-    _write_output(args, text)
+    write_output(args, text)
 
 
 def _int_list(text: str) -> list[int]:
@@ -312,8 +334,10 @@ def _int_list(text: str) -> list[int]:
 
 
 def cmd_heatmap(args) -> None:
+    from .solver import beta_heatmap, grid_to_csv
+
     grid = beta_heatmap(_int_list(args.n), _int_list(args.e), args.alpha, *_search(args))
-    _write_output(args, grid_to_csv(grid))
+    write_output(args, grid_to_csv(grid))
 
 
 def cmd_mwu(args) -> None:
@@ -324,7 +348,7 @@ def cmd_mwu(args) -> None:
         "u,p,band,method\n"
         f"{result.u_statistic:.6f},{result.p_value:.6f},{result.band},{result.method}\n"
     )
-    _write_output(args, text)
+    write_output(args, text)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +376,7 @@ def cmd_xcore(args) -> None:
             d_txt = f"{d:.6f}" if d is not None else "NA"
             c_txt = f"{c:.6f}" if c is not None else "NA"
             lines.append(f"{pid},{x:.4f},{size},{frac:.6f},{d_txt},{c_txt}")
-    _write_output(args, "\n".join(lines) + "\n")
+    write_output(args, "\n".join(lines) + "\n")
 
 
 def _profiles(args) -> dict:
@@ -369,10 +393,11 @@ def cmd_crowd(args) -> None:
             f"{pid},{len(profile.engaged_users)},{len(profile.early_team)},"
             f"{profile.threshold_time},{profile.early_coordination},{size}"
         )
-    _write_output(args, "\n".join(lines) + "\n")
+    write_output(args, "\n".join(lines) + "\n")
 
 
-def _records(args):
+def profile_records(args) -> list[tuple[float, float, float]]:
+    """(final size, early team size, early coordination) per profiled project with a final size."""
     records = []
     for pid, profile in _profiles(args).items():
         if profile.output_size is None:
@@ -386,13 +411,13 @@ def _records(args):
 
 
 def cmd_quadrants(args) -> None:
-    summary = median_split_quadrants(_records(args))
-    _write_output(args, quadrants_to_csv(summary))
+    summary = median_split_quadrants(profile_records(args))
+    write_output(args, quadrants_to_csv(summary))
 
 
 def cmd_bins(args) -> None:
-    grid = decile_heatmap(_records(args), agg=args.agg)
-    _write_output(args, binned_grid_to_csv(grid))
+    grid = decile_heatmap(profile_records(args), agg=args.agg)
+    write_output(args, binned_grid_to_csv(grid))
 
 
 def cmd_cohort(args) -> None:
@@ -413,7 +438,7 @@ def cmd_cohort(args) -> None:
         require_fewer_prior=not args.allow_fewer_prior,
         seed=args.seed,
     )
-    _write_output(args, cohort_to_csv(cohort))
+    write_output(args, cohort_to_csv(cohort))
 
 
 def cmd_synth(args) -> None:
@@ -521,11 +546,11 @@ def build_parser() -> _Parser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
+def exit_status(run) -> int:
+    """Call run() and return its exit code: 0, or 3, 2 or 1 for a budget refusal, a
+    data error or a usage error, each reported in one line on stderr."""
     try:
-        args = parser.parse_args(argv)
-        args.func(args)
+        run()
     except BudgetExceededError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return 3
@@ -536,6 +561,13 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     return 0
+
+
+def main(argv=None) -> int:
+    def run():
+        args = build_parser().parse_args(argv)
+        args.func(args)
+    return exit_status(run)
 
 
 if __name__ == "__main__":

@@ -15,11 +15,8 @@ from datetime import MAXYEAR, MINYEAR, datetime, timezone
 from operator import attrgetter
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .analytics import ProjectLog
 from .errors import IneligibleProjectError
-from .model import spawn_seed
 
 # featured years whose own start and the next year's start are representable
 FEATURED_YEARS = range(MINYEAR, MAXYEAR)
@@ -93,6 +90,8 @@ def matched_controls(
     Sampling takes a prefix of a seeded permutation of the eligible ids, so
     results for smaller k are nested within those for larger k.
     """
+    import numpy as np  # here, not at module level: the CLI starts without NumPy
+
     check_cohort_args(k, tolerance)
     fc = edit_epoch_counts(featured, featured_year)
     if fc.before == 0 or fc.after == 0:
@@ -124,6 +123,8 @@ def build_cohorts(
     controls from the not-yet-used eligible pool.  Featured projects that are
     ineligible or find no eligible control are dropped.
     """
+    from .model import spawn_seed
+
     unknown = sorted(set(featured_labels) - set(corpus))
     if unknown:
         raise ValueError(f"featured labels reference unknown projects: {unknown}")

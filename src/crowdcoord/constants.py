@@ -1,0 +1,21 @@
+"""Constants the command line needs before any command runs.
+
+This module imports nothing, NumPy least of all: ``crowdcoord.cli`` reads it
+while it builds its parser and writes manifests, and only the commands that
+compute with NumPy load it.
+"""
+
+# the largest count an int64 array holds, np.iinfo(np.int64).max
+INT64_MAX = 2**63 - 1
+
+# Recorded in run manifests so outputs are attributable to a generator.
+RNG_DESCRIPTION = (
+    "numpy default_rng (PCG64); monte_carlo draws one (runs, 5) uniform block "
+    "per user step, run i consuming row i, and every beta of a pass shares those "
+    "draws (common random numbers): optimize seeds one pass over its beta grid, "
+    "heatmap one pass per N column, so results are reproducible and "
+    "independent of evaluation order"
+)
+
+# the objectives the beta* search maximizes
+OBJECTIVES = ("closed_form", "exact_dp", "monte_carlo")

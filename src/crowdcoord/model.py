@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import INT64_MAX
 from .errors import BudgetExceededError
 
 # what one model-track call may use, charged through charge() before any work:
@@ -36,17 +37,6 @@ BYTES_BUDGET = 2**30
 MC_BLOCK = 2**14
 MC_BLOCK_BYTES = 2**20
 MC_BYTES_PER_RUN = 64
-
-INT64_MAX = int(np.iinfo(np.int64).max)
-
-# Recorded in run manifests so outputs are attributable to a generator.
-RNG_DESCRIPTION = (
-    "numpy default_rng (PCG64); monte_carlo draws one (runs, 5) uniform block "
-    "per user step, run i consuming row i, and every beta of a pass shares those "
-    "draws (common random numbers): optimize seeds one pass over its beta grid, "
-    "heatmap one pass per N column, so results are reproducible and "
-    "independent of evaluation order"
-)
 
 
 def charge(what: str, steps: int, nbytes: int) -> None:
@@ -90,6 +80,8 @@ def check_ranges(n_parts: int, n_users: int, alpha: float, beta) -> None:
         raise ValueError(f"n_parts must be <= {INT64_MAX}, got {n_parts}")
     if n_users < 1:
         raise ValueError(f"n_users must be >= 1, got {n_users}")
+    if n_users > INT64_MAX:  # every closed-form path takes E as a float
+        raise ValueError(f"n_users must be <= {INT64_MAX}, got {n_users}")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     if isinstance(beta, np.ndarray):
@@ -219,6 +211,7 @@ def monte_carlo_means(n_parts: int, e_values, alpha: float, betas, runs: int,
     if not e_values or e_values != sorted(set(e_values)):
         raise ValueError(f"e_values must be non-empty and strictly ascending, got {e_values}")
     check_ranges(n_parts, e_values[0], alpha, betas)
+    check_ranges(n_parts, e_values[-1], alpha, 0.0)  # E ascends, so its ends bound the rest
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     n, n_betas, e_max = n_parts, len(betas), e_values[-1]

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .constants import OBJECTIVES
 from .errors import BudgetExceededError
 from .model import (
     ModelParams,
@@ -25,8 +26,6 @@ from .model import (
     monte_carlo_means,
     spawn_seed,
 )
-
-OBJECTIVES = ("closed_form", "exact_dp", "monte_carlo")
 
 # below this distance from A = 1 the limit form E * P0 is used
 A1_EPS = 1e-12
@@ -274,7 +273,8 @@ def beta_heatmap(
     spawn_seed(config.seed, column index).  A budget refusal marks its cell
     None and is recorded in the grid's error map; a Monte Carlo cell is
     refused exactly when a pass to its own E is over budget.  Any other error
-    is raised before any work: E is ascending, so each N is checked at E[0].
+    is raised before any work: E is ascending, so each N is checked at E[0],
+    and the largest E once.
     """
     n_values = tuple(int(n) for n in n_values)
     e_values = tuple(int(e) for e in e_values)
@@ -285,6 +285,7 @@ def beta_heatmap(
     _check_search(objective, config)
     for n in n_values:
         check_ranges(n, e_values[0], alpha, 0.0)
+    check_ranges(n_values[0], e_values[-1], alpha, 0.0)
 
     def solve(n: int, e: int) -> OptResult | str:
         try:

@@ -12,9 +12,10 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from statistics import median
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # exact counts are computed up to this product of sample sizes (tie-free only)
 EXACT_LIMIT = 400
@@ -214,6 +215,8 @@ def decile_heatmap(
     Binning depends only on the order of the axis values, so the grid is
     invariant under strictly monotone transforms of size and team_size.
     """
+    import numpy as np  # here, not at module level: the CLI starts without NumPy
+
     records = list(records)
     if len(records) < 10:
         raise ValueError(f"need at least 10 records, got {len(records)}")

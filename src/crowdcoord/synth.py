@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
-import numpy as np
-
 from .analytics import Event
 
 STRUCTURES = ("none", "crowded", "cohort")
@@ -83,6 +81,8 @@ def _generate_flat(spec: SyntheticSpec, seed: int) -> SyntheticCorpus:
     the whole team is engaged; planted discussion volume lands before the
     crowdedness threshold and the per-actor engagement edits after it.
     """
+    import numpy as np  # here, not at module level: the CLI starts without NumPy
+
     rng = np.random.default_rng(seed)
     events: list[Event] = []
     metadata: dict[str, dict] = {}
@@ -166,6 +166,8 @@ def _cohort_article(
 
 def _generate_cohort(spec: SyntheticSpec, seed: int) -> SyntheticCorpus:
     """Featured projects plus planted eligible controls and off-by-far noise."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     events: list[Event] = []
     metadata: dict[str, dict] = {}

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -141,6 +142,28 @@ class TestIngest:
         ])
         assert run(["xcore", "--events", events, "--out", tmp_path / "o.csv"]) == 2
         assert "line 2: project_id" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_restores_the_cyclic_collector(self, tmp_path, collecting):
+        # ingest pauses the collector while it reads, then leaves it as the caller had it
+        events = tmp_path / "events.jsonl"
+        write_events(events, [E1, E2, E3])
+        was_enabled = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            corpus, _ = ingest(str(events))
+            assert gc.isenabled() is collecting
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert set(corpus) == {"p1", "p2"}
+
+    def test_restores_the_cyclic_collector_when_a_line_raises(self, tmp_path):
+        events = tmp_path / "events.jsonl"
+        write_events(events, [E1, E2, "not json", E3])
+        assert gc.isenabled()
+        with pytest.raises(MalformedEventError, match="line 3"):
+            ingest(str(events))
+        assert gc.isenabled()
 
 
 # ids that event_to_json writes without an escape: printable ASCII other than '"' and '\\'
@@ -317,6 +340,23 @@ class TestExitCodes:
         assert run([*argv, "--out", tmp_path / "o.csv"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and err.count("\n") == 1, err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("objective", ["cf", "dp", "mc"])
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--n", 5, "--e", 2**63],
+        ["optimize", "--n", 5, "--e", 10**400],
+        ["heatmap", "--n", "2,5", "--e", 10**400],
+        ["heatmap", "--n", "2,5", "--e", f"5,{10**400}"],
+    ], ids=["optimize-e-int64-plus-one", "optimize-e-huge", "heatmap-e-huge",
+            "heatmap-last-e-huge"])
+    def test_usage_error_on_user_count_over_int64(self, tmp_path, capsys, objective, argv):
+        # every closed-form path takes E as a float, which 10**400 overflows
+        assert run([*argv, "--alpha", 1, "--objective", objective, "--runs", 10,
+                    "--out", tmp_path / "o.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: n_users must be <= {2**63 - 1}, got "), err
+        assert err.count("\n") == 1, err
         assert not (tmp_path / "o.csv").exists()
 
     def test_resource_error_on_monte_carlo_budget(self, tmp_path, capsys):
@@ -556,6 +596,54 @@ def test_outputs_are_utf8_under_an_ascii_locale(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert "Café".encode("utf-8") in (tmp_path / "o.csv").read_bytes()
+
+
+# Runs crowdcoord.cli's main on its arguments, if any, in a fresh interpreter and
+# prints the exit code and whether NumPy was imported.
+IMPORT_PROBE = """
+import json, sys
+import crowdcoord.cli
+status = None
+if sys.argv[1:]:
+    try:
+        status = crowdcoord.cli.main(sys.argv[1:])
+    except SystemExit as exc:  # --help
+        status = exc.code
+print(json.dumps([status, "numpy" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("argv,expected", [
+    ([], [None, False]),
+    (["--help"], [0, False]),
+    (["optimize", "--n", "5"], [1, False]),
+    (["crowd", "{crowded}", "--k", "40"], [0, False]),
+    (["quadrants", "{crowded}", "--k", "40"], [0, False]),
+    (["xcore", "{crowded}", "--x", "0.5"], [0, False]),
+    (["mwu", "--a", "1,2,5", "--b", "3,4,9"], [0, False]),
+    (["bins", "{crowded}", "--k", "40"], [0, True]),  # computes with NumPy, so loads it
+], ids=["import", "help", "usage-error", "crowd", "quadrants", "xcore", "mwu", "bins"])
+def test_commands_that_do_not_compute_with_numpy_do_not_import_it(tmp_path, small_corpora,
+                                                                  argv, expected):
+    corpus = small_corpora / "crowded"
+    files = ["--events", str(corpus / "events.jsonl"), "--metadata", str(corpus / "metadata.csv")]
+    argv = [a for arg in argv for a in (files if arg == "{crowded}" else [arg])]
+    if argv and argv[0] != "--help":
+        argv += ["--out", str(tmp_path / "o.csv")]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert json.loads(done.stdout.splitlines()[-1]) == expected, done.stderr
+
+
+def test_int64_max_is_numpys():
+    import numpy as np
+
+    from crowdcoord.constants import INT64_MAX
+
+    assert INT64_MAX == int(np.iinfo(np.int64).max)
 
 
 class TestSynth:

@@ -1,5 +1,6 @@
 """The scripts in ``scripts/`` run end to end and leave a manifest beside each result CSV."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -35,3 +36,39 @@ def test_script_writes_csvs_with_manifests(tmp_path, script, args, results):
     for name in results:
         if name != "metadata.csv":
             assert (tmp_path / f"{name}.manifest.json").is_file(), name
+
+
+def test_crowding_pipeline_writes_the_commands_bytes_from_one_ingest(tmp_path, capsys):
+    # quadrants.csv and decile_grid.csv, their manifests and the skip warnings are what
+    # `crowdcoord quadrants` and `crowdcoord bins` write on the script's corpus; the CSV
+    # digests were recorded when the script still ran the two commands one after the other
+    from crowdcoord import cli
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    out = tmp_path / "pipeline"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "crowding_pipeline.py"),
+         "--projects", "40", "--k", "250", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    digests = {
+        "quadrants.csv": "2ea08a4ee71c00e51b0f6ed4a9cc5280d87ace495420544d00c134b9c9ef5d52",
+        "decile_grid.csv": "02be572992017b34a6d5f04c45225496221ba6db0a3d8eeaae1bb188f944009a",
+    }
+    files = ["--events", out / "events.jsonl", "--metadata", out / "metadata.csv", "--k", 250]
+    warnings = []
+    for (name, digest), command in zip(digests.items(), ("quadrants", "bins")):
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+        alone = tmp_path / name
+        assert cli.main([str(a) for a in (command, *files, "--out", alone)]) == 0
+        warnings.append(capsys.readouterr().err)
+        assert (out / name).read_bytes() == alone.read_bytes(), name
+        manifest = f"{name}.manifest.json"
+        assert (out / manifest).read_bytes() == (tmp_path / manifest).read_bytes(), manifest
+    lines = done.stderr.splitlines()
+    assert lines and len(set(lines)) == len(lines), done.stderr
+    assert done.stderr == warnings[0] == warnings[1]
+    assert done.stdout == (out / "quadrants.csv").read_text(encoding="utf-8")
