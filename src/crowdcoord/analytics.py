@@ -11,8 +11,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from itertools import compress, islice
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import IneligibleProjectError
 
@@ -30,17 +30,62 @@ class Event(NamedTuple):
     size_delta: Optional[int] = None
 
 
-_timestamp = attrgetter("timestamp")
+@dataclass(frozen=True, slots=True)
+class Channel:
+    """One channel of a project log as columns, in time order (stable on ties).
+
+    ``positions`` holds each event's input position, so that ``ProjectLog.events``
+    can merge the channels back into the input's tie order.
+    """
+
+    timestamps: tuple[int, ...]
+    actors: tuple[str, ...]
+    size_deltas: tuple[Optional[int], ...]
+    positions: tuple[int, ...]
+
+    @classmethod
+    def in_time_order(
+        cls,
+        timestamps: list[int],
+        actors: list[str],
+        size_deltas: list[Optional[int]],
+        positions: list[int],
+    ) -> "Channel":
+        """The channel of columns given in input order, stably sorted by timestamp."""
+        columns = (timestamps, actors, size_deltas, positions)
+        if timestamps != sorted(timestamps):  # time-ordered input needs no permutation
+            order = sorted(range(len(timestamps)), key=timestamps.__getitem__)
+            columns = tuple(map(column.__getitem__, order) for column in columns)
+        return cls(*map(tuple, columns))
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+
+def channel_columns() -> dict[str, tuple[list, list, list, list]]:
+    """Empty input-order columns for ``ProjectLog.from_columns``, one set per channel."""
+    return {ch: ([], [], [], []) for ch in CHANNELS}
 
 
 @dataclass(frozen=True)
 class ProjectLog:
-    """One project's events in time order, also split by channel; built by ``from_events``."""
+    """One project's events split by channel, each channel held as time-ordered columns."""
 
     project_id: str
-    events: tuple[Event, ...]
+    by_channel: Mapping[str, Channel] = field(repr=False, hash=False)
     final_size: Optional[int] = None
-    by_channel: Mapping[str, tuple[Event, ...]] = field(kw_only=True, compare=False, repr=False)
+
+    @classmethod
+    def from_columns(
+        cls,
+        project_id: str,
+        columns: Mapping[str, tuple[list, list, list, list]],
+        final_size: Optional[int] = None,
+    ) -> "ProjectLog":
+        """Build from ``channel_columns()`` filled in input order: for each event, its
+        channel's timestamps, actors, size deltas and input positions get one entry."""
+        by_channel = {ch: Channel.in_time_order(*columns[ch]) for ch in CHANNELS}
+        return cls(project_id, by_channel, final_size)
 
     @classmethod
     def from_events(
@@ -49,13 +94,30 @@ class ProjectLog:
         events: Iterable[Event],
         final_size: Optional[int] = None,
     ) -> "ProjectLog":
-        # stable sort keeps input order on timestamp ties, in events and in each channel
-        ordered = tuple(sorted(events, key=_timestamp))
-        by_channel = {ch: tuple([e for e in ordered if e.channel == ch]) for ch in CHANNELS}
-        return cls(project_id, ordered, final_size, by_channel=by_channel)
+        columns = channel_columns()
+        for position, e in enumerate(events):
+            timestamps, actors, size_deltas, positions = columns[e.channel]
+            timestamps.append(e.timestamp)
+            actors.append(e.actor_id)
+            size_deltas.append(e.size_delta)
+            positions.append(position)
+        return cls.from_columns(project_id, columns, final_size)
+
+    @property
+    def events(self) -> tuple[Event, ...]:
+        """Every event in time order, ties in input order, rebuilt from the channels."""
+        merged = sorted(
+            (ts, position, actor, ch, delta)
+            for ch, channel in self.by_channel.items()
+            for ts, position, actor, delta in zip(
+                channel.timestamps, channel.positions, channel.actors, channel.size_deltas)
+        )
+        return tuple(
+            Event(self.project_id, actor, ts, ch, delta) for ts, _, actor, ch, delta in merged
+        )
 
     def work_counts(self) -> dict[str, int]:
-        return dict(Counter(e.actor_id for e in self.by_channel["work"]))
+        return dict(Counter(self.by_channel["work"].actors))
 
 
 def x_core(work_counts: Mapping[str, int], x: float) -> set[str]:
@@ -71,16 +133,28 @@ def x_core(work_counts: Mapping[str, int], x: float) -> set[str]:
         raise ValueError("work counts must be positive")
     if not 0.0 < x <= 1.0:
         raise ValueError(f"x must be in (0, 1], got {x}")
-    order = sorted(work_counts, key=lambda a: (-work_counts[a], a))
-    target = x * sum(work_counts.values())
+    return next(_x_cores(work_counts, [x]))
+
+
+def _x_cores(work_counts: Mapping[str, int], xs: Iterable[float]) -> Iterator[set[str]]:
+    """The x-core of each x in ascending order, as one set grown in place.
+
+    Each core is the shortest prefix of the actors in ``x_core``'s order whose
+    cumulative count reaches x * total, so a larger x extends the prefix.
+    """
+    order = iter(sorted(work_counts, key=lambda a: (-work_counts[a], a)))
+    total = sum(work_counts.values())
     core: set[str] = set()
     cum = 0
-    for actor in order:
-        core.add(actor)
-        cum += work_counts[actor]
-        if cum >= target:
-            break
-    return core
+    for x in xs:
+        target = x * total  # > 0, so the first core is not empty
+        if cum < target:
+            for actor in order:
+                core.add(actor)
+                cum += work_counts[actor]
+                if cum >= target:
+                    break
+        yield core
 
 
 @dataclass(frozen=True)
@@ -113,19 +187,18 @@ def core_curve(project: ProjectLog, xs: Sequence[float]) -> CoreCurve:
     counts = project.work_counts()
     if not counts:
         raise IneligibleProjectError(f"project {project.project_id} has no work events")
-    discussion = [e for e in project.by_channel["discussion"] if e.actor_id in counts]
-    comments = [e for e in project.by_channel["comment"] if e.actor_id in counts]
+    discussion = list(filter(counts.__contains__, project.by_channel["discussion"].actors))
+    comments = list(filter(counts.__contains__, project.by_channel["comment"].actors))
 
     sizes, fractions, d_shares, c_shares = [], [], [], []
-    for x in xs:
-        core = x_core(counts, x)
+    for core in _x_cores(counts, xs):
         sizes.append(len(core))
         fractions.append(len(core) / len(counts))
         d_shares.append(
-            sum(e.actor_id in core for e in discussion) / len(discussion) if discussion else None
+            sum(map(core.__contains__, discussion)) / len(discussion) if discussion else None
         )
         c_shares.append(
-            sum(e.actor_id in core for e in comments) / len(comments) if comments else None
+            sum(map(core.__contains__, comments)) / len(comments) if comments else None
         )
     return CoreCurve(
         xs=xs,
@@ -172,21 +245,21 @@ def crowdedness_profile(
     check_profile_args(k, coordination_channel)
     work = project.by_channel["work"]
     coordination = project.by_channel[coordination_channel]
-    engaged = {e.actor_id for e in work} & {e.actor_id for e in coordination}
+    engaged = set(work.actors).intersection(coordination.actors)
     if not engaged:
         raise IneligibleProjectError(f"project {project.project_id} has no engaged users")
-    engaged_work = [e for e in work if e.actor_id in engaged]
-    if len(engaged_work) < k:
+    by_engaged = list(map(engaged.__contains__, work.actors))
+    engaged_times = list(compress(work.timestamps, by_engaged))
+    if len(engaged_times) < k:
         raise IneligibleProjectError(
-            f"project {project.project_id} has {len(engaged_work)} work events "
+            f"project {project.project_id} has {len(engaged_times)} work events "
             f"by engaged users, need {k}"
         )
-    threshold = engaged_work[k - 1].timestamp
+    threshold = engaged_times[k - 1]
     return CrowdednessProfile(
         engaged_users=frozenset(engaged),
         threshold_time=threshold,
-        early_team=frozenset(e.actor_id for e in engaged_work[:k]),
-        early_coordination=bisect_left(coordination, threshold, key=_timestamp),
+        early_team=frozenset(islice(compress(work.actors, by_engaged), k)),
+        early_coordination=bisect_left(coordination.timestamps, threshold),
         output_size=project.final_size,
     )
-

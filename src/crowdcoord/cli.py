@@ -15,7 +15,6 @@ import io
 import json
 import re
 import sys
-from collections import defaultdict
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -26,6 +25,7 @@ from .analytics import (
     COORDINATION_CHANNELS,
     Event,
     ProjectLog,
+    channel_columns,
     check_profile_args,
     core_curve,
     core_xs,
@@ -52,6 +52,7 @@ if TYPE_CHECKING:
     from .solver import SearchConfig
 
 _META_COLUMNS = ("project_id", "final_size", "featured_year", "watchers")
+_COUNT_COLUMNS = ("final_size", "watchers")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -166,6 +167,8 @@ def read_metadata(path: str) -> dict[str, dict]:
                         raise DataError(f"{path}: bad {key} for {pid}: {value!r}") from exc
                     if abs(entry[key]) > INT64_MAX:
                         raise DataError(f"{path}: {key} for {pid} does not fit in 64 bits")
+                    if entry[key] < 0 and key in _COUNT_COLUMNS:
+                        raise DataError(f"{path}: {key} for {pid} must be >= 0, got {entry[key]}")
             year = entry.get("featured_year")
             if year is not None and year not in FEATURED_YEARS:
                 raise DataError(
@@ -179,11 +182,11 @@ def read_metadata(path: str) -> dict[str, dict]:
 def ingest(
     events_path: str, metadata_path: str | None = None
 ) -> tuple[dict[str, ProjectLog], dict[str, dict]]:
-    """Group events by project (time-sorted) and join optional metadata."""
-    by_project: defaultdict[str, list[Event]] = defaultdict(list)
-    intern = sys.intern  # one string object per distinct id and channel
-    # Events hold only strings, ints and None, so they form no cycles, but the cyclic
-    # collector tracks each one and its passes walk them all: pause it while they pile up.
+    """Group events by project into time-ordered channel columns and join optional metadata."""
+    by_project: dict[str, dict] = {}  # project id -> channel_columns(), in input order
+    intern = sys.intern  # one string object per distinct actor id
+    # The columns hold only strings, ints and None, and no per-line object outlives its
+    # line, so the cyclic collector has nothing to free here: pause it while they grow.
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -200,9 +203,14 @@ def ingest(
                     timestamp = int(timestamp)
                     if delta is not None:
                         delta = int(delta)
-                pid = intern(pid)
-                by_project[pid].append(
-                    Event(pid, intern(actor), timestamp, intern(channel), delta))
+                columns = by_project.get(pid)
+                if columns is None:
+                    columns = by_project[intern(pid)] = channel_columns()
+                timestamps, actors, deltas, positions = columns[channel]
+                timestamps.append(timestamp)
+                actors.append(intern(actor))
+                deltas.append(delta)
+                positions.append(line_no)  # line order is input order within each project
     finally:
         if collecting:
             gc.enable()
@@ -211,8 +219,8 @@ def ingest(
     if unknown:
         print(f"warning: metadata for unknown projects: {', '.join(unknown)}", file=sys.stderr)
     corpus = {
-        pid: ProjectLog.from_events(pid, events, metadata.get(pid, {}).get("final_size"))
-        for pid, events in sorted(by_project.items())
+        pid: ProjectLog.from_columns(pid, columns, metadata.get(pid, {}).get("final_size"))
+        for pid, columns in sorted(by_project.items())
     }
     if not corpus:
         print(f"warning: no events in {events_path}", file=sys.stderr)

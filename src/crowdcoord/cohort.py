@@ -12,7 +12,6 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import MAXYEAR, MINYEAR, datetime, timezone
-from operator import attrgetter
 from typing import Mapping, Sequence
 
 from .analytics import ProjectLog
@@ -45,9 +44,9 @@ def _year_start(year: int) -> int:
 
 def edit_epoch_counts(project: ProjectLog, year: int) -> EpochCounts:
     """Work events strictly before, within, and after the given UTC calendar year."""
-    work = project.by_channel["work"]
-    before = bisect_left(work, _year_start(year), key=attrgetter("timestamp"))
-    not_after = bisect_left(work, _year_start(year + 1), lo=before, key=attrgetter("timestamp"))
+    work = project.by_channel["work"].timestamps
+    before = bisect_left(work, _year_start(year))
+    not_after = bisect_left(work, _year_start(year + 1), lo=before)
     return EpochCounts(before=before, during=not_after - before, after=len(work) - not_after)
 
 

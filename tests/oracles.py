@@ -8,8 +8,9 @@ step-by-step iteration instead of the closed form, one point and one
 bracket at a time instead of the lockstep closed-form search, one scalar run at a
 time instead of vectorized Monte Carlo, one calendar date per event
 instead of comparisons against year boundaries, channel filters over the
-whole time-ordered log instead of its per-channel split, and ``json.dumps`` over
-a record dict instead of formatting the event line directly.
+whole time-ordered log instead of its per-channel split, one sort and filter
+over ``Event``s instead of channel columns, and ``json.dumps`` over a record
+dict instead of formatting the event line directly.
 """
 
 import json
@@ -18,10 +19,11 @@ from collections import defaultdict
 from datetime import datetime, timezone
 from itertools import combinations
 from math import comb
+from operator import attrgetter
 
 import numpy as np
 
-from crowdcoord.analytics import COORDINATION_CHANNELS, CrowdednessProfile
+from crowdcoord.analytics import CHANNELS, COORDINATION_CHANNELS, CrowdednessProfile
 from crowdcoord.cohort import EpochCounts
 from crowdcoord.errors import IneligibleProjectError
 from crowdcoord.model import SimResult
@@ -275,3 +277,10 @@ def json_event_line(event):
     if event.size_delta is not None:
         record["size_delta"] = event.size_delta
     return json.dumps(record, separators=(",", ":"))
+
+
+def event_path_log(events):
+    """A project's events in time order and split by channel, as ``Event`` tuples:
+    one stable sort by timestamp (ties keep input order), then one filter per channel."""
+    ordered = tuple(sorted(events, key=attrgetter("timestamp")))
+    return ordered, {ch: tuple(e for e in ordered if e.channel == ch) for ch in CHANNELS}

@@ -231,4 +231,9 @@ class TestProjectLog:
         log = ProjectLog.from_events("p", events)
         assert set(log.by_channel) == set(CHANNELS)
         for channel in CHANNELS:
-            assert log.by_channel[channel] == tuple(e for e in log.events if e.channel == channel)
+            expected = [e for e in log.events if e.channel == channel]
+            columns = log.by_channel[channel]
+            assert len(columns) == len(expected)
+            assert columns.timestamps == tuple(e.timestamp for e in expected)
+            assert columns.actors == tuple(e.actor_id for e in expected)
+            assert columns.size_deltas == tuple(e.size_delta for e in expected)

@@ -15,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crowdcoord import cli
-from crowdcoord.analytics import CHANNELS, Event
+from crowdcoord.analytics import CHANNELS, Event, ProjectLog
 from crowdcoord.cli import event_to_json, ingest, main, parse_event_line
 from crowdcoord.errors import MalformedEventError
-from oracles import json_event_line
+from oracles import event_path_log, json_event_line
 
 
 def run(args):
@@ -165,6 +165,19 @@ class TestIngest:
             ingest(str(events))
         assert gc.isenabled()
 
+    def test_tracks_objects_per_project_not_per_event(self, tmp_path):
+        events = tmp_path / "events.jsonl"
+        write_events(events, [
+            event_to_json(Event(f"p{i % 8}", f"a{i % 13}", i // 3, CHANNELS[i % 3], i % 5 or None))
+            for i in range(4000)
+        ])
+        gc.collect()
+        before = len(gc.get_objects())
+        corpus, _ = ingest(str(events))
+        gc.collect()
+        assert len(corpus) == 8
+        assert len(gc.get_objects()) - before <= 10 * len(corpus)
+
 
 # ids that event_to_json writes without an escape: printable ASCII other than '"' and '\\'
 CANONICAL_IDS = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E,
@@ -200,6 +213,50 @@ def parsed(line, line_no=1):
 def near_miss(project_id='"p"', timestamp="1", tail=""):
     return (f'{{"project_id":{project_id},"actor_id":"a","timestamp":{timestamp},'
             f'"channel":"work"{tail}}}')
+
+
+def oracle_events(project_ids):
+    # few actors and timestamps, so that events tie in time within and across channels;
+    # "é" and 10**20 make lines that only parse_event_line decodes
+    return st.lists(st.builds(
+        Event, st.sampled_from(project_ids), st.sampled_from(["a", "b", "c", "é"]),
+        st.integers(0, 4) | st.just(10**20), st.sampled_from(CHANNELS),
+        st.none() | st.integers(-3, 3),
+    ), max_size=40)
+
+
+def assert_event_path(log, events):
+    """The log's events and channel columns equal the Event-path oracle's over its input."""
+    ordered, by_channel = event_path_log(events)
+    assert log.events == ordered
+    for ch in CHANNELS:
+        channel = log.by_channel[ch]
+        assert channel.timestamps == tuple(e.timestamp for e in by_channel[ch])
+        assert channel.actors == tuple(e.actor_id for e in by_channel[ch])
+        assert channel.size_deltas == tuple(e.size_delta for e in by_channel[ch])
+
+
+class TestEventPathOracle:
+    """Ingest and from_events fill the channel columns that sorting and filtering Events give."""
+
+    @given(events=oracle_events(["p", "q"]), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_ingest(self, tmp_path_factory, events, data):
+        # each line canonical, or in json.dumps's default form, which parse_event_line reads
+        canonical = data.draw(st.lists(st.booleans(), min_size=len(events), max_size=len(events)))
+        path = tmp_path_factory.getbasetemp() / "events.jsonl"
+        write_events(path, [event_to_json(e) if c else json.dumps(e._asdict())
+                            for e, c in zip(events, canonical)])
+        corpus, _ = ingest(str(path))
+        assert sorted(corpus) == sorted({e.project_id for e in events})
+        for pid, log in corpus.items():
+            assert_event_path(log, [e for e in events if e.project_id == pid])
+
+    @given(events=oracle_events(["p"]), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_from_events(self, events, data):
+        shuffled = data.draw(st.permutations(events))
+        assert_event_path(ProjectLog.from_events("p", shuffled), shuffled)
 
 
 class TestCanonicalLine:
@@ -425,7 +482,10 @@ class TestExitCodes:
         b"p1,1\xff,,",
         b"p1," + b"1" * 200_000 + b",,",
         b"p1,1" + b"0" * 400 + b",,",
-    ], ids=["invalid-utf8", "field-over-csv-limit", "final-size-over-int64"])
+        b"p1,-5,,-3",
+        b"p1,5,,-3",
+    ], ids=["invalid-utf8", "field-over-csv-limit", "final-size-over-int64",
+            "negative-final-size", "negative-watchers"])
     def test_data_error_on_unreadable_metadata(self, tmp_path, capsys, row):
         events = tmp_path / "events.jsonl"
         write_events(events, [E1, E1.replace("work", "discussion")])
