@@ -31,8 +31,14 @@ from .analytics import (
     core_xs,
     crowdedness_profile,
 )
-from .cohort import FEATURED_YEARS, build_cohorts, check_cohort_args, cohort_to_csv
-from .constants import INT64_MAX, OBJECTIVES, RNG_DESCRIPTION
+from .constants import (
+    FEATURED_YEARS,
+    INT64_MAX,
+    OBJECTIVES,
+    RNG_DESCRIPTION,
+    STRUCTURES,
+    SYNTH_PROJECTS,
+)
 from .errors import (
     BudgetExceededError,
     DataError,
@@ -40,13 +46,14 @@ from .errors import (
     MalformedEventError,
 )
 from .stats import (
+    MIN_DECILE_RECORDS,
+    MIN_QUADRANT_RECORDS,
     binned_grid_to_csv,
     decile_heatmap,
     mann_whitney_u,
     median_split_quadrants,
     quadrants_to_csv,
 )
-from .synth import STRUCTURES, SyntheticSpec, generate_synthetic
 
 if TYPE_CHECKING:
     from .solver import SearchConfig
@@ -135,11 +142,36 @@ def event_to_json(event: Event) -> str:
 #   digits, so int() gives the value json.loads does, and timestamp >= 0;
 # - the channel is one of CHANNELS.
 # Every other line, valid or not, goes to parse_event_line, the only code that rejects one.
-_CANONICAL_LINE = re.compile(
+_CANONICAL = (
     r'\{"project_id":"([ !#-\[\]-~]*)","actor_id":"([ !#-\[\]-~]*)",'
     r'"timestamp":(0|[1-9][0-9]{0,17}),"channel":"(work|discussion|comment)"'
     r'(?:,"size_delta":(0|-?[1-9][0-9]{0,17}))?\}'
-).fullmatch
+)
+_CANONICAL_LINE = re.compile(_CANONICAL).fullmatch
+# Each line of a block, '\n' included, matches exactly once: as a canonical line, whose
+# channel group is then non-empty (no id holds '\n', so it spans the whole line), or else
+# as the line's text in the last group.  So the i-th match is the block's i-th line.
+_BLOCK_LINES = re.compile(rf"(?:{_CANONICAL}|([^\n]*))\n").findall
+
+# ingest reads this many characters at a time; a block's findall tuples are its transient
+INGEST_BLOCK = 2**16
+
+
+def _line_blocks(fh):
+    """The text of fh in blocks of whole lines, each ending in '\\n' (one is added to a last
+    line without it).  A line that straddles a read waits for the rest of it."""
+    pieces = []
+    while block := fh.read(INGEST_BLOCK):
+        end = block.rfind("\n") + 1
+        if end:
+            pieces.append(block[:end])
+            yield "".join(pieces)
+            pieces = [block[end:]]
+        else:
+            pieces.append(block)
+    tail = "".join(pieces)
+    if tail:
+        yield tail + "\n"
 
 
 def read_metadata(path: str) -> dict[str, dict]:
@@ -189,28 +221,38 @@ def ingest(
     # line, so the cyclic collector has nothing to free here: pause it while they grow.
     collecting = gc.isenabled()
     gc.disable()
+    line_no = 0
     try:
+        # universal newlines, as iterating over the file would split it: '\r\n' and a
+        # lone '\r' end a line too, also when a read ends between '\r' and '\n'
         with open(events_path, encoding="utf-8", errors="surrogateescape") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip(" \t\n\r")  # JSON's whitespace only
-                if not line:
-                    continue
-                match = _CANONICAL_LINE(line)
-                if match is None:
-                    pid, actor, timestamp, channel, delta = parse_event_line(line, line_no)
-                else:
-                    pid, actor, timestamp, channel, delta = match.groups()
-                    timestamp = int(timestamp)
-                    if delta is not None:
-                        delta = int(delta)
-                columns = by_project.get(pid)
-                if columns is None:
-                    columns = by_project[intern(pid)] = channel_columns()
-                timestamps, actors, deltas, positions = columns[channel]
-                timestamps.append(timestamp)
-                actors.append(intern(actor))
-                deltas.append(delta)
-                positions.append(line_no)  # line order is input order within each project
+            for block in _line_blocks(fh):
+                for pid, actor, timestamp, channel, delta, line in _BLOCK_LINES(block):
+                    line_no += 1
+                    if channel:
+                        timestamp = int(timestamp)
+                        delta = int(delta) if delta else None
+                    else:
+                        line = line.strip(" \t\n\r")  # JSON's whitespace only
+                        if not line:
+                            continue
+                        match = _CANONICAL_LINE(line)
+                        if match is None:
+                            pid, actor, timestamp, channel, delta = parse_event_line(
+                                line, line_no)
+                        else:
+                            pid, actor, timestamp, channel, delta = match.groups()
+                            timestamp = int(timestamp)
+                            if delta is not None:
+                                delta = int(delta)
+                    columns = by_project.get(pid)
+                    if columns is None:
+                        columns = by_project[intern(pid)] = channel_columns()
+                    timestamps, actors, deltas, positions = columns[channel]
+                    timestamps.append(timestamp)
+                    actors.append(intern(actor))
+                    deltas.append(delta)
+                    positions.append(line_no)  # line order is input order within a project
     finally:
         if collecting:
             gc.enable()
@@ -404,8 +446,9 @@ def cmd_crowd(args) -> None:
     write_output(args, "\n".join(lines) + "\n")
 
 
-def profile_records(args) -> list[tuple[float, float, float]]:
-    """(final size, early team size, early coordination) per profiled project with a final size."""
+def profile_records(args, minimum: int = 0) -> list[tuple[float, float, float]]:
+    """(final size, early team size, early coordination) per profiled project with a final
+    size; fewer than minimum of them is a data error, since every flag was in its domain."""
     records = []
     for pid, profile in _profiles(args).items():
         if profile.output_size is None:
@@ -415,20 +458,29 @@ def profile_records(args) -> list[tuple[float, float, float]]:
             (float(profile.output_size), float(len(profile.early_team)),
              float(profile.early_coordination))
         )
+    if len(records) < minimum:
+        command = args.func.__name__.removeprefix("cmd_")
+        raise DataError(f"{command} needs at least {minimum} profiled projects with a "
+                        f"final_size, got {len(records)}")
     return records
 
 
 def cmd_quadrants(args) -> None:
-    summary = median_split_quadrants(profile_records(args))
+    summary = median_split_quadrants(profile_records(args, MIN_QUADRANT_RECORDS))
     write_output(args, quadrants_to_csv(summary))
 
 
 def cmd_bins(args) -> None:
-    grid = decile_heatmap(profile_records(args), agg=args.agg)
+    grid = decile_heatmap(profile_records(args, MIN_DECILE_RECORDS), agg=args.agg)
     write_output(args, binned_grid_to_csv(grid))
 
 
+# ---------------------------------------------------------------------------
+# cohort and synth: each imports its module itself, so the corpus commands start without them
+
 def cmd_cohort(args) -> None:
+    from .cohort import build_cohorts, check_cohort_args, cohort_to_csv
+
     check_cohort_args(args.k, args.tolerance)
     corpus, metadata = ingest(args.events, args.metadata)
     featured = {
@@ -450,8 +502,10 @@ def cmd_cohort(args) -> None:
 
 
 def cmd_synth(args) -> None:
+    from .synth import SyntheticSpec, generate_synthetic
+
     if args.projects is None:
-        args.projects = SyntheticSpec.n_projects
+        args.projects = SYNTH_PROJECTS
     elif args.structure == "cohort":
         raise ValueError("--projects does not apply to --structure cohort, whose projects are "
                          "its featured, planted-control and noise-candidate counts")
@@ -544,7 +598,7 @@ def build_parser() -> _Parser:
 
     p = add("synth", cmd_synth, "generate a synthetic corpus (out is a directory)")
     p.add_argument("--projects", type=int, default=None,
-                   help=f"default {SyntheticSpec.n_projects}; not with --structure cohort")
+                   help=f"default {SYNTH_PROJECTS}; not with --structure cohort")
     p.add_argument("--structure", default="none", choices=list(STRUCTURES))
     p.add_argument("--featured", type=int, default=0)
     p.add_argument("--planted-controls", type=int, default=0)

@@ -11,14 +11,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from datetime import MAXYEAR, MINYEAR, datetime, timezone
+from datetime import datetime, timezone
 from typing import Mapping, Sequence
 
 from .analytics import ProjectLog
+from .constants import FEATURED_YEARS
 from .errors import IneligibleProjectError
-
-# featured years whose own start and the next year's start are representable
-FEATURED_YEARS = range(MINYEAR, MAXYEAR)
 
 
 @dataclass(frozen=True)

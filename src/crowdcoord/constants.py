@@ -19,3 +19,11 @@ RNG_DESCRIPTION = (
 
 # the objectives the beta* search maximizes
 OBJECTIVES = ("closed_form", "exact_dp", "monte_carlo")
+
+# featured years whose own start and the next year's start are representable:
+# range(datetime.MINYEAR, datetime.MAXYEAR), written out so that this module imports nothing
+FEATURED_YEARS = range(1, 9999)
+
+# the planted structures synth generates, and its default project count
+STRUCTURES = ("none", "crowded", "cohort")
+SYNTH_PROJECTS = 50

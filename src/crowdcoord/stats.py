@@ -12,13 +12,14 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from statistics import median
-from typing import TYPE_CHECKING, Optional, Sequence
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Optional, Sequence
 
 # exact counts are computed up to this product of sample sizes (tie-free only)
 EXACT_LIMIT = 400
+
+# the fewest records each corpus summary splits
+MIN_QUADRANT_RECORDS = 4
+MIN_DECILE_RECORDS = 10
 
 QUADRANT_KEYS = (
     ("low", "low"),
@@ -155,8 +156,8 @@ def median_split_quadrants(records: Sequence[tuple[float, float, float]]) -> Qua
     its count; all pairwise cells are compared with the U test.
     """
     records = list(records)
-    if len(records) < 4:
-        raise ValueError(f"need at least 4 records, got {len(records)}")
+    if len(records) < MIN_QUADRANT_RECORDS:
+        raise ValueError(f"need at least {MIN_QUADRANT_RECORDS} records, got {len(records)}")
     if any(team <= 0 for _, team, _ in records):
         raise ValueError("team_size must be positive")
     med_size = float(median([r[0] for r in records]))
@@ -193,8 +194,8 @@ def median_split_quadrants(records: Sequence[tuple[float, float, float]]) -> Qua
 
 @dataclass(frozen=True)
 class BinnedGrid:
-    values: np.ndarray  # rows = team decile (0 = lowest), cols = size decile
-    counts: np.ndarray
+    values: tuple[tuple[float, ...], ...]  # rows = team decile (0 = lowest), cols = size
+    counts: tuple[tuple[int, ...], ...]    # decile; an empty cell's value is NaN
     team_edges: tuple[float, ...]
     size_edges: tuple[float, ...]
     agg: str
@@ -207,6 +208,36 @@ def _decile_edges(values: Sequence[float]) -> list[float]:
     return [ordered[math.ceil(p / 100.0 * n) - 1] for p in range(10, 100, 10)]
 
 
+def _pairwise_sum(xs: Sequence[float]) -> float:
+    """NumPy's pairwise_sum (loops_utils.h.src), addition for addition: a plain loop below
+    8 items, 8 interleaved accumulators up to 128, else halves split at a multiple of 8."""
+    n = len(xs)
+    if n < 8:
+        total = 0.0
+        for x in xs:
+            total += x
+        return total
+    if n <= 128:
+        whole = n - n % 8
+        r = []
+        for j in range(8):  # accumulator j adds xs[j], xs[j + 8], ... in order
+            acc = xs[j]
+            for x in xs[j + 8 : whole : 8]:
+                acc += x
+            r.append(acc)
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for x in xs[whole:]:
+            total += x
+        return total
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(xs[:half]) + _pairwise_sum(xs[half:])
+
+
+def _pairwise_mean(xs: Sequence[float]) -> float:
+    """float(np.mean(xs)) bit for bit: add.reduce starts from 0.0, then divides by len."""
+    return (0.0 + _pairwise_sum(xs)) / len(xs)
+
+
 def decile_heatmap(
     records: Sequence[tuple[float, float, float]], agg: str = "mean"
 ) -> BinnedGrid:
@@ -215,11 +246,9 @@ def decile_heatmap(
     Binning depends only on the order of the axis values, so the grid is
     invariant under strictly monotone transforms of size and team_size.
     """
-    import numpy as np  # here, not at module level: the CLI starts without NumPy
-
     records = list(records)
-    if len(records) < 10:
-        raise ValueError(f"need at least 10 records, got {len(records)}")
+    if len(records) < MIN_DECILE_RECORDS:
+        raise ValueError(f"need at least {MIN_DECILE_RECORDS} records, got {len(records)}")
     if agg not in ("mean", "median"):
         raise ValueError(f"agg must be 'mean' or 'median', got {agg!r}")
     size_edges = _decile_edges([r[0] for r in records])
@@ -230,14 +259,11 @@ def decile_heatmap(
         key = (bisect_left(team_edges, team), bisect_left(size_edges, size))
         buckets.setdefault(key, []).append(math.log1p(coordination))
 
-    values = np.full((10, 10), np.nan)
-    counts = np.zeros((10, 10), dtype=int)
-    for (ti, si), members in buckets.items():
-        counts[ti, si] = len(members)
-        values[ti, si] = float(np.mean(members)) if agg == "mean" else float(median(members))
+    aggregate = _pairwise_mean if agg == "mean" else median
+    cells = [[buckets.get((ti, si), ()) for si in range(10)] for ti in range(10)]
     return BinnedGrid(
-        values=values,
-        counts=counts,
+        values=tuple(tuple(aggregate(m) if m else math.nan for m in row) for row in cells),
+        counts=tuple(tuple(map(len, row)) for row in cells),
         team_edges=tuple(team_edges),
         size_edges=tuple(size_edges),
         agg=agg,

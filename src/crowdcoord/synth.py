@@ -11,8 +11,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from .analytics import Event
-
-STRUCTURES = ("none", "crowded", "cohort")
+from .constants import STRUCTURES, SYNTH_PROJECTS
 
 # one work event every ten minutes keeps timestamps well-ordered
 _STEP = 600
@@ -28,7 +27,7 @@ MIN_YEAR, MAX_YEAR = 2003, 2007
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    n_projects: int = 50
+    n_projects: int = SYNTH_PROJECTS
     max_actors: int = 20
     structure: str = "none"
     # crowded structure: coordination = crowding_scale * team / final_size

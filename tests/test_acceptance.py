@@ -228,8 +228,9 @@ def test_criterion_09_analytics_recovery(tmp_path):
         if summary.cells[key].count
     ), summary.cells
     grid = decile_heatmap(records)
-    crowded_corner = float(np.nanmean(grid.values[7:, :3]))
-    sparse_corner = float(np.nanmean(grid.values[:3, 7:]))
+    values = np.array(grid.values)
+    crowded_corner = float(np.nanmean(values[7:, :3]))
+    sparse_corner = float(np.nanmean(values[:3, 7:]))
     assert crowded_corner >= 2.0 * sparse_corner, (crowded_corner, sparse_corner)
     report("criterion 9: planted crowdedness recovered by quadrants and decile heatmap")
 

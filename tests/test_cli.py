@@ -331,6 +331,113 @@ class TestCanonicalLine:
         assert events[0].channel is events[3].channel
 
 
+# ingest's reads, in characters: sizes that end blocks inside lines, and the default
+BLOCK_SIZES = [1, 2, 7, 64, cli.INGEST_BLOCK]
+
+
+def ingest_blocks(directory, data, block):
+    """{project: by_channel} of ingesting the bytes in reads of block characters, or the
+    MalformedEventError message."""
+    path = directory / "events.jsonl"
+    path.write_bytes(data)
+    with mock.patch.object(cli, "INGEST_BLOCK", block):
+        try:
+            corpus, _ = ingest(str(path))
+        except MalformedEventError as exc:
+            return str(exc)
+    return {pid: log.by_channel for pid, log in corpus.items()}
+
+
+def positions(got):
+    """Each project's and channel's line numbers."""
+    return {pid: {ch: c.positions for ch, c in channels.items() if c.positions}
+            for pid, channels in got.items()}
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+class TestBlockBoundaries:
+    """ingest reads whole lines in blocks; where a read ends changes no event or line number."""
+
+    def test_lines_straddle_blocks(self, tmp_path, block):
+        got = ingest_blocks(tmp_path, f"{E1}\n{E2}\n{E3}\n".encode(), block)
+        assert positions(got) == {"p1": {"work": (1,), "discussion": (2,)}, "p2": {"comment": (3,)}}
+        assert got["p2"]["comment"].size_deltas == (4,)
+
+    def test_crlf_split_between_reads(self, tmp_path, block):
+        # for reads under 8 KiB the text layer reads the file 8192 bytes at a time, so its
+        # first read ends between the first line's '\r' and '\n'; a lone '\r' would end
+        # a blank line 2 and move every later line number on by one
+        first = " " * (8191 - len(E1)) + E1
+        data = f"{first}\r\n{E2}\r\n\r\n{E3}\r\n".encode()
+        assert data[8191:8193] == b"\r\n"
+        got = ingest_blocks(tmp_path, data, block)
+        assert positions(got) == {"p1": {"work": (1,), "discussion": (2,)}, "p2": {"comment": (4,)}}
+
+    def test_lone_cr_ends_a_line(self, tmp_path, block):
+        data = f"{E1}\r{E2}\n{E3}\rgarbage\n".encode()
+        assert ingest_blocks(tmp_path, data, block).startswith("line 4: invalid JSON")
+        got = ingest_blocks(tmp_path, f"{E1}\r{E2}\r\r{E3}\r".encode(), block)
+        assert positions(got) == {"p1": {"work": (1,), "discussion": (2,)}, "p2": {"comment": (4,)}}
+
+    def test_last_line_without_newline(self, tmp_path, block):
+        got = ingest_blocks(tmp_path, f"{E1}\n{E2}\n {E3}".encode(), block)
+        assert positions(got) == {"p1": {"work": (1,), "discussion": (2,)}, "p2": {"comment": (3,)}}
+        got = ingest_blocks(tmp_path, f"{E1}\n{E3}".encode(), block)
+        assert positions(got) == {"p1": {"work": (1,)}, "p2": {"comment": (2,)}}
+        assert ingest_blocks(tmp_path, f"{E1}\nnot json".encode(), block).startswith(
+            "line 2: invalid JSON")
+        got = ingest_blocks(tmp_path, f"{E1}\n \t".encode(), block)
+        assert positions(got) == {"p1": {"work": (1,)}}
+
+    def test_blank_lines_count(self, tmp_path, block):
+        data = f"\n \t\n{E1}\n\n\t{E2} \n   \n\n{E3}\n\n".encode()
+        got = ingest_blocks(tmp_path, data, block)
+        assert positions(got) == {"p1": {"work": (3,), "discussion": (5,)}, "p2": {"comment": (8,)}}
+
+    def test_malformed_line_in_a_later_block(self, tmp_path, capsys, block):
+        # over 64 KiB of lines before it, so it is in a later block at every size
+        lines = [event_to_json(Event("p", f"a{i}", i, "work", None)) for i in range(1200)]
+        events = tmp_path / "events.jsonl"
+        write_events(events, [*lines, "", near_miss(timestamp="1.0"), E1])
+        assert events.stat().st_size > 2**16
+        with mock.patch.object(cli, "INGEST_BLOCK", block):
+            assert run(["xcore", "--events", events, "--out", tmp_path / "o.csv"]) == 2
+        assert capsys.readouterr().err == (
+            "data error: line 1202: timestamp must be an integer, got 1.0\n")
+        assert not (tmp_path / "o.csv").exists()
+
+
+def padded(line):
+    """The line with JSON whitespace around it, which sends it to parse_event_line."""
+    return st.tuples(st.sampled_from(["", " ", "\t ", "  \t"]),
+                     st.sampled_from(["", " ", "\t", " \t "])).map(
+        lambda pad: f"{pad[0]}{line}{pad[1]}")
+
+
+@given(events=oracle_events(["p", "q"]), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_ingest_at_every_block_size(tmp_path_factory, events, data):
+    # each event a canonical, json.dumps-form or padded line, with blank lines between,
+    # any of the three line ends, and no line end after the last line half the time
+    lines = []
+    for event in events:
+        lines += data.draw(st.lists(st.sampled_from(["", " ", "\t \t"]), max_size=2))
+        line = data.draw(st.sampled_from([event_to_json(event), json.dumps(event._asdict())]))
+        lines.append(data.draw(st.just(line) | padded(line)))
+    ends = data.draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                              min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if data.draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    directory = tmp_path_factory.getbasetemp()
+    got = [ingest_blocks(directory, text.encode(), block) for block in BLOCK_SIZES]
+    assert all(g == got[-1] for g in got)
+    assert sorted(got[-1]) == sorted({e.project_id for e in events})
+    corpus, _ = ingest(str(directory / "events.jsonl"))
+    for pid, log in corpus.items():
+        assert_event_path(log, [e for e in events if e.project_id == pid])
+
+
 @pytest.mark.parametrize("text", ['quo"te', "back\\slash", "ctl\x00\x1f\n\x7f",
                                   "n\u00f6n-ascii \u2713 \U0001d11e", "lone \ud800 surrogate"])
 @pytest.mark.parametrize("size_delta", [None, 0, -12])
@@ -497,6 +604,24 @@ class TestExitCodes:
         assert err.startswith(f"data error: {meta}: ") and err.count("\n") == 1, err
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("command,minimum", [("quadrants", 4), ("bins", 10)])
+    @pytest.mark.parametrize("lines,profiled", [
+        ([], 0), ([E1, E1.replace("work", "discussion")], 1),
+    ], ids=["empty", "one-project"])
+    def test_data_error_on_too_few_profiled_projects(self, tmp_path, capsys, command, minimum,
+                                                     lines, profiled):
+        events = tmp_path / "events.jsonl"
+        events.write_text("".join(f"{line}\n" for line in lines))
+        meta = tmp_path / "meta.csv"
+        meta.write_text("project_id,final_size,featured_year,watchers\np1,5,,\n")
+        assert run([command, "--events", events, "--metadata", meta, "--k", 1,
+                    "--out", tmp_path / "o.csv"]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if not line.startswith("warning:")]
+        assert errors == [f"data error: {command} needs at least {minimum} profiled projects "
+                          f"with a final_size, got {profiled}"]
+        assert not (tmp_path / "o.csv").exists()
+
     @pytest.mark.parametrize("year", [0, 9999])
     def test_data_error_on_featured_year_out_of_range(self, tmp_path, capsys, year):
         events = tmp_path / "events.jsonl"
@@ -659,8 +784,10 @@ def test_outputs_are_utf8_under_an_ascii_locale(tmp_path):
 
 
 # Runs crowdcoord.cli's main on its arguments, if any, in a fresh interpreter and
-# prints the exit code and whether NumPy was imported.
-IMPORT_PROBE = """
+# prints the exit code and which of the modules that only some commands need were imported.
+OPTIONAL_MODULES = ("crowdcoord.cohort", "crowdcoord.model", "crowdcoord.solver",
+                    "crowdcoord.synth", "numpy")
+IMPORT_PROBE = f"""
 import json, sys
 import crowdcoord.cli
 status = None
@@ -669,22 +796,12 @@ if sys.argv[1:]:
         status = crowdcoord.cli.main(sys.argv[1:])
     except SystemExit as exc:  # --help
         status = exc.code
-print(json.dumps([status, "numpy" in sys.modules]))
+print(json.dumps([status, [m for m in {OPTIONAL_MODULES!r} if m in sys.modules]]))
 """
 
 
-@pytest.mark.parametrize("argv,expected", [
-    ([], [None, False]),
-    (["--help"], [0, False]),
-    (["optimize", "--n", "5"], [1, False]),
-    (["crowd", "{crowded}", "--k", "40"], [0, False]),
-    (["quadrants", "{crowded}", "--k", "40"], [0, False]),
-    (["xcore", "{crowded}", "--x", "0.5"], [0, False]),
-    (["mwu", "--a", "1,2,5", "--b", "3,4,9"], [0, False]),
-    (["bins", "{crowded}", "--k", "40"], [0, True]),  # computes with NumPy, so loads it
-], ids=["import", "help", "usage-error", "crowd", "quadrants", "xcore", "mwu", "bins"])
-def test_commands_that_do_not_compute_with_numpy_do_not_import_it(tmp_path, small_corpora,
-                                                                  argv, expected):
+def probe_imports(tmp_path, small_corpora, argv):
+    """[exit code, optional modules loaded] of one CLI run in a fresh interpreter."""
     corpus = small_corpora / "crowded"
     files = ["--events", str(corpus / "events.jsonl"), "--metadata", str(corpus / "metadata.csv")]
     argv = [a for arg in argv for a in (files if arg == "{crowded}" else [arg])]
@@ -695,7 +812,46 @@ def test_commands_that_do_not_compute_with_numpy_do_not_import_it(tmp_path, smal
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv],
                           env=env, capture_output=True, text=True, timeout=120)
-    assert json.loads(done.stdout.splitlines()[-1]) == expected, done.stderr
+    assert done.stdout, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("argv,expected", [
+    ([], [None, False]),
+    (["--help"], [0, False]),
+    (["optimize", "--n", "5"], [1, False]),
+    (["crowd", "{crowded}", "--k", "40"], [0, False]),
+    (["quadrants", "{crowded}", "--k", "40"], [0, False]),
+    (["xcore", "{crowded}", "--x", "0.5"], [0, False]),
+    (["mwu", "--a", "1,2,5", "--b", "3,4,9"], [0, False]),
+    (["bins", "{crowded}", "--k", "40"], [0, False]),
+    (["dp", "--n", "2", "--e", "2", "--alpha", "1", "--beta", "0.5"], [0, True]),  # control
+], ids=["import", "help", "usage-error", "crowd", "quadrants", "xcore", "mwu", "bins", "dp"])
+def test_commands_that_do_not_compute_with_numpy_do_not_import_it(tmp_path, small_corpora,
+                                                                  argv, expected):
+    status, loaded = probe_imports(tmp_path, small_corpora, argv)
+    assert [status, "numpy" in loaded] == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["crowd", "{crowded}", "--k", "40"],
+    ["quadrants", "{crowded}", "--k", "40"],
+    ["bins", "{crowded}", "--k", "40"],
+    ["xcore", "{crowded}", "--x", "0.5"],
+], ids=["crowd", "quadrants", "bins", "xcore"])
+def test_corpus_commands_import_no_model_cohort_or_synth(tmp_path, small_corpora, argv):
+    assert probe_imports(tmp_path, small_corpora, argv) == [0, []]
+
+
+def test_cohort_imports_cohort_and_synth_imports_synth(tmp_path, small_corpora):
+    # the control: each command still loads the module it computes with
+    corpus = small_corpora / "cohort"
+    status, loaded = probe_imports(tmp_path, small_corpora, [
+        "cohort", "--events", str(corpus / "events.jsonl"),
+        "--metadata", str(corpus / "metadata.csv"), "--k", "3"])
+    assert status == 0 and "crowdcoord.cohort" in loaded and "crowdcoord.synth" not in loaded
+    status, loaded = probe_imports(tmp_path / "synth", small_corpora, ["synth", "--projects", "2"])
+    assert status == 0 and "crowdcoord.synth" in loaded
 
 
 def test_int64_max_is_numpys():
@@ -704,6 +860,14 @@ def test_int64_max_is_numpys():
     from crowdcoord.constants import INT64_MAX
 
     assert INT64_MAX == int(np.iinfo(np.int64).max)
+
+
+def test_featured_years_are_datetimes():
+    from datetime import MAXYEAR, MINYEAR
+
+    from crowdcoord.constants import FEATURED_YEARS
+
+    assert FEATURED_YEARS == range(MINYEAR, MAXYEAR)
 
 
 class TestSynth:

@@ -1,13 +1,17 @@
 import math
+import random
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crowdcoord.stats import (
     QUADRANT_KEYS,
     _exact_two_sided_p,
     _normal_two_sided_p,
+    _pairwise_mean,
     binned_grid_to_csv,
     decile_heatmap,
     mann_whitney_u,
@@ -179,13 +183,13 @@ class TestDecileHeatmap:
             (float(si), float(ti), 0.0) for si in range(10) for ti in range(10)
         ]
         grid = decile_heatmap(records)
-        assert np.all(grid.counts == 1)
+        assert np.all(np.array(grid.counts) == 1)
 
     def test_zero_coordination_gives_zero_cells(self):
         records = [(float(i), float(i % 7), 0.0) for i in range(40)]
         grid = decile_heatmap(records)
-        populated = grid.counts > 0
-        assert np.all(grid.values[populated] == 0.0)
+        populated = np.array(grid.counts) > 0
+        assert np.all(np.array(grid.values)[populated] == 0.0)
 
     def test_counts_partition_corpus(self):
         rng = np.random.default_rng(2)
@@ -196,7 +200,7 @@ class TestDecileHeatmap:
             )
         ]
         grid = decile_heatmap(records)
-        assert grid.counts.sum() == 123
+        assert np.array(grid.counts).sum() == 123
 
     def test_crowded_corner_dominates(self):
         records = []
@@ -205,7 +209,8 @@ class TestDecileHeatmap:
             team = 1.0 + (i * 7) % 50
             records.append((size, team, 1000.0 * team / size))
         grid = decile_heatmap(records)
-        assert np.nanmean(grid.values[7:, :3]) > np.nanmean(grid.values[:3, 7:])
+        values = np.array(grid.values)
+        assert np.nanmean(values[7:, :3]) > np.nanmean(values[:3, 7:])
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(3)
@@ -237,3 +242,30 @@ class TestDecileHeatmap:
         lines = text.strip().split("\n")
         assert lines[0] == "# agg=mean"
         assert "# counts" in lines
+
+
+# lengths on each side of pairwise_sum's branches: below 8, multiples of 8 up to the block
+# of 128, and halves that split at a multiple of 8
+PAIRWISE_LENGTHS = [1, 7, 8, 9, 16, 17, 127, 128, 129, 136, 137, 256, 257, 1000]
+
+
+class TestPairwiseMean:
+    """The mean decile_heatmap takes is NumPy's, bit for bit."""
+
+    @given(n=st.sampled_from(PAIRWISE_LENGTHS) | st.integers(1, 600), signed=st.booleans(),
+           data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_numpy_mean(self, n, signed, data):
+        values = st.floats(-1e9 if signed else 0.0, 1e9, allow_nan=False)
+        xs = data.draw(st.lists(values, min_size=n, max_size=n))
+        assert repr(_pairwise_mean(xs)) == repr(float(np.mean(xs)))
+
+    @pytest.mark.parametrize("n", PAIRWISE_LENGTHS)
+    @pytest.mark.parametrize("signed", [False, True], ids=["non-negative", "signed"])
+    def test_matches_numpy_mean_on_random_floats(self, n, signed):
+        # magnitudes over ten decades, so that the order of the additions shows in the result
+        rng = random.Random(n * 2 + signed)
+        for _ in range(20):
+            signs = (-1.0, 1.0) if signed else (1.0,)
+            xs = [rng.choice(signs) * rng.random() * 10.0 ** rng.randint(-5, 5) for _ in range(n)]
+            assert repr(_pairwise_mean(xs)) == repr(float(np.mean(xs)))
