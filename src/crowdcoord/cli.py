@@ -142,16 +142,14 @@ def event_to_json(event: Event) -> str:
 #   digits, so int() gives the value json.loads does, and timestamp >= 0;
 # - the channel is one of CHANNELS.
 # Every other line, valid or not, goes to parse_event_line, the only code that rejects one.
-_CANONICAL = (
-    r'\{"project_id":"([ !#-\[\]-~]*)","actor_id":"([ !#-\[\]-~]*)",'
-    r'"timestamp":(0|[1-9][0-9]{0,17}),"channel":"(work|discussion|comment)"'
-    r'(?:,"size_delta":(0|-?[1-9][0-9]{0,17}))?\}'
-)
-_CANONICAL_LINE = re.compile(_CANONICAL).fullmatch
 # Each line of a block, '\n' included, matches exactly once: as a canonical line, whose
 # channel group is then non-empty (no id holds '\n', so it spans the whole line), or else
 # as the line's text in the last group.  So the i-th match is the block's i-th line.
-_BLOCK_LINES = re.compile(rf"(?:{_CANONICAL}|([^\n]*))\n").findall
+_BLOCK_LINES = re.compile(
+    r'(?:\{"project_id":"([ !#-\[\]-~]*)","actor_id":"([ !#-\[\]-~]*)",'
+    r'"timestamp":(0|[1-9][0-9]{0,17}),"channel":"(work|discussion|comment)"'
+    r'(?:,"size_delta":(0|-?[1-9][0-9]{0,17}))?\}|([^\n]*))\n'
+).findall
 
 # ingest reads this many characters at a time; a block's findall tuples are its transient
 INGEST_BLOCK = 2**16
@@ -236,15 +234,7 @@ def ingest(
                         line = line.strip(" \t\n\r")  # JSON's whitespace only
                         if not line:
                             continue
-                        match = _CANONICAL_LINE(line)
-                        if match is None:
-                            pid, actor, timestamp, channel, delta = parse_event_line(
-                                line, line_no)
-                        else:
-                            pid, actor, timestamp, channel, delta = match.groups()
-                            timestamp = int(timestamp)
-                            if delta is not None:
-                                delta = int(delta)
+                        pid, actor, timestamp, channel, delta = parse_event_line(line, line_no)
                     columns = by_project.get(pid)
                     if columns is None:
                         columns = by_project[intern(pid)] = channel_columns()

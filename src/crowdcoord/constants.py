@@ -1,9 +1,11 @@
 """Constants the command line needs before any command runs.
 
-This module imports nothing, NumPy least of all: ``crowdcoord.cli`` reads it
-while it builds its parser and writes manifests, and only the commands that
-compute with NumPy load it.
+This module imports no NumPy: ``crowdcoord.cli`` reads it while it builds its
+parser and writes manifests, and only the commands that compute with NumPy
+load it.
 """
+
+from datetime import MAXYEAR, MINYEAR
 
 # the largest count an int64 array holds, np.iinfo(np.int64).max
 INT64_MAX = 2**63 - 1
@@ -20,9 +22,8 @@ RNG_DESCRIPTION = (
 # the objectives the beta* search maximizes
 OBJECTIVES = ("closed_form", "exact_dp", "monte_carlo")
 
-# featured years whose own start and the next year's start are representable:
-# range(datetime.MINYEAR, datetime.MAXYEAR), written out so that this module imports nothing
-FEATURED_YEARS = range(1, 9999)
+# featured years whose own start and the next year's start are representable
+FEATURED_YEARS = range(MINYEAR, MAXYEAR)
 
 # the planted structures synth generates, and its default project count
 STRUCTURES = ("none", "crowded", "cohort")

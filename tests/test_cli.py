@@ -862,14 +862,6 @@ def test_int64_max_is_numpys():
     assert INT64_MAX == int(np.iinfo(np.int64).max)
 
 
-def test_featured_years_are_datetimes():
-    from datetime import MAXYEAR, MINYEAR
-
-    from crowdcoord.constants import FEATURED_YEARS
-
-    assert FEATURED_YEARS == range(MINYEAR, MAXYEAR)
-
-
 class TestSynth:
     def test_declared_counts(self, tmp_path):
         out = tmp_path / "corpus"
