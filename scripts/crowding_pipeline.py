@@ -17,6 +17,8 @@ from pathlib import Path
 
 from crowdcoord import cli
 from crowdcoord.stats import (
+    MIN_DECILE_RECORDS,
+    MIN_QUADRANT_RECORDS,
     binned_grid_to_csv,
     decile_heatmap,
     median_split_quadrants,
@@ -49,8 +51,9 @@ def main():
         parser = cli.build_parser()
         quadrants = parser.parse_args(["quadrants", *files, "--out", str(out / "quadrants.csv")])
         bins = parser.parse_args(["bins", *files, "--out", str(out / "decile_grid.csv")])
-        records = cli.profile_records(quadrants)
+        records = cli.profile_records(quadrants, MIN_QUADRANT_RECORDS)
         cli.write_output(quadrants, quadrants_to_csv(median_split_quadrants(records)))
+        cli.require_records(bins, records, MIN_DECILE_RECORDS)
         cli.write_output(bins, binned_grid_to_csv(decile_heatmap(records, agg=bins.agg)))
 
     status = cli.exit_status(quadrants_and_bins)

@@ -438,7 +438,7 @@ def cmd_crowd(args) -> None:
 
 def profile_records(args, minimum: int = 0) -> list[tuple[float, float, float]]:
     """(final size, early team size, early coordination) per profiled project with a final
-    size; fewer than minimum of them is a data error, since every flag was in its domain."""
+    size, at least ``minimum`` of them (see ``require_records``)."""
     records = []
     for pid, profile in _profiles(args).items():
         if profile.output_size is None:
@@ -448,11 +448,17 @@ def profile_records(args, minimum: int = 0) -> list[tuple[float, float, float]]:
             (float(profile.output_size), float(len(profile.early_team)),
              float(profile.early_coordination))
         )
+    require_records(args, records, minimum)
+    return records
+
+
+def require_records(args, records: list, minimum: int) -> None:
+    """Fewer than ``minimum`` records for ``args``'s command is a data error, since every
+    flag was in its domain."""
     if len(records) < minimum:
         command = args.func.__name__.removeprefix("cmd_")
         raise DataError(f"{command} needs at least {minimum} profiled projects with a "
                         f"final_size, got {len(records)}")
-    return records
 
 
 def cmd_quadrants(args) -> None:

@@ -7,8 +7,10 @@ cohort matches) so recovery can be asserted against the sidecar.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 from .analytics import Event
 from .constants import STRUCTURES, SYNTH_PROJECTS
@@ -56,15 +58,94 @@ class SyntheticSpec:
             raise ValueError("cohort structure needs n_featured >= 1")
 
 
+class _FlatProject(NamedTuple):
+    """The draws that fix one flat or crowded project's events."""
+
+    index: int  # the project is p{index:04d}, its actors u{index:04d}_0, _1, ...
+    team: int
+    n_discussion: int
+    n_work: int
+    n_comments: int
+
+    @property
+    def n_events(self) -> int:
+        return self.n_discussion + self.n_work + self.n_comments + self.team
+
+    def events(self) -> Iterator[Event]:
+        """Every actor gets at least one work event and one discussion event, so
+        the whole team is engaged; planted discussion volume lands before the
+        crowdedness threshold and the per-actor engagement edits after it."""
+        pid, team = f"p{self.index:04d}", self.team
+        actors = [f"u{self.index:04d}_{i}" for i in range(team)]
+        ts = 0
+        # early coordination block, authored round-robin
+        for i in range(self.n_discussion):
+            yield Event(pid, actors[i % team], ts, "discussion")
+            ts += 1
+        ts = 10_000
+        # work: first `team` events cover every actor, the rest round-robin
+        for i in range(self.n_work):
+            yield Event(pid, actors[i % team], ts, "work", size_delta=1)
+            ts += _STEP
+        for i in range(self.n_comments):
+            yield Event(pid, actors[i % team], ts, "comment")
+            ts += 1
+        ts += 1_000_000
+        # engagement edits, after any plausible threshold
+        for actor in actors:
+            yield Event(pid, actor, ts, "discussion")
+            ts += 1
+
+
+class _CohortArticle(NamedTuple):
+    """One cohort article: work in the years before, of and after ``year``, then one edit."""
+
+    pid: str
+    year: int
+    before: int
+    during: int
+    after: int
+
+    @property
+    def n_events(self) -> int:
+        return self.before + self.during + self.after + 1
+
+    def events(self) -> Iterator[Event]:
+        pid, actor = self.pid, f"{self.pid}_a"
+        for year, count in ((self.year - 1, self.before), (self.year, self.during),
+                            (self.year + 1, self.after)):
+            start = _year_ts(year)
+            for i in range(count):
+                yield Event(pid, actor, start + i * _STEP, "work", size_delta=1)
+        yield Event(pid, actor, _year_ts(self.year + 2), "discussion")
+
+
+@dataclass(frozen=True)
+class CorpusEvents:
+    """A corpus's events, rendered one project at a time from its plans.
+
+    Each pass renders them again, so the corpus is never held as one list;
+    ``len`` adds up the plans' event counts and renders nothing."""
+
+    plans: tuple[_FlatProject | _CohortArticle, ...]
+
+    def __iter__(self) -> Iterator[Event]:
+        for plan in self.plans:
+            yield from plan.events()
+
+    def __len__(self) -> int:
+        return sum(plan.n_events for plan in self.plans)
+
+
 @dataclass(frozen=True)
 class SyntheticCorpus:
-    events: list[Event]
+    events: CorpusEvents
     metadata: dict[str, dict]
     ground_truth: dict
 
 
-def _year_ts(year: int, offset: int = 0) -> int:
-    return int(datetime(year, 6, 1, tzinfo=timezone.utc).timestamp()) + offset * _STEP
+def _year_ts(year: int) -> int:
+    return int(datetime(year, 6, 1, tzinfo=timezone.utc).timestamp())
 
 
 def generate_synthetic(spec: SyntheticSpec, seed: int) -> SyntheticCorpus:
@@ -74,16 +155,11 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> SyntheticCorpus:
 
 
 def _generate_flat(spec: SyntheticSpec, seed: int) -> SyntheticCorpus:
-    """Flat or crowdedness-planted corpus.
-
-    Every actor gets at least one work event and one discussion event, so
-    the whole team is engaged; planted discussion volume lands before the
-    crowdedness threshold and the per-actor engagement edits after it.
-    """
+    """Flat or crowdedness-planted corpus."""
     import numpy as np  # here, not at module level: the CLI starts without NumPy
 
     rng = np.random.default_rng(seed)
-    events: list[Event] = []
+    plans: list[_FlatProject] = []
     metadata: dict[str, dict] = {}
     truth: dict[str, dict] = {}
     for j in range(spec.n_projects):
@@ -107,26 +183,7 @@ def _generate_flat(spec: SyntheticSpec, seed: int) -> SyntheticCorpus:
         else:
             n_discussion = int(rng.poisson(DISCUSSION_RATE * n_work))
         n_comments = int(rng.poisson(COMMENT_RATE * n_work))
-        actors = [f"u{j:04d}_{i}" for i in range(team)]
-
-        ts = 0
-        # early coordination block, authored round-robin
-        for i in range(n_discussion):
-            events.append(Event(pid, actors[i % team], ts, "discussion"))
-            ts += 1
-        ts = 10_000
-        # work: first `team` events cover every actor, the rest round-robin
-        for i in range(n_work):
-            events.append(Event(pid, actors[i % team], ts, "work", size_delta=1))
-            ts += _STEP
-        for i in range(n_comments):
-            events.append(Event(pid, actors[i % team], ts, "comment"))
-            ts += 1
-        ts += 1_000_000
-        # engagement edits, after any plausible threshold
-        for actor in actors:
-            events.append(Event(pid, actor, ts, "discussion"))
-            ts += 1
+        plans.append(_FlatProject(j, team, n_discussion, n_work, n_comments))
         metadata[pid] = {"final_size": size}
         truth[pid] = {
             "team": team,
@@ -138,29 +195,8 @@ def _generate_flat(spec: SyntheticSpec, seed: int) -> SyntheticCorpus:
     ground_truth = {"structure": spec.structure, "seed": seed, "projects": truth}
     if spec.structure == "crowded":
         ground_truth["crowding_scale"] = spec.crowding_scale
-    return SyntheticCorpus(events=events, metadata=metadata, ground_truth=ground_truth)
-
-
-def _work_block(pid: str, actor: str, year: int, count: int, start: int) -> list[Event]:
-    return [
-        Event(pid, actor, _year_ts(year, start + i), "work", size_delta=1)
-        for i in range(count)
-    ]
-
-
-def _cohort_article(
-    pid: str,
-    year: int,
-    before: int,
-    during: int,
-    after: int,
-) -> list[Event]:
-    events = []
-    events += _work_block(pid, f"{pid}_a", year - 1, before, 0)
-    events += _work_block(pid, f"{pid}_a", year, during, 0)
-    events += _work_block(pid, f"{pid}_a", year + 1, after, 0)
-    events.append(Event(pid, f"{pid}_a", _year_ts(year + 2), "discussion"))
-    return events
+    return SyntheticCorpus(events=CorpusEvents(tuple(plans)), metadata=metadata,
+                           ground_truth=ground_truth)
 
 
 def _generate_cohort(spec: SyntheticSpec, seed: int) -> SyntheticCorpus:
@@ -168,7 +204,7 @@ def _generate_cohort(spec: SyntheticSpec, seed: int) -> SyntheticCorpus:
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    events: list[Event] = []
+    plans: list[_CohortArticle] = []
     metadata: dict[str, dict] = {}
     planted: dict[str, list[str]] = {}
     serial = 0
@@ -178,7 +214,7 @@ def _generate_cohort(spec: SyntheticSpec, seed: int) -> SyntheticCorpus:
         before = int(rng.integers(100, 400))
         during = int(rng.integers(5, 40))
         after = int(rng.integers(100, 400))
-        events += _cohort_article(fid, year, before, during, after)
+        plans.append(_CohortArticle(fid, year, before, during, after))
         metadata[fid] = {"featured_year": year, "final_size": before + during + after}
         planted[fid] = []
         for _c in range(spec.planted_controls):
@@ -187,17 +223,18 @@ def _generate_cohort(spec: SyntheticSpec, seed: int) -> SyntheticCorpus:
             # within tolerance, and strictly more prior work than the featured
             c_before = before + 1 + int(rng.integers(0, max(1, int(before * 0.03))))
             c_after = after + int(rng.integers(-int(after * 0.03), int(after * 0.03) + 1))
-            events += _cohort_article(cid, year, c_before, during, c_after)
+            plans.append(_CohortArticle(cid, year, c_before, during, c_after))
             metadata[cid] = {"final_size": c_before + during + c_after}
             planted[fid].append(cid)
         for _c in range(spec.noise_candidates):
             cid = f"n{serial:05d}"
             serial += 1
-            events += _cohort_article(cid, year, before * 2 + 50, during, after * 2 + 50)
+            plans.append(_CohortArticle(cid, year, before * 2 + 50, during, after * 2 + 50))
             metadata[cid] = {"final_size": 3 * (before + after)}
     ground_truth = {
         "structure": "cohort",
         "seed": seed,
         "planted_controls": planted,
     }
-    return SyntheticCorpus(events=events, metadata=metadata, ground_truth=ground_truth)
+    return SyntheticCorpus(events=CorpusEvents(tuple(plans)), metadata=metadata,
+                           ground_truth=ground_truth)

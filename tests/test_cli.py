@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from datetime import datetime, timezone
 from pathlib import Path
 from unittest import mock
@@ -18,6 +19,7 @@ from crowdcoord import cli
 from crowdcoord.analytics import CHANNELS, Event, ProjectLog
 from crowdcoord.cli import event_to_json, ingest, main, parse_event_line
 from crowdcoord.errors import MalformedEventError
+from crowdcoord.synth import SyntheticSpec, generate_synthetic
 from oracles import event_path_log, json_event_line
 
 
@@ -900,6 +902,37 @@ class TestSynth:
                     "--out", tmp_path / "cohort.csv"]) == 0
         lines = (tmp_path / "cohort.csv").read_text().strip().split("\n")
         assert len(lines) == 2 + 5  # header comment, column row, five featured
+
+    @pytest.mark.parametrize("spec", [
+        SyntheticSpec(n_projects=300, structure="crowded"),
+        SyntheticSpec(structure="cohort", n_featured=16, planted_controls=8, noise_candidates=2),
+    ], ids=["crowded-300", "cohort-16-8-2"])
+    def test_events_are_written_without_holding_the_corpus(self, tmp_path, spec):
+        # the bench's two synth corpora: held as one list of events, each peaks over 13 MiB
+        import numpy  # noqa: F401  generate_synthetic imports it; its import is not the corpus
+
+        tracemalloc.start()
+        try:
+            corpus = generate_synthetic(spec, seed=1)
+            cli.write_events(tmp_path / "events.jsonl", corpus.events)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
+
+    @pytest.mark.parametrize("spec", [
+        SyntheticSpec(n_projects=25),
+        SyntheticSpec(n_projects=40, structure="crowded"),
+        SyntheticSpec(structure="cohort", n_featured=6, planted_controls=6, noise_candidates=2),
+    ], ids=["none", "crowded", "cohort"])
+    def test_events_view_is_sized_and_repeatable(self, tmp_path, spec):
+        corpus = generate_synthetic(spec, seed=4)
+        path = tmp_path / "events.jsonl"
+        cli.write_events(path, corpus.events)
+        assert len(corpus.events) == len(path.read_text().splitlines())
+        first = list(corpus.events)
+        assert first == list(corpus.events)
+        assert {e.project_id for e in first} == set(corpus.metadata)
 
 
 @pytest.fixture(scope="module")

@@ -72,3 +72,22 @@ def test_crowding_pipeline_writes_the_commands_bytes_from_one_ingest(tmp_path, c
     assert lines and len(set(lines)) == len(lines), done.stderr
     assert done.stderr == warnings[0] == warnings[1]
     assert done.stdout == (out / "quadrants.csv").read_text(encoding="utf-8")
+
+
+# too few profiled projects for quadrants (4), then for bins (10): a data error, as the
+# two commands report it, after the outputs that had enough
+@pytest.mark.parametrize("projects,message,written", [
+    (3, "quadrants needs at least 4 profiled projects with a final_size, got 3", []),
+    (6, "bins needs at least 10 profiled projects with a final_size, got 6", ["quadrants.csv"]),
+])
+def test_crowding_pipeline_data_error_on_too_few_projects(tmp_path, projects, message, written):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "crowding_pipeline.py"),
+         "--projects", str(projects), "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stderr, done.stdout) == (2, f"data error: {message}\n", "")
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == ["metadata.csv", *written]
