@@ -12,6 +12,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress, islice
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import IneligibleProjectError
@@ -32,16 +33,11 @@ class Event(NamedTuple):
 
 @dataclass(frozen=True, slots=True)
 class Channel:
-    """One channel of a project log as columns, in time order (stable on ties).
-
-    ``positions`` holds each event's input position, so that ``ProjectLog.events``
-    can merge the channels back into the input's tie order.
-    """
+    """One channel of a project log as columns, in time order (stable on ties)."""
 
     timestamps: tuple[int, ...]
     actors: tuple[str, ...]
     size_deltas: tuple[Optional[int], ...]
-    positions: tuple[int, ...]
 
     @classmethod
     def in_time_order(
@@ -49,10 +45,9 @@ class Channel:
         timestamps: list[int],
         actors: list[str],
         size_deltas: list[Optional[int]],
-        positions: list[int],
     ) -> "Channel":
         """The channel of columns given in input order, stably sorted by timestamp."""
-        columns = (timestamps, actors, size_deltas, positions)
+        columns = (timestamps, actors, size_deltas)
         if timestamps != sorted(timestamps):  # time-ordered input needs no permutation
             order = sorted(range(len(timestamps)), key=timestamps.__getitem__)
             columns = tuple(map(column.__getitem__, order) for column in columns)
@@ -62,9 +57,9 @@ class Channel:
         return len(self.timestamps)
 
 
-def channel_columns() -> dict[str, tuple[list, list, list, list]]:
+def channel_columns() -> dict[str, tuple[list, list, list]]:
     """Empty input-order columns for ``ProjectLog.from_columns``, one set per channel."""
-    return {ch: ([], [], [], []) for ch in CHANNELS}
+    return {ch: ([], [], []) for ch in CHANNELS}
 
 
 @dataclass(frozen=True)
@@ -79,11 +74,11 @@ class ProjectLog:
     def from_columns(
         cls,
         project_id: str,
-        columns: Mapping[str, tuple[list, list, list, list]],
+        columns: Mapping[str, tuple[list, list, list]],
         final_size: Optional[int] = None,
     ) -> "ProjectLog":
         """Build from ``channel_columns()`` filled in input order: for each event, its
-        channel's timestamps, actors, size deltas and input positions get one entry."""
+        channel's timestamps, actors and size deltas get one entry."""
         by_channel = {ch: Channel.in_time_order(*columns[ch]) for ch in CHANNELS}
         return cls(project_id, by_channel, final_size)
 
@@ -95,26 +90,23 @@ class ProjectLog:
         final_size: Optional[int] = None,
     ) -> "ProjectLog":
         columns = channel_columns()
-        for position, e in enumerate(events):
-            timestamps, actors, size_deltas, positions = columns[e.channel]
+        for e in events:
+            timestamps, actors, size_deltas = columns[e.channel]
             timestamps.append(e.timestamp)
             actors.append(e.actor_id)
             size_deltas.append(e.size_delta)
-            positions.append(position)
         return cls.from_columns(project_id, columns, final_size)
 
     @property
     def events(self) -> tuple[Event, ...]:
-        """Every event in time order, ties in input order, rebuilt from the channels."""
-        merged = sorted(
-            (ts, position, actor, ch, delta)
-            for ch, channel in self.by_channel.items()
-            for ts, position, actor, delta in zip(
-                channel.timestamps, channel.positions, channel.actors, channel.size_deltas)
-        )
-        return tuple(
-            Event(self.project_id, actor, ts, ch, delta) for ts, _, actor, ch, delta in merged
-        )
+        """Every event in time order, rebuilt from the channels; ties go by channel in
+        ``CHANNELS`` order, then by input order."""
+        return tuple(sorted(
+            (Event(self.project_id, actor, ts, ch, delta)
+             for ch in CHANNELS for channel in [self.by_channel[ch]]
+             for ts, actor, delta in zip(channel.timestamps, channel.actors, channel.size_deltas)),
+            key=attrgetter("timestamp"),
+        ))
 
     def work_counts(self) -> dict[str, int]:
         return dict(Counter(self.by_channel["work"].actors))

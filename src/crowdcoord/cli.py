@@ -60,6 +60,8 @@ if TYPE_CHECKING:
 
 _META_COLUMNS = ("project_id", "final_size", "featured_year", "watchers")
 _COUNT_COLUMNS = ("final_size", "watchers")
+# an optional '-' and ASCII digits: int() would also take '+5', ' 12 ', '1_000' and '١٢'
+_METADATA_INT = re.compile(r"-?[0-9]+").fullmatch
 
 
 class _Parser(argparse.ArgumentParser):
@@ -192,8 +194,10 @@ def read_metadata(path: str) -> dict[str, dict]:
                 value = row.get(key)
                 if value not in (None, ""):
                     try:
+                        if not _METADATA_INT(value):
+                            raise ValueError(value)
                         entry[key] = int(value)
-                    except ValueError as exc:
+                    except ValueError as exc:  # not the form, or more digits than int() reads
                         raise DataError(f"{path}: bad {key} for {pid}: {value!r}") from exc
                     if abs(entry[key]) > INT64_MAX:
                         raise DataError(f"{path}: {key} for {pid} does not fit in 64 bits")
@@ -219,7 +223,7 @@ def ingest(
     # line, so the cyclic collector has nothing to free here: pause it while they grow.
     collecting = gc.isenabled()
     gc.disable()
-    line_no = 0
+    line_no = 0  # for MalformedEventError messages only
     try:
         # universal newlines, as iterating over the file would split it: '\r\n' and a
         # lone '\r' end a line too, also when a read ends between '\r' and '\n'
@@ -238,11 +242,10 @@ def ingest(
                     columns = by_project.get(pid)
                     if columns is None:
                         columns = by_project[intern(pid)] = channel_columns()
-                    timestamps, actors, deltas, positions = columns[channel]
+                    timestamps, actors, deltas = columns[channel]
                     timestamps.append(timestamp)
                     actors.append(intern(actor))
                     deltas.append(delta)
-                    positions.append(line_no)  # line order is input order within a project
     finally:
         if collecting:
             gc.enable()
@@ -358,25 +361,24 @@ def cmd_optimize(args) -> None:
     write_output(args, text)
 
 
-def _int_list(text: str) -> list[int]:
-    """Comma list ('2,10,50') or range syntax ('1:100' or '5:50:5')."""
+def _int_values(text: str) -> list[int] | range:
+    """Comma list ('2,10,50') or range syntax ('1:100' or '5:50:5'). A range stays a
+    range: beta_heatmap charges its cells before any list of them is built."""
     if ":" in text:
         parts = [int(p) for p in text.split(":")]
-        if len(parts) == 2:
-            start, stop = parts
-            step = 1
-        elif len(parts) == 3:
-            start, stop, step = parts
-        else:
+        if len(parts) not in (2, 3):
             raise ValueError(f"bad range syntax {text!r}")
-        return list(range(start, stop + 1, step))
+        start, stop, step = [*parts, 1][:3]
+        if not (1 <= start <= INT64_MAX and 1 <= stop <= INT64_MAX):  # so len() fits
+            raise ValueError(f"range {text!r} must start and stop in 1..{INT64_MAX}")
+        return range(start, stop + 1, step)
     return [int(p) for p in text.split(",")]
 
 
 def cmd_heatmap(args) -> None:
     from .solver import beta_heatmap, grid_to_csv
 
-    grid = beta_heatmap(_int_list(args.n), _int_list(args.e), args.alpha, *_search(args))
+    grid = beta_heatmap(_int_values(args.n), _int_values(args.e), args.alpha, *_search(args))
     write_output(args, grid_to_csv(grid))
 
 

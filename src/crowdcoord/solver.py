@@ -40,6 +40,9 @@ TIE_TOL = 1e-12
 # for the closed form (the grid and one cell's values as a list of floats) and 48
 # for the other objectives (exact_expectations bounds its block itself)
 GRID_BYTES_PER_BETA = 64
+# bytes beta_heatmap and grid_to_csv hold per cell besides each search's own arrays, rounded
+# up from tracemalloc peaks of 263-302 on cf grids of 10**4 to 9 * 10**4 cells
+HEATMAP_BYTES_PER_CELL = 320
 # the closed-form search scores at most this many (cell, beta) points per scan block
 # and refines at most this many cells at once: its temporaries stay bounded
 CF_BLOCK = 2**11
@@ -111,12 +114,6 @@ def _closed_form(n_values, e_values, alpha: float):
             values[i] = e[i] * p if abs(di) <= A1_EPS else p * math.expm1(e[i] * math.log1p(di)) / di
         return values
     return f
-
-
-def recurrence_coeffs(n_parts: int, alpha: float, beta: float) -> tuple[float, float]:
-    """Multiplier A and constant P0 of the deterministic recurrence (independent of E)."""
-    check_ranges(n_parts, 1, alpha, beta)
-    return _coeffs(float(n_parts), float(n_parts**2), alpha, beta)
 
 
 def approx_expectation(n_parts: int, n_users: int, alpha: float, beta: float) -> float:
@@ -272,10 +269,15 @@ def beta_heatmap(
     objective scores each N column in one shared-draw pass, seeded with
     spawn_seed(config.seed, column index).  A budget refusal marks its cell
     None and is recorded in the grid's error map; a Monte Carlo cell is
-    refused exactly when a pass to its own E is over budget.  Any other error
+    refused exactly when a pass to its own E is over budget.  The grid is charged
+    first, a state-step and HEATMAP_BYTES_PER_CELL bytes per cell, before any list
+    of its sized n_values and e_values (ranges, say) is built.  Any other error
     is raised before any work: E is ascending, so each N is checked at E[0],
     and the largest E once.
     """
+    n_cells = len(n_values) * len(e_values)
+    charge(f"a heatmap of {len(e_values)} x {len(n_values)} cells", n_cells,
+           n_cells * HEATMAP_BYTES_PER_CELL)
     n_values = tuple(int(n) for n in n_values)
     e_values = tuple(int(e) for e in e_values)
     if not n_values or not e_values:
@@ -298,7 +300,6 @@ def beta_heatmap(
                                        replace(config, seed=spawn_seed(config.seed, ci)))
                    for ci, n in enumerate(n_values)]
     elif objective == "closed_form":
-        n_cells = len(n_values) * len(e_values)
         cf = _closed_form([n for n in n_values for _ in e_values], e_values * len(n_values), alpha)
         try:
             betas = _beta_grid(config)

