@@ -60,8 +60,16 @@ if TYPE_CHECKING:
 
 _META_COLUMNS = ("project_id", "final_size", "featured_year", "watchers")
 _COUNT_COLUMNS = ("final_size", "watchers")
-# an optional '-' and ASCII digits: int() would also take '+5', ' 12 ', '1_000' and '١٢'
-_METADATA_INT = re.compile(r"-?[0-9]+").fullmatch
+# the one integer form of flags and metadata, an optional '-' and ASCII digits:
+# int() would also take '+5', ' 12 ', '1_000' and '١٢'
+_INTEGER = re.compile(r"-?[0-9]+").fullmatch
+
+
+def integer(text: str) -> int:
+    """A command-line integer, in ``_INTEGER``'s form."""
+    if not _INTEGER(text):
+        raise ValueError(f"expected an integer, got {text!r}")
+    return int(text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -194,7 +202,7 @@ def read_metadata(path: str) -> dict[str, dict]:
                 value = row.get(key)
                 if value not in (None, ""):
                     try:
-                        if not _METADATA_INT(value):
+                        if not _INTEGER(value):
                             raise ValueError(value)
                         entry[key] = int(value)
                     except ValueError as exc:  # not the form, or more digits than int() reads
@@ -365,14 +373,14 @@ def _int_values(text: str) -> list[int] | range:
     """Comma list ('2,10,50') or range syntax ('1:100' or '5:50:5'). A range stays a
     range: beta_heatmap charges its cells before any list of them is built."""
     if ":" in text:
-        parts = [int(p) for p in text.split(":")]
+        parts = [integer(p) for p in text.split(":")]
         if len(parts) not in (2, 3):
             raise ValueError(f"bad range syntax {text!r}")
         start, stop, step = [*parts, 1][:3]
         if not (1 <= start <= INT64_MAX and 1 <= stop <= INT64_MAX):  # so len() fits
             raise ValueError(f"range {text!r} must start and stop in 1..{INT64_MAX}")
         return range(start, stop + 1, step)
-    return [int(p) for p in text.split(",")]
+    return [integer(p) for p in text.split(",")]
 
 
 def cmd_heatmap(args) -> None:
@@ -479,7 +487,7 @@ def cmd_bins(args) -> None:
 def cmd_cohort(args) -> None:
     from .cohort import build_cohorts, check_cohort_args, cohort_to_csv
 
-    check_cohort_args(args.k, args.tolerance)
+    check_cohort_args(args.k, args.tolerance, args.seed)
     corpus, metadata = ingest(args.events, args.metadata)
     featured = {
         pid: entry["featured_year"]
@@ -543,28 +551,28 @@ def build_parser() -> _Parser:
         return p
 
     point = _flags()  # one (N, E, alpha) point
-    point.add_argument("--n", type=int, required=True)
-    point.add_argument("--e", type=int, required=True)
+    point.add_argument("--n", type=integer, required=True)
+    point.add_argument("--e", type=integer, required=True)
     point.add_argument("--alpha", type=float, required=True)
     state = _flags(point)
     state.add_argument("--beta", type=float, required=True)
     search = _flags()
     search.add_argument("--objective", default="closed_form",
                         choices=[*OBJECTIVES, *_OBJECTIVE_ALIASES])
-    search.add_argument("--runs", type=int, default=None)
-    search.add_argument("--seed", type=int, default=0)
+    search.add_argument("--runs", type=integer, default=None)
+    search.add_argument("--seed", type=integer, default=0)
     search.add_argument("--grid-step", type=float, default=0.01)
     events = _flags()
     events.add_argument("--events", required=True)
     corpus = _flags(events)
     corpus.add_argument("--metadata", default=None)
     profile = _flags(corpus)
-    profile.add_argument("--k", type=int, default=100)
+    profile.add_argument("--k", type=integer, default=100)
     profile.add_argument("--channel", default="discussion", choices=COORDINATION_CHANNELS)
 
     p = add("simulate", cmd_simulate, "Monte Carlo estimate of finished parts", state)
-    p.add_argument("--runs", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--runs", type=integer, default=10_000)
+    p.add_argument("--seed", type=integer, default=0)
 
     add("dp", cmd_dp, "exact expected finished parts by dynamic programming", state)
     add("optimize", cmd_optimize, "search the optimal coordination probability", point, search)
@@ -588,20 +596,20 @@ def build_parser() -> _Parser:
 
     p = add("cohort", cmd_cohort, "matched featured/control cohorts", events)
     p.add_argument("--metadata", required=True)
-    p.add_argument("--k", type=int, default=30)
+    p.add_argument("--k", type=integer, default=30)
     p.add_argument("--tolerance", type=float, default=0.05)
     p.add_argument("--allow-fewer-prior", action="store_true",
                    help="drop the strictly-more-prior-work requirement on controls")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=integer, default=0)
 
     p = add("synth", cmd_synth, "generate a synthetic corpus (out is a directory)")
-    p.add_argument("--projects", type=int, default=None,
+    p.add_argument("--projects", type=integer, default=None,
                    help=f"default {SYNTH_PROJECTS}; not with --structure cohort")
     p.add_argument("--structure", default="none", choices=list(STRUCTURES))
-    p.add_argument("--featured", type=int, default=0)
-    p.add_argument("--planted-controls", type=int, default=0)
-    p.add_argument("--noise-candidates", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--featured", type=integer, default=0)
+    p.add_argument("--planted-controls", type=integer, default=0)
+    p.add_argument("--noise-candidates", type=integer, default=0)
+    p.add_argument("--seed", type=integer, default=0)
 
     return parser
 

@@ -17,6 +17,7 @@ from typing import Mapping, Sequence
 from .analytics import ProjectLog
 from .constants import FEATURED_YEARS
 from .errors import IneligibleProjectError
+from .rng import Generator, spawn_seed
 
 
 @dataclass(frozen=True)
@@ -65,8 +66,10 @@ def control_eligible(
     return True
 
 
-def check_cohort_args(k: int, tolerance: float) -> None:
-    """Raise ValueError unless k >= 1 and the tolerance is finite and > 0."""
+def check_cohort_args(k: int, tolerance: float, seed: int) -> None:
+    """Raise ValueError unless k >= 1, the tolerance is finite and > 0 and the seed >= 0."""
+    if seed < 0:  # the line a seed's hash gives, but before any corpus is read
+        raise ValueError("expected non-negative integer")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if not (math.isfinite(tolerance) and tolerance > 0):
@@ -87,9 +90,7 @@ def matched_controls(
     Sampling takes a prefix of a seeded permutation of the eligible ids, so
     results for smaller k are nested within those for larger k.
     """
-    import numpy as np  # here, not at module level: the CLI starts without NumPy
-
-    check_cohort_args(k, tolerance)
+    check_cohort_args(k, tolerance, seed)
     fc = edit_epoch_counts(featured, featured_year)
     if fc.before == 0 or fc.after == 0:
         raise IneligibleProjectError(
@@ -101,8 +102,7 @@ def matched_controls(
         for p in pool
         if control_eligible(fc, edit_epoch_counts(p, featured_year), tolerance, require_fewer_prior)
     ]
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(eligible))
+    order = Generator(seed).permutation(len(eligible))
     return [eligible[i] for i in order[:k]]
 
 
@@ -120,8 +120,6 @@ def build_cohorts(
     controls from the not-yet-used eligible pool.  Featured projects that are
     ineligible or find no eligible control are dropped.
     """
-    from .model import spawn_seed
-
     unknown = sorted(set(featured_labels) - set(corpus))
     if unknown:
         raise ValueError(f"featured labels reference unknown projects: {unknown}")

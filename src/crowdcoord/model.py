@@ -49,11 +49,6 @@ def charge(what: str, steps: int, nbytes: int) -> None:
             raise BudgetExceededError(f"{what} needs {used} {unit}, over its budget of {cap}")
 
 
-def spawn_seed(*entropy: int) -> int:
-    """One 32-bit seed per part of a seeded run, mixed from its entropy, e.g. (seed, index)."""
-    return int(np.random.SeedSequence(list(entropy)).generate_state(1)[0])
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """The (N, E, alpha, beta) quadruple of the coordination process."""

@@ -24,8 +24,8 @@ from .model import (
     exact_expectation,
     exact_expectations,
     monte_carlo_means,
-    spawn_seed,
 )
+from .rng import spawn_seed
 
 # below this distance from A = 1 the limit form E * P0 is used
 A1_EPS = 1e-12

@@ -14,6 +14,7 @@ from typing import NamedTuple
 
 from .analytics import Event
 from .constants import STRUCTURES, SYNTH_PROJECTS
+from .rng import Generator
 
 # one work event every ten minutes keeps timestamps well-ordered
 _STEP = 600
@@ -156,9 +157,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> SyntheticCorpus:
 
 def _generate_flat(spec: SyntheticSpec, seed: int) -> SyntheticCorpus:
     """Flat or crowdedness-planted corpus."""
-    import numpy as np  # here, not at module level: the CLI starts without NumPy
-
-    rng = np.random.default_rng(seed)
+    rng = Generator(seed)
     plans: list[_FlatProject] = []
     metadata: dict[str, dict] = {}
     truth: dict[str, dict] = {}
@@ -174,15 +173,15 @@ def _generate_flat(spec: SyntheticSpec, seed: int) -> SyntheticCorpus:
             team = min(team, spec.max_actors)
             size = min(size, MAX_SIZE)
         else:
-            team = int(rng.integers(MIN_ACTORS, spec.max_actors + 1))
-            size = int(rng.integers(MIN_SIZE, MAX_SIZE + 1))
-        n_work = int(rng.integers(MIN_WORK, MAX_WORK + 1))
+            team = rng.integers(MIN_ACTORS, spec.max_actors + 1)
+            size = rng.integers(MIN_SIZE, MAX_SIZE + 1)
+        n_work = rng.integers(MIN_WORK, MAX_WORK + 1)
         n_work = max(n_work, team)
         if spec.structure == "crowded":
             n_discussion = max(0, round(spec.crowding_scale * team / size))
         else:
-            n_discussion = int(rng.poisson(DISCUSSION_RATE * n_work))
-        n_comments = int(rng.poisson(COMMENT_RATE * n_work))
+            n_discussion = rng.poisson(DISCUSSION_RATE * n_work)
+        n_comments = rng.poisson(COMMENT_RATE * n_work)
         plans.append(_FlatProject(j, team, n_discussion, n_work, n_comments))
         metadata[pid] = {"final_size": size}
         truth[pid] = {
@@ -201,19 +200,17 @@ def _generate_flat(spec: SyntheticSpec, seed: int) -> SyntheticCorpus:
 
 def _generate_cohort(spec: SyntheticSpec, seed: int) -> SyntheticCorpus:
     """Featured projects plus planted eligible controls and off-by-far noise."""
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
+    rng = Generator(seed)
     plans: list[_CohortArticle] = []
     metadata: dict[str, dict] = {}
     planted: dict[str, list[str]] = {}
     serial = 0
     for f in range(spec.n_featured):
         fid = f"f{f:04d}"
-        year = int(rng.integers(MIN_YEAR, MAX_YEAR + 1))
-        before = int(rng.integers(100, 400))
-        during = int(rng.integers(5, 40))
-        after = int(rng.integers(100, 400))
+        year = rng.integers(MIN_YEAR, MAX_YEAR + 1)
+        before = rng.integers(100, 400)
+        during = rng.integers(5, 40)
+        after = rng.integers(100, 400)
         plans.append(_CohortArticle(fid, year, before, during, after))
         metadata[fid] = {"featured_year": year, "final_size": before + during + after}
         planted[fid] = []
@@ -221,8 +218,8 @@ def _generate_cohort(spec: SyntheticSpec, seed: int) -> SyntheticCorpus:
             cid = f"n{serial:05d}"
             serial += 1
             # within tolerance, and strictly more prior work than the featured
-            c_before = before + 1 + int(rng.integers(0, max(1, int(before * 0.03))))
-            c_after = after + int(rng.integers(-int(after * 0.03), int(after * 0.03) + 1))
+            c_before = before + 1 + rng.integers(0, max(1, int(before * 0.03)))
+            c_after = after + rng.integers(-int(after * 0.03), int(after * 0.03) + 1)
             plans.append(_CohortArticle(cid, year, c_before, during, c_after))
             metadata[cid] = {"final_size": c_before + during + c_after}
             planted[fid].append(cid)

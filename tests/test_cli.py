@@ -532,6 +532,10 @@ class TestExitCodes:
         ["synth", "--projects", 3, "--featured", 5],
         ["synth", "--structure", "cohort", "--featured", 2, "--projects", 500],
         ["heatmap", "--n", f"1:{10**20}", "--e", "1", "--alpha", 1],
+        ["dp", "--n", "\u0661\u0660", "--e", 3, "--alpha", 1, "--beta", 0.5],
+        ["dp", "--n", 10, "--e", " 3 ", "--alpha", 1, "--beta", 0.5],
+        ["heatmap", "--n", "1_0,2_0", "--e", 5, "--alpha", 1],
+        ["heatmap", "--n", "2:9", "--e", "+5", "--alpha", 1],
     ], ids=["grid-step-zero", "grid-step-negative", "mc-runs-zero", "mwu-nan",
             "heatmap-alpha-two", "heatmap-alpha-nan", "heatmap-mc-no-runs", "heatmap-n-zero",
             "simulate-n-over-int64", "optimize-cf-n-over-int64", "xcore-x-zero-no-events",
@@ -539,7 +543,8 @@ class TestExitCodes:
             "cohort-tolerance-nan-no-featured", "grid-step-not-reciprocal",
             "grid-step-reciprocal-overflows",
             "synth-negative-counts", "synth-featured-without-cohort",
-            "synth-projects-under-cohort", "heatmap-range-over-int64"])
+            "synth-projects-under-cohort", "heatmap-range-over-int64", "dp-arabic-indic-n",
+            "dp-spaced-e", "heatmap-underscore-n", "heatmap-plus-e"])
     def test_usage_error_on_out_of_domain_value(self, tmp_path, capsys, argv):
         assert run([*argv, "--out", tmp_path / "o.csv"]) == 1
         err = capsys.readouterr().err
@@ -709,6 +714,13 @@ class TestExitCodes:
         assert "tolerance must be finite and > 0" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
+    def test_cohort_refuses_a_negative_seed_before_reading_the_corpus(self, tmp_path, capsys):
+        # neither file exists, so reading them would be a data error, exit 2
+        assert run(["cohort", "--events", tmp_path / "none.jsonl",
+                    "--metadata", tmp_path / "none.csv", "--seed", -1,
+                    "--out", tmp_path / "o.csv"]) == 1
+        assert capsys.readouterr().err == "usage error: expected non-negative integer\n"
+
     @pytest.mark.parametrize("timestamp", [10**12, 10**20])
     def test_cohort_far_future_work_timestamp(self, tmp_path, capsys, timestamp):
         def work(pid, year, count):
@@ -852,9 +864,12 @@ print(json.dumps([status, [m for m in {OPTIONAL_MODULES!r} if m in sys.modules]]
 
 def probe_imports(tmp_path, small_corpora, argv):
     """[exit code, optional modules loaded] of one CLI run in a fresh interpreter."""
-    corpus = small_corpora / "crowded"
-    files = ["--events", str(corpus / "events.jsonl"), "--metadata", str(corpus / "metadata.csv")]
-    argv = [a for arg in argv for a in (files if arg == "{crowded}" else [arg])]
+    def files(name):
+        corpus = small_corpora / name
+        return ["--events", str(corpus / "events.jsonl"),
+                "--metadata", str(corpus / "metadata.csv")]
+    argv = [a for arg in argv
+            for a in (files(arg[1:-1]) if arg in ("{crowded}", "{cohort}") else [arg])]
     if argv and argv[0] != "--help":
         argv += ["--out", str(tmp_path / "o.csv")]
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -875,8 +890,11 @@ def probe_imports(tmp_path, small_corpora, argv):
     (["xcore", "{crowded}", "--x", "0.5"], [0, False]),
     (["mwu", "--a", "1,2,5", "--b", "3,4,9"], [0, False]),
     (["bins", "{crowded}", "--k", "40"], [0, False]),
+    (["cohort", "{cohort}", "--k", "3"], [0, False]),
+    (["synth", "--projects", "2"], [0, False]),
     (["dp", "--n", "2", "--e", "2", "--alpha", "1", "--beta", "0.5"], [0, True]),  # control
-], ids=["import", "help", "usage-error", "crowd", "quadrants", "xcore", "mwu", "bins", "dp"])
+], ids=["import", "help", "usage-error", "crowd", "quadrants", "xcore", "mwu", "bins", "cohort",
+        "synth", "dp"])
 def test_commands_that_do_not_compute_with_numpy_do_not_import_it(tmp_path, small_corpora,
                                                                   argv, expected):
     status, loaded = probe_imports(tmp_path, small_corpora, argv)
@@ -895,13 +913,11 @@ def test_corpus_commands_import_no_model_cohort_or_synth(tmp_path, small_corpora
 
 def test_cohort_imports_cohort_and_synth_imports_synth(tmp_path, small_corpora):
     # the control: each command still loads the module it computes with
-    corpus = small_corpora / "cohort"
-    status, loaded = probe_imports(tmp_path, small_corpora, [
-        "cohort", "--events", str(corpus / "events.jsonl"),
-        "--metadata", str(corpus / "metadata.csv"), "--k", "3"])
+    status, loaded = probe_imports(tmp_path, small_corpora, ["cohort", "{cohort}", "--k", "3"])
     assert status == 0 and "crowdcoord.cohort" in loaded and "crowdcoord.synth" not in loaded
+    assert "crowdcoord.model" not in loaded
     status, loaded = probe_imports(tmp_path / "synth", small_corpora, ["synth", "--projects", "2"])
-    assert status == 0 and "crowdcoord.synth" in loaded
+    assert status == 0 and "crowdcoord.synth" in loaded and "crowdcoord.model" not in loaded
 
 
 def test_int64_max_is_numpys():
@@ -957,8 +973,6 @@ class TestSynth:
     ], ids=["crowded-300", "cohort-16-8-2"])
     def test_events_are_written_without_holding_the_corpus(self, tmp_path, spec):
         # the bench's two synth corpora: held as one list of events, each peaks over 13 MiB
-        import numpy  # noqa: F401  generate_synthetic imports it; its import is not the corpus
-
         tracemalloc.start()
         try:
             corpus = generate_synthetic(spec, seed=1)

@@ -16,8 +16,8 @@ from crowdcoord.model import (
     exact_expectation,
     exact_expectations,
     monte_carlo,
-    spawn_seed,
 )
+from crowdcoord.rng import spawn_seed
 from crowdcoord.solver import (
     GRID_BYTES_PER_BETA,
     REFINE_TOL,
