@@ -35,19 +35,18 @@ def main():
     ap.add_argument("--seed", type=int, default=99)
     args = ap.parse_args()
 
-    # larger teams and a lower crowding scale than the synth subcommand offers
-    spec = SyntheticSpec(n_projects=args.projects, structure="crowded",
-                         max_actors=50, crowding_scale=1.0e5)
-    corpus = generate_synthetic(spec, seed=args.seed)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    cli.write_events(out / "events.jsonl", corpus.events)
-    cli.write_metadata(out / "metadata.csv", corpus.metadata)
-
     files = ["--events", str(out / "events.jsonl"), "--metadata", str(out / "metadata.csv"),
              "--k", str(args.k)]
 
-    def quadrants_and_bins():  # the two commands' outputs, byte for byte, from one ingest
+    def pipeline():  # the corpus, then the two commands' outputs, byte for byte, from one ingest
+        # larger teams and a lower crowding scale than the synth subcommand offers
+        spec = SyntheticSpec(n_projects=args.projects, structure="crowded",
+                             max_actors=50, crowding_scale=1.0e5)
+        corpus = generate_synthetic(spec, seed=args.seed)
+        out.mkdir(parents=True, exist_ok=True)
+        cli.write_events(out / "events.jsonl", corpus.events)
+        cli.write_metadata(out / "metadata.csv", corpus.metadata)
         parser = cli.build_parser()
         quadrants = parser.parse_args(["quadrants", *files, "--out", str(out / "quadrants.csv")])
         bins = parser.parse_args(["bins", *files, "--out", str(out / "decile_grid.csv")])
@@ -56,7 +55,7 @@ def main():
         cli.require_records(bins, records, MIN_DECILE_RECORDS)
         cli.write_output(bins, binned_grid_to_csv(decile_heatmap(records, agg=bins.agg)))
 
-    status = cli.exit_status(quadrants_and_bins)
+    status = cli.exit_status(pipeline)
     if status == 0:
         print((out / "quadrants.csv").read_text(encoding="utf-8"), end="")
     return status

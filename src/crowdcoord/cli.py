@@ -323,8 +323,8 @@ def write_output(args, text: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# model / solver subcommands: each imports the model track (and NumPy) itself,
-# so the corpus commands start without them
+# model / solver subcommands: each imports the model track itself (NumPy only for
+# the exact and Monte Carlo ones), so the corpus commands start without them
 
 def cmd_simulate(args) -> None:
     from .model import ModelParams, monte_carlo

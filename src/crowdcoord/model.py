@@ -20,14 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import INT64_MAX
-from .errors import BudgetExceededError
-
-# what one model-track call may use, charged through charge() before any work:
-# state-steps (one count distribution or one run moved on by one user; 10**8 of
-# them is seconds of work) and bytes of the arrays the call holds at its peak
-STEP_BUDGET = 10**8
-BYTES_BUDGET = 2**30
+from . import limits
+from .limits import charge, check_ranges
 
 # Monte Carlo memory besides the (B, runs) count state, from tracemalloc peaks.
 # A user step is applied to blocks of at most MC_BLOCK run-states, which caps its
@@ -37,16 +31,6 @@ BYTES_BUDGET = 2**30
 MC_BLOCK = 2**14
 MC_BLOCK_BYTES = 2**20
 MC_BYTES_PER_RUN = 64
-
-
-def charge(what: str, steps: int, nbytes: int) -> None:
-    """Refuse a call, before any work, that needs more than the step or byte budget.
-
-    The model track's one budget check: each call charges what it will use itself.
-    """
-    for used, unit, cap in ((steps, "state-steps", STEP_BUDGET), (nbytes, "bytes", BYTES_BUDGET)):
-        if used > cap:
-            raise BudgetExceededError(f"{what} needs {used} {unit}, over its budget of {cap}")
 
 
 @dataclass(frozen=True)
@@ -60,31 +44,6 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         check_ranges(self.n_parts, self.n_users, self.alpha, self.beta)
-
-
-def check_ranges(n_parts: int, n_users: int, alpha: float, beta) -> None:
-    """Raise ValueError unless (N, E, alpha, beta) lies in the model's domain.
-
-    ``beta`` is a float or an ndarray of betas, all of which must lie in
-    [0, 1].  A plain function rather than a ``ModelParams`` construction,
-    because the batched calls check a whole array of betas at once.
-    """
-    if n_parts < 1:
-        raise ValueError(f"n_parts must be >= 1, got {n_parts}")
-    if n_parts > INT64_MAX:  # counts are int64 arrays
-        raise ValueError(f"n_parts must be <= {INT64_MAX}, got {n_parts}")
-    if n_users < 1:
-        raise ValueError(f"n_users must be >= 1, got {n_users}")
-    if n_users > INT64_MAX:  # every closed-form path takes E as a float
-        raise ValueError(f"n_users must be <= {INT64_MAX}, got {n_users}")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    if isinstance(beta, np.ndarray):
-        in_range = bool(np.all((0.0 <= beta) & (beta <= 1.0)))
-    else:
-        in_range = 0.0 <= beta <= 1.0
-    if not in_range:
-        raise ValueError(f"beta must be in [0, 1], got {beta}")
 
 
 @dataclass(frozen=True)
@@ -150,13 +109,13 @@ def exact_expectations(n_parts: int, n_users: int, alpha: float, betas) -> np.nd
     runs, four such float64 blocks are alive (the mass, both picks and one
     product) besides the band's three rows; the call is charged
     B * n_parts * n_users steps and one beta's bytes, and betas are taken in
-    as few blocks as keep within BYTES_BUDGET.
+    as few blocks as keep within limits.BYTES_BUDGET.
     """
     betas = np.asarray(betas, dtype=float)
     check_ranges(n_parts, n_users, alpha, betas)
     charge(f"exact_expectations at B = {len(betas)}, n_parts = {n_parts}, n_users = {n_users}",
            len(betas) * n_parts * n_users, 8 * 7 * (n_parts + 1))
-    rows = (BYTES_BUDGET // (8 * (n_parts + 1)) - 3) // 4  # >= 1 once one beta's bytes pass
+    rows = (limits.BYTES_BUDGET // (8 * (n_parts + 1)) - 3) // 4  # >= 1 once one beta's bytes pass
     band = _band(n_parts, alpha)
     counts = np.arange(n_parts + 1)
     values = []

@@ -10,21 +10,13 @@ and over (N, E) grids.
 from __future__ import annotations
 
 import math
-from itertools import chain, islice
+from array import array
 from dataclasses import dataclass, field, replace
-
-import numpy as np
+from itertools import repeat
 
 from .constants import OBJECTIVES
 from .errors import BudgetExceededError
-from .model import (
-    ModelParams,
-    charge,
-    check_ranges,
-    exact_expectation,
-    exact_expectations,
-    monte_carlo_means,
-)
+from .limits import charge, check_ranges
 from .rng import spawn_seed
 
 # below this distance from A = 1 the limit form E * P0 is used
@@ -36,16 +28,13 @@ A1_STABLE = 1e-6
 REFINE_TOL = 1e-6
 # a beta must beat the incumbent by more than this to replace it
 TIE_TOL = 1e-12
-# bytes optimal_beta holds per grid beta, rounded up from the measured peaks: 40
-# for the closed form (the grid and one cell's values as a list of floats) and 48
-# for the other objectives (exact_expectations bounds its block itself)
+# bytes optimal_beta holds per grid beta, rounded up: 24.4-24.6 measured for the closed form
+# (the grid, A and P0 as arrays of doubles) and 48 for the others (the grid, and the grid
+# values as an array and a list of floats; exact_expectations bounds its block itself)
 GRID_BYTES_PER_BETA = 64
 # bytes beta_heatmap and grid_to_csv hold per cell besides each search's own arrays, rounded
-# up from tracemalloc peaks of 263-302 on cf grids of 10**4 to 9 * 10**4 cells
+# up from tracemalloc peaks of 190-192 on cf grids of 10**4 to 9 * 10**4 cells
 HEATMAP_BYTES_PER_CELL = 320
-# the closed-form search scores at most this many (cell, beta) points per scan block
-# and refines at most this many cells at once: its temporaries stay bounded
-CF_BLOCK = 2**11
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -88,32 +77,20 @@ class BetaGrid:
     errors: dict[tuple[int, int], str] = field(default_factory=dict)
 
 
-def _coeffs(n, n_sq, alpha: float, beta):
+def _coeffs(n: float, n_sq: float, alpha: float, beta: float) -> tuple[float, float]:
+    """A and P0 of the recurrence P_{i+1} = A P_i + P0 at N = n (n_sq is N**2 as a float)."""
     w = (1.0 - beta) * (1.0 + alpha)
     return w * (1.0 + alpha) / n_sq - 2.0 * w / n + 1.0, -w / n + 2.0 - beta
 
 
-def _closed_form(n_values, e_values, alpha: float):
-    """The closed form over cells (N, E): f(cell, beta) scores beta[j] in cell[j], unchecked.
-
-    N enters as Python's float / int division takes it, E as Python ints (an
-    int64 could overflow), and each A**E is a scalar float ** int: NumPy's
-    array power can round a last bit differently.
-    """
-    n, n_sq = np.array([(float(v), float(v**2)) for v in map(int, n_values)]).T
-    es = np.array([int(e) for e in e_values], dtype=object)
-
-    def f(cell, beta: np.ndarray) -> np.ndarray:
-        e = es[cell].tolist()
-        a, p0 = _coeffs(n[cell], n_sq[cell], alpha, beta)
-        d = a - 1.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            values = p0 * (np.fromiter(map(float.__pow__, a.tolist(), e), float, len(e)) - 1.0) / d
-        near = np.flatnonzero(np.abs(d) < A1_STABLE).tolist()
-        for i, di, p in zip(near, d[near].tolist(), p0[near].tolist()):
-            values[i] = e[i] * p if abs(di) <= A1_EPS else p * math.expm1(e[i] * math.log1p(di)) / di
-        return values
-    return f
+def _closed_form(a: float, p0: float, e: int) -> float:
+    """P_E from P_0 = 0 for Python floats A and P0 and an int E, unchecked."""
+    d = a - 1.0
+    if abs(d) >= A1_STABLE:
+        return p0 * (a**e - 1.0) / d
+    if abs(d) <= A1_EPS:
+        return e * p0
+    return p0 * math.expm1(e * math.log1p(d)) / d
 
 
 def approx_expectation(n_parts: int, n_users: int, alpha: float, beta: float) -> float:
@@ -123,7 +100,8 @@ def approx_expectation(n_parts: int, n_users: int, alpha: float, beta: float) ->
     n_users > n_parts.
     """
     check_ranges(n_parts, n_users, alpha, beta)
-    return float(_closed_form([n_parts], [n_users], alpha)([0], np.array([beta], dtype=float))[0])
+    n = int(n_parts)
+    return _closed_form(*_coeffs(float(n), float(n**2), float(alpha), float(beta)), int(n_users))
 
 
 def _check_search(objective: str, config: SearchConfig) -> None:
@@ -133,69 +111,75 @@ def _check_search(objective: str, config: SearchConfig) -> None:
         raise ValueError("monte_carlo objective requires a runs setting")
 
 
-def _beta_grid(config: SearchConfig) -> np.ndarray:
-    """The coarse beta grid, its own arrays charged before anything is allocated."""
+def _beta_grid(config: SearchConfig) -> array:
+    """The coarse beta grid, np.linspace(0, 1, n) bit for bit, charged before it is built."""
     n_betas = round(1.0 / config.grid_step) + 1
     charge(f"grid_step = {config.grid_step} gives a {n_betas}-point beta grid that",
            0, n_betas * GRID_BYTES_PER_BETA)
-    return np.linspace(0.0, 1.0, n_betas)
+    step = 1.0 / (n_betas - 1)
+    betas = array("d", (i * step for i in range(n_betas)))
+    betas[-1] = 1.0
+    return betas
 
 
-def _grid_best(values: list[float]) -> int:
-    """Index of the best grid value; ties within TIE_TOL break toward the smallest beta."""
-    best_i = 0
-    for i, v in enumerate(values):
-        if v > values[best_i] + TIE_TOL:
-            best_i = i
-    return best_i
+def _grid_best(values) -> tuple[int, float]:
+    """Index and value of the best grid value; ties within TIE_TOL go to the smallest beta."""
+    indexed = enumerate(values)
+    best_i, best = next(indexed)
+    for i, v in indexed:
+        if v > best + TIE_TOL:
+            best_i, best = i, v
+    return best_i, best
 
 
-def _monte_carlo_best(betas: np.ndarray, means: np.ndarray, config: SearchConfig) -> OptResult:
-    values = means.tolist()
-    best_i = _grid_best(values)
-    return OptResult(beta_star=float(betas[best_i]), value=values[best_i],
+def _monte_carlo_best(betas: array, means, config: SearchConfig) -> OptResult:
+    best_i, value = _grid_best(means.tolist())
+    return OptResult(beta_star=betas[best_i], value=value,
                      objective="monte_carlo", grid_step=config.grid_step, runs=config.runs)
 
 
-def _grid_rows(f, n_cells: int, betas: np.ndarray):
-    """Each cell's grid values in turn, f scoring blocks of CF_BLOCK (cell, beta) points."""
-    n_betas, n_points = len(betas), n_cells * len(betas)
-    blocks = (np.divmod(np.arange(start, min(start + CF_BLOCK, n_points)), n_betas)
-              for start in range(0, n_points, CF_BLOCK))
-    points = chain.from_iterable(f(cell, betas[beta]).tolist() for cell, beta in blocks)
-    return (list(islice(points, n_betas)) for _ in range(n_cells))
+def _refine(f, betas: array, values, objective: str, config: SearchConfig) -> OptResult:
+    """Golden-section refinement of the best of the grid's values on its bracketing interval."""
+    i, v = _grid_best(values)
+    lo, hi = betas[max(i - 1, 0)], betas[min(i + 1, len(betas) - 1)]
+    c, d = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > REFINE_TOL:
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            c = hi - _INVPHI * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _INVPHI * (hi - lo)
+            fd = f(d)
+    x = (lo + hi) / 2.0
+    fx = f(x)
+    beta, value = (x, fx) if fx > v + TIE_TOL else (betas[i], v)
+    return OptResult(beta, value, objective, config.grid_step)
 
 
-def _refine(f, betas: np.ndarray, rows, objective: str, config: SearchConfig) -> list[OptResult]:
-    """Golden-section refinement of each cell's best grid point (rows yields its grid values).
+def _closed_form_column(n_parts: int, e_values, alpha: float, betas: array,
+                        config: SearchConfig) -> list[OptResult]:
+    """Every row of one N column of closed-form searches, unchecked.
 
-    Brackets move in lockstep, CF_BLOCK cells at a time: each iteration scores those still
-    wider than REFINE_TOL in one call f(cell, beta), in the order a search of its own would.
+    A and P0 depend only on N and beta, so the column computes its grid's once.
+    Each A**E is a Python float ** int: NumPy's power can round a last bit differently.
     """
-    best = [(i, row[i]) for row in rows for i in [_grid_best(row)]]
-    results = []
-    for start in range(0, len(best), CF_BLOCK):
-        block = best[start:start + CF_BLOCK]
-        cells, i = np.arange(start, start + len(block)), np.array([i for i, _ in block])
-        lo, hi = betas[np.maximum(i - 1, 0)], betas[np.minimum(i + 1, len(betas) - 1)]
-        c, d = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
-        fc, fd = f(cells, c), f(cells, d)
-        live = np.flatnonzero(hi - lo > REFINE_TOL)
-        while len(live):
-            down = fc[live] >= fd[live]
-            left, right = live[down], live[~down]
-            hi[left], d[left], fd[left] = d[left], c[left], fc[left]
-            c[left] = hi[left] - _INVPHI * (hi[left] - lo[left])
-            lo[right], c[right], fc[right] = c[right], d[right], fd[right]
-            d[right] = lo[right] + _INVPHI * (hi[right] - lo[right])
-            fx = f(cells[live], np.where(down, c[live], d[live]))
-            fc[left], fd[right] = fx[down], fx[~down]
-            live = live[hi[live] - lo[live] > REFINE_TOL]
-        x = (lo + hi) / 2.0
-        for (i, v), xi, fi in zip(block, x.tolist(), f(cells, x).tolist()):
-            beta, value = (xi, fi) if fi > v + TIE_TOL else (float(betas[i]), v)
-            results.append(OptResult(beta, value, objective, config.grid_step))
-    return results
+    n_parts = int(n_parts)
+    n, n_sq, alpha = float(n_parts), float(n_parts**2), float(alpha)
+    grid_a, grid_p0 = array("d"), array("d")
+    for beta in betas:
+        a, p0 = _coeffs(n, n_sq, alpha, beta)
+        grid_a.append(a)
+        grid_p0.append(p0)
+    column = []
+    for e in map(int, e_values):
+        def f(beta: float) -> float:
+            return _closed_form(*_coeffs(n, n_sq, alpha, beta), e)
+        values = map(_closed_form, grid_a, grid_p0, repeat(e))
+        column.append(_refine(f, betas, values, "closed_form", config))
+    return column
 
 
 def optimal_beta(
@@ -209,28 +193,27 @@ def optimal_beta(
 
     Coarse grid scan (ties within TIE_TOL break toward the smallest beta),
     then golden-section refinement on the bracketing interval for the smooth
-    objectives.  The exact objective scores its grid in one batched call; the
-    closed form is the one-cell case of the lockstep search that beta_heatmap
-    runs over a whole grid.  The Monte Carlo objective is noisy: one pass
-    seeded with config.seed scores the whole grid on shared draws
-    (monte_carlo_means), and the best grid point is reported instead of
-    refining.  The grid's own arrays are charged before anything is allocated.
+    objectives.  The exact objective scores its grid in one batched call and
+    each refinement point in one exact_expectation call; the closed form is
+    the one-row case of beta_heatmap's column search.  The Monte Carlo
+    objective is noisy: one pass seeded with config.seed scores the whole
+    grid on shared draws (monte_carlo_means), and the best grid point is
+    reported instead of refining.  The grid is charged before it is built.
+    Only the exact and Monte Carlo objectives import the model and NumPy.
     """
     _check_search(objective, config)
     check_ranges(n_parts, n_users, alpha, 0.0)
     betas = _beta_grid(config)
+    if objective == "closed_form":
+        return _closed_form_column(n_parts, [n_users], alpha, betas, config)[0]
+    from .model import ModelParams, exact_expectation, exact_expectations, monte_carlo_means
+
     if objective == "monte_carlo":
         means, _ = monte_carlo_means(n_parts, [n_users], alpha, betas, config.runs, config.seed)
         return _monte_carlo_best(betas, means[0], config)
-    if objective == "closed_form":
-        cf = _closed_form([n_parts], [n_users], alpha)
-        return _refine(cf, betas, _grid_rows(cf, 1, betas), objective, config)[0]
-
-    def exact(_, beta: np.ndarray) -> np.ndarray:
-        return np.array([exact_expectation(ModelParams(n_parts, n_users, alpha, b))
-                         for b in beta.tolist()])
-    rows = [exact_expectations(n_parts, n_users, alpha, betas).tolist()]
-    return _refine(exact, betas, rows, objective, config)[0]
+    values = exact_expectations(n_parts, n_users, alpha, betas).tolist()
+    return _refine(lambda b: exact_expectation(ModelParams(n_parts, n_users, alpha, b)), betas,
+                   values, objective, config)
 
 
 def _monte_carlo_column(n_parts: int, e_values: tuple[int, ...], alpha: float,
@@ -242,6 +225,8 @@ def _monte_carlo_column(n_parts: int, e_values: tuple[int, ...], alpha: float,
     refused pass is retried without its largest E, whose row becomes the
     refusal text; a charge comes before any work, so the retry is free.
     """
+    from .model import monte_carlo_means
+
     refused: list[OptResult | str] = []
     for stop in range(len(e_values), 0, -1):
         try:
@@ -265,7 +250,7 @@ def beta_heatmap(
     """Per-cell optimal beta over an (N, E) grid; rows are E, columns are N.
 
     The exact objective calls optimal_beta once per cell, and the closed form
-    refines all cells in lockstep to optimal_beta's results.  The Monte Carlo
+    searches each N column to optimal_beta's results.  The Monte Carlo
     objective scores each N column in one shared-draw pass, seeded with
     spawn_seed(config.seed, column index).  A budget refusal marks its cell
     None and is recorded in the grid's error map; a Monte Carlo cell is
@@ -300,13 +285,11 @@ def beta_heatmap(
                                        replace(config, seed=spawn_seed(config.seed, ci)))
                    for ci, n in enumerate(n_values)]
     elif objective == "closed_form":
-        cf = _closed_form([n for n in n_values for _ in e_values], e_values * len(n_values), alpha)
         try:
             betas = _beta_grid(config)
-            found = _refine(cf, betas, _grid_rows(cf, n_cells, betas), objective, config)
+            columns = [_closed_form_column(n, e_values, alpha, betas, config) for n in n_values]
         except BudgetExceededError as exc:
-            found = [str(exc)] * n_cells
-        columns = [found[i:i + len(e_values)] for i in range(0, n_cells, len(e_values))]
+            columns = [[str(exc)] * len(e_values)] * len(n_values)
     else:
         columns = [[solve(n, e) for e in e_values] for n in n_values]
     errors = {(ri, ci): cell for ci, column in enumerate(columns)

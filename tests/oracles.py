@@ -5,8 +5,7 @@ loop-built dense kernels instead of the banded one, state-set enumeration
 instead of transition matrices, subset search instead
 of greedy prefixes, permutation enumeration instead of count recursions,
 step-by-step iteration of coefficients read off the process instead of the
-closed form, one point and one bracket at a time instead of the lockstep
-closed-form search, one scalar run at a time instead of vectorized Monte Carlo, one calendar date per event
+closed form, one scalar run at a time instead of vectorized Monte Carlo, one calendar date per event
 instead of comparisons against year boundaries, channel filters over the
 whole time-ordered log instead of its per-channel split, one sort and filter
 over ``Event``s instead of channel columns, and ``json.dumps`` over a record

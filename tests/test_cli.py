@@ -600,6 +600,18 @@ class TestExitCodes:
         assert err.count("\n") == 1, err
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--projects", 100_000_000],
+        ["--structure", "cohort", "--featured", 10**6, "--planted-controls", 1000],
+    ], ids=["projects", "cohort"])
+    def test_resource_error_on_synth_projects(self, tmp_path, capsys, argv):
+        # each project is charged before the first draw, so no directory is made
+        assert run(["synth", *argv, "--out", tmp_path / "corpus"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("resource error: a synthetic corpus of ") and "bytes" in err, err
+        assert err.count("\n") == 1, err
+        assert not (tmp_path / "corpus").exists()
+
     def test_data_error_on_malformed_line(self, tmp_path, capsys):
         events = tmp_path / "events.jsonl"
         events.write_text("not json\n")
@@ -892,9 +904,15 @@ def probe_imports(tmp_path, small_corpora, argv):
     (["bins", "{crowded}", "--k", "40"], [0, False]),
     (["cohort", "{cohort}", "--k", "3"], [0, False]),
     (["synth", "--projects", "2"], [0, False]),
-    (["dp", "--n", "2", "--e", "2", "--alpha", "1", "--beta", "0.5"], [0, True]),  # control
+    (["optimize", "--n", "20", "--e", "10", "--alpha", "1"], [0, False]),
+    (["heatmap", "--n", "1:5", "--e", "1:5", "--alpha", "1", "--objective", "cf"], [0, False]),
+    # controls
+    (["dp", "--n", "2", "--e", "2", "--alpha", "1", "--beta", "0.5"], [0, True]),
+    (["optimize", "--n", "5", "--e", "3", "--alpha", "1", "--objective", "dp"], [0, True]),
+    (["heatmap", "--n", "2,5", "--e", "2,5", "--alpha", "1", "--objective", "mc",
+      "--runs", "50"], [0, True]),
 ], ids=["import", "help", "usage-error", "crowd", "quadrants", "xcore", "mwu", "bins", "cohort",
-        "synth", "dp"])
+        "synth", "optimize-cf", "heatmap-cf", "dp", "optimize-dp", "heatmap-mc"])
 def test_commands_that_do_not_compute_with_numpy_do_not_import_it(tmp_path, small_corpora,
                                                                   argv, expected):
     status, loaded = probe_imports(tmp_path, small_corpora, argv)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crowdcoord.errors import BudgetExceededError
+import crowdcoord.limits as limits
 import crowdcoord.model as model
 from crowdcoord.model import (
     MC_BLOCK_BYTES,
@@ -181,7 +182,7 @@ class TestExactExpectation:
         betas = np.linspace(0.0, 1.0, 11)
         whole = exact_expectations(30, 6, 0.4, betas)
         # room for two betas per block: four (2, 31) blocks plus the band's three rows
-        monkeypatch.setattr(model, "BYTES_BUDGET", 8 * 31 * (4 * 2 + 3))
+        monkeypatch.setattr(limits, "BYTES_BUDGET", 8 * 31 * (4 * 2 + 3))
         assert np.array_equal(exact_expectations(30, 6, 0.4, betas), whole)
 
     def test_rejects_betas_out_of_range(self):

@@ -91,3 +91,25 @@ def test_crowding_pipeline_data_error_on_too_few_projects(tmp_path, projects, me
     )
     assert (done.returncode, done.stderr, done.stdout) == (2, f"data error: {message}\n", "")
     assert sorted(p.name for p in tmp_path.glob("*.csv")) == ["metadata.csv", *written]
+
+
+# refused before any corpus is written, each in one line as the CLI reports it
+@pytest.mark.parametrize("args,status,message", [
+    (["--projects", "0"], 1, "usage error: n_projects must be >= 1"),
+    (["--seed", "-1"], 1, "usage error: expected non-negative integer"),
+    (["--out", os.path.join(os.devnull, "x")], 2, "data error: "),
+    (["--projects", "100000000"], 3, "resource error: a synthetic corpus of 100000000 projects"),
+], ids=["projects-zero", "seed-negative", "out-unwritable", "projects-over-budget"])
+def test_crowding_pipeline_refuses_without_a_traceback(tmp_path, args, status, message):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    out = tmp_path / "pipeline"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "crowding_pipeline.py"), "--out", str(out),
+         *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stdout) == (status, ""), done.stderr
+    assert done.stderr.startswith(message) and done.stderr.count("\n") == 1, done.stderr
+    assert not out.exists()

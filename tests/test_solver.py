@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from dataclasses import replace
 
-import crowdcoord.model as model
-import crowdcoord.solver as solver
+import crowdcoord.limits as limits
+from crowdcoord.constants import INT64_MAX
 from crowdcoord.errors import BudgetExceededError
 from crowdcoord.model import (
-    INT64_MAX,
     ModelParams,
     exact_expectation,
     exact_expectations,
@@ -24,7 +23,9 @@ from crowdcoord.solver import (
     TIE_TOL,
     BetaGrid,
     SearchConfig,
+    _beta_grid,
     _closed_form,
+    _coeffs,
     approx_expectation,
     beta_heatmap,
     grid_to_csv,
@@ -104,10 +105,11 @@ class TestApproxExpectation:
     @example(cells=[(2, 100, 0.9), (30, 2423, 0.9014274576114836)], alpha=1.0)
     @settings(max_examples=200, deadline=None)
     def test_array_formula_is_the_scalar_oracle_bit_for_bit(self, cells, alpha):
-        ns, es, betas = zip(*cells)
-        values = _closed_form(ns, es, alpha)(np.arange(len(cells)), np.array(betas))
+        # the search's formula, as a column computes each (A, P0) and scores it at each E
+        values = [_closed_form(*_coeffs(float(n), float(n**2), alpha, beta), e)
+                  for n, e, beta in cells]
         expected = [scalar_closed_form(n, e, alpha, beta).hex() for n, e, beta in cells]
-        assert [v.hex() for v in values.tolist()] == expected
+        assert [v.hex() for v in values] == expected
         assert [approx_expectation(n, e, alpha, beta).hex() for n, e, beta in cells] == expected
 
     def test_iteration_examples(self):
@@ -223,6 +225,11 @@ class TestOptimalBeta:
         with pytest.raises(BudgetExceededError, match="beta grid"):
             optimal_beta(5, 5, 1.0, objective, SearchConfig(grid_step=1e-9, runs=10))
 
+    def test_beta_grid_is_numpys_linspace_bit_for_bit(self):
+        for k in [*range(1, 2001), 10**5]:
+            expected = [b.hex() for b in np.linspace(0.0, 1.0, k + 1).tolist()]
+            assert [b.hex() for b in _beta_grid(SearchConfig(grid_step=1 / k))] == expected, k
+
     def test_fine_grid_below_the_budget_still_runs(self):
         r = optimal_beta(20, 8, 1.0, "closed_form", SearchConfig(grid_step=1e-6))
         coarse = optimal_beta(20, 8, 1.0, "closed_form")
@@ -298,15 +305,6 @@ class TestBetaHeatmap:
                 assert repr(grid.cells[ri][ci]) == repr(optimal_beta(n, e, alpha, "closed_form",
                                                                      config))
 
-    @pytest.mark.parametrize("block", [1, 2, 7])
-    def test_closed_form_block_boundaries_do_not_move_results(self, monkeypatch, block):
-        # 12 cells of 11 betas: scan blocks of 2 or 7 points straddle rows, and
-        # refinement blocks of 7 cells leave a short last block
-        args = ((1, 5, 40, 10**6), (1, 12, 300), 0.5, "closed_form", SearchConfig(grid_step=0.1))
-        expected = repr(beta_heatmap(*args))
-        monkeypatch.setattr(solver, "CF_BLOCK", block)
-        assert repr(beta_heatmap(*args)) == expected
-
     def test_closed_form_fine_grid_memory_is_bounded_by_the_block(self):
         # the scan holds one block of points and one cell's row, never a whole
         # heatmap's grid: 100 cells x 10,001 betas would be 8 MB as float64 alone
@@ -334,7 +332,7 @@ class TestBetaHeatmap:
     def test_monte_carlo_cell_is_refused_exactly_when_its_own_pass_is(self, monkeypatch):
         # room for 101 betas * 50 runs * 5 users: the E = 6 row is refused, and the
         # retried pass gives the smaller rows their usual values
-        monkeypatch.setattr(model, "STEP_BUDGET", 101 * 50 * 5)
+        monkeypatch.setattr(limits, "STEP_BUDGET", 101 * 50 * 5)
         config = SearchConfig(runs=50, seed=4)
         grid = beta_heatmap([3, 8], [2, 5, 6], 1.0, "monte_carlo", config)
         assert grid.cells[2] == [None, None]
