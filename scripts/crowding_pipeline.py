@@ -12,7 +12,6 @@ Usage:
         [--k 60] [--seed 99]
 """
 
-import argparse
 from pathlib import Path
 
 from crowdcoord import cli
@@ -28,18 +27,17 @@ from crowdcoord.synth import SyntheticSpec, generate_synthetic
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap = cli.Parser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default="results")
-    ap.add_argument("--projects", type=int, default=300)
-    ap.add_argument("--k", type=int, default=60)
-    ap.add_argument("--seed", type=int, default=99)
-    args = ap.parse_args()
-
-    out = Path(args.out)
-    files = ["--events", str(out / "events.jsonl"), "--metadata", str(out / "metadata.csv"),
-             "--k", str(args.k)]
+    ap.add_argument("--projects", type=cli.integer, default=300)
+    ap.add_argument("--k", type=cli.integer, default=60)
+    ap.add_argument("--seed", type=cli.integer, default=99)
 
     def pipeline():  # the corpus, then the two commands' outputs, byte for byte, from one ingest
+        args = ap.parse_args()
+        out = Path(args.out)
+        files = ["--events", str(out / "events.jsonl"), "--metadata", str(out / "metadata.csv"),
+                 "--k", str(args.k)]
         # larger teams and a lower crowding scale than the synth subcommand offers
         spec = SyntheticSpec(n_projects=args.projects, structure="crowded",
                              max_actors=50, crowding_scale=1.0e5)
@@ -54,11 +52,9 @@ def main():
         cli.write_output(quadrants, quadrants_to_csv(median_split_quadrants(records)))
         cli.require_records(bins, records, MIN_DECILE_RECORDS)
         cli.write_output(bins, binned_grid_to_csv(decile_heatmap(records, agg=bins.agg)))
-
-    status = cli.exit_status(pipeline)
-    if status == 0:
         print((out / "quadrants.csv").read_text(encoding="utf-8"), end="")
-    return status
+
+    return cli.exit_status(pipeline)
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ Usage:
         [--runs 10000] [--grid 2,5,10,20,40,80]
 """
 
-import argparse
 import os
 import time
 
@@ -19,30 +18,33 @@ from crowdcoord.constants import OBJECTIVES
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap = cli.Parser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default="results")
     ap.add_argument("--objective", default="closed_form", choices=OBJECTIVES)
-    ap.add_argument("--runs", type=int, default=10_000)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--runs", type=cli.integer, default=10_000)
+    ap.add_argument("--seed", type=cli.integer, default=0)
     ap.add_argument("--grid", default="2,5,10,20,40,80")
-    args = ap.parse_args()
 
-    runs = ["--runs", str(args.runs)] if args.objective == "monte_carlo" else []
-    os.makedirs(args.out, exist_ok=True)
-    for alpha in (0.0, 1.0):
-        t0 = time.time()
-        path = os.path.join(args.out, f"beta_{args.objective}_alpha{alpha:g}.csv")
-        status = cli.main(["heatmap", "--n", args.grid, "--e", args.grid,
-                           "--alpha", str(alpha), "--objective", args.objective, *runs,
-                           "--seed", str(args.seed), "--out", path])
-        if status:
-            return status
-        with open(path, encoding="utf-8") as fh:
-            rows = [line.split(",")[1:] for line in fh if not line.startswith(("#", ","))]
-        stars = [float(v) for row in rows for v in row if v.strip() != "NA"]
-        mean = f"{sum(stars) / len(stars):.3f}" if stars else "NA"  # every cell NA: none to average
-        print(f"{path}: mean beta*={mean} ({len(stars)} cells, {time.time() - t0:.1f}s)")
-    return 0
+    def sweep():  # each heatmap as `crowdcoord heatmap` writes it, then its summary line
+        args = ap.parse_args()
+        runs = ["--runs", str(args.runs)] if args.objective == "monte_carlo" else []
+        os.makedirs(args.out, exist_ok=True)
+        parser = cli.build_parser()
+        for alpha in (0.0, 1.0):
+            t0 = time.time()
+            path = os.path.join(args.out, f"beta_{args.objective}_alpha{alpha:g}.csv")
+            heatmap = parser.parse_args(["heatmap", "--n", args.grid, "--e", args.grid,
+                                         "--alpha", str(alpha), "--objective", args.objective,
+                                         *runs, "--seed", str(args.seed), "--out", path])
+            heatmap.func(heatmap)
+            with open(path, encoding="utf-8") as fh:
+                rows = [line.split(",")[1:] for line in fh if not line.startswith(("#", ","))]
+            stars = [float(v) for row in rows for v in row if v.strip() != "NA"]
+            # every cell NA: none to average
+            mean = f"{sum(stars) / len(stars):.3f}" if stars else "NA"
+            print(f"{path}: mean beta*={mean} ({len(stars)} cells, {time.time() - t0:.1f}s)")
+
+    return cli.exit_status(sweep)
 
 
 if __name__ == "__main__":

@@ -37,17 +37,11 @@ class Channel:
 
     timestamps: tuple[int, ...]
     actors: tuple[str, ...]
-    size_deltas: tuple[Optional[int], ...]
 
     @classmethod
-    def in_time_order(
-        cls,
-        timestamps: list[int],
-        actors: list[str],
-        size_deltas: list[Optional[int]],
-    ) -> "Channel":
+    def in_time_order(cls, timestamps: list[int], actors: list[str]) -> "Channel":
         """The channel of columns given in input order, stably sorted by timestamp."""
-        columns = (timestamps, actors, size_deltas)
+        columns = (timestamps, actors)
         if timestamps != sorted(timestamps):  # time-ordered input needs no permutation
             order = sorted(range(len(timestamps)), key=timestamps.__getitem__)
             columns = tuple(map(column.__getitem__, order) for column in columns)
@@ -57,9 +51,9 @@ class Channel:
         return len(self.timestamps)
 
 
-def channel_columns() -> dict[str, tuple[list, list, list]]:
-    """Empty input-order columns for ``ProjectLog.from_columns``, one set per channel."""
-    return {ch: ([], [], []) for ch in CHANNELS}
+def channel_columns() -> dict[str, tuple[list, list]]:
+    """Empty input-order columns for ``ProjectLog.from_columns``, one pair per channel."""
+    return {ch: ([], []) for ch in CHANNELS}
 
 
 @dataclass(frozen=True)
@@ -74,11 +68,11 @@ class ProjectLog:
     def from_columns(
         cls,
         project_id: str,
-        columns: Mapping[str, tuple[list, list, list]],
+        columns: Mapping[str, tuple[list, list]],
         final_size: Optional[int] = None,
     ) -> "ProjectLog":
         """Build from ``channel_columns()`` filled in input order: for each event, its
-        channel's timestamps, actors and size deltas get one entry."""
+        channel's timestamps and actors get one entry."""
         by_channel = {ch: Channel.in_time_order(*columns[ch]) for ch in CHANNELS}
         return cls(project_id, by_channel, final_size)
 
@@ -89,22 +83,23 @@ class ProjectLog:
         events: Iterable[Event],
         final_size: Optional[int] = None,
     ) -> "ProjectLog":
+        """Build from events in input order; each event's ``size_delta`` is not kept."""
         columns = channel_columns()
         for e in events:
-            timestamps, actors, size_deltas = columns[e.channel]
+            timestamps, actors = columns[e.channel]
             timestamps.append(e.timestamp)
             actors.append(e.actor_id)
-            size_deltas.append(e.size_delta)
         return cls.from_columns(project_id, columns, final_size)
 
     @property
     def events(self) -> tuple[Event, ...]:
-        """Every event in time order, rebuilt from the channels; ties go by channel in
-        ``CHANNELS`` order, then by input order."""
+        """Every event in time order, rebuilt from the channels with ``size_delta=None``,
+        since the log keeps none; ties go by channel in ``CHANNELS`` order, then by input
+        order."""
         return tuple(sorted(
-            (Event(self.project_id, actor, ts, ch, delta)
+            (Event(self.project_id, actor, ts, ch)
              for ch in CHANNELS for channel in [self.by_channel[ch]]
-             for ts, actor, delta in zip(channel.timestamps, channel.actors, channel.size_deltas)),
+             for ts, actor in zip(channel.timestamps, channel.actors)),
             key=attrgetter("timestamp"),
         ))
 

@@ -63,6 +63,9 @@ _COUNT_COLUMNS = ("final_size", "watchers")
 # the one integer form of flags and metadata, an optional '-' and ASCII digits:
 # int() would also take '+5', ' 12 ', '1_000' and '١٢'
 _INTEGER = re.compile(r"-?[0-9]+").fullmatch
+# the one real form of flags and mwu samples, an optional '-', ASCII digits with at most one
+# '.' and an optional exponent, or inf or nan: float() would also take '+1', ' 1', '1_0' and '١'
+_REAL = re.compile(r"-?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?|inf|nan)").fullmatch
 
 
 def integer(text: str) -> int:
@@ -72,7 +75,16 @@ def integer(text: str) -> int:
     return int(text)
 
 
-class _Parser(argparse.ArgumentParser):
+def real(text: str) -> float:
+    """A command-line real number, in ``_REAL``'s form."""
+    if not _REAL(text):
+        raise ValueError(f"expected a real number, got {text!r}")
+    return float(text)
+
+
+class Parser(argparse.ArgumentParser):
+    """The argument parser of the CLI and the scripts; ``exit_status`` reports its errors."""
+
     def error(self, message):  # argparse would exit 2; main reports ValueError as usage, 1
         raise ValueError(message)
 
@@ -141,7 +153,8 @@ def event_to_json(event: Event) -> str:
 
 
 # The canonical line as event_to_json writes it, for ids of printable ASCII other than
-# '"' and '\\'.  A match decodes to exactly the Event that parse_event_line returns:
+# '"' and '\\'.  parse_event_line accepts a match, and its groups decode to exactly that
+# Event's ids, timestamp and channel (ingest keeps no size_delta):
 # - the line is ASCII, so it passes the UTF-8 check;
 # - it is one JSON object with four or five distinct keys in one order, so json.loads
 #   gives a dict with every required field and no duplicate key overriding another;
@@ -149,7 +162,7 @@ def event_to_json(event: Event) -> str:
 #   characters, so it decodes to the matched text;
 # - timestamp is a JSON integer with no sign or leading zero and size_delta one with no
 #   "-0"; at most 18 digits keeps both far below the interpreter's limit on integer
-#   digits, so int() gives the value json.loads does, and timestamp >= 0;
+#   digits, so json.loads reads both and int() gives its timestamp, which is >= 0;
 # - the channel is one of CHANNELS.
 # Every other line, valid or not, goes to parse_event_line, the only code that rejects one.
 # Each line of a block, '\n' included, matches exactly once: as a canonical line, whose
@@ -158,7 +171,7 @@ def event_to_json(event: Event) -> str:
 _BLOCK_LINES = re.compile(
     r'(?:\{"project_id":"([ !#-\[\]-~]*)","actor_id":"([ !#-\[\]-~]*)",'
     r'"timestamp":(0|[1-9][0-9]{0,17}),"channel":"(work|discussion|comment)"'
-    r'(?:,"size_delta":(0|-?[1-9][0-9]{0,17}))?\}|([^\n]*))\n'
+    r'(?:,"size_delta":(?:0|-?[1-9][0-9]{0,17}))?\}|([^\n]*))\n'
 ).findall
 
 # ingest reads this many characters at a time; a block's findall tuples are its transient
@@ -227,7 +240,7 @@ def ingest(
     """Group events by project into time-ordered channel columns and join optional metadata."""
     by_project: dict[str, dict] = {}  # project id -> channel_columns(), in input order
     intern = sys.intern  # one string object per distinct actor id
-    # The columns hold only strings, ints and None, and no per-line object outlives its
+    # The columns hold only strings and ints, and no per-line object outlives its
     # line, so the cyclic collector has nothing to free here: pause it while they grow.
     collecting = gc.isenabled()
     gc.disable()
@@ -237,23 +250,21 @@ def ingest(
         # lone '\r' end a line too, also when a read ends between '\r' and '\n'
         with open(events_path, encoding="utf-8", errors="surrogateescape") as fh:
             for block in _line_blocks(fh):
-                for pid, actor, timestamp, channel, delta, line in _BLOCK_LINES(block):
+                for pid, actor, timestamp, channel, line in _BLOCK_LINES(block):
                     line_no += 1
                     if channel:
                         timestamp = int(timestamp)
-                        delta = int(delta) if delta else None
                     else:
                         line = line.strip(" \t\n\r")  # JSON's whitespace only
                         if not line:
                             continue
-                        pid, actor, timestamp, channel, delta = parse_event_line(line, line_no)
+                        pid, actor, timestamp, channel, _ = parse_event_line(line, line_no)
                     columns = by_project.get(pid)
                     if columns is None:
                         columns = by_project[intern(pid)] = channel_columns()
-                    timestamps, actors, deltas = columns[channel]
+                    timestamps, actors = columns[channel]
                     timestamps.append(timestamp)
                     actors.append(intern(actor))
-                    deltas.append(delta)
     finally:
         if collecting:
             gc.enable()
@@ -391,8 +402,8 @@ def cmd_heatmap(args) -> None:
 
 
 def cmd_mwu(args) -> None:
-    sample_a = [float(v) for v in args.a.split(",")]
-    sample_b = [float(v) for v in args.b.split(",")]
+    sample_a = [real(v) for v in args.a.split(",")]
+    sample_b = [real(v) for v in args.b.split(",")]
     result = mann_whitney_u(sample_a, sample_b)
     text = (
         "u,p,band,method\n"
@@ -540,8 +551,8 @@ def _flags(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
     return argparse.ArgumentParser(add_help=False, parents=list(parents))
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="crowdcoord", description=__doc__)
+def build_parser() -> Parser:
+    parser = Parser(prog="crowdcoord", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add(name, func, help_text, *parents):
@@ -553,15 +564,15 @@ def build_parser() -> _Parser:
     point = _flags()  # one (N, E, alpha) point
     point.add_argument("--n", type=integer, required=True)
     point.add_argument("--e", type=integer, required=True)
-    point.add_argument("--alpha", type=float, required=True)
+    point.add_argument("--alpha", type=real, required=True)
     state = _flags(point)
-    state.add_argument("--beta", type=float, required=True)
+    state.add_argument("--beta", type=real, required=True)
     search = _flags()
     search.add_argument("--objective", default="closed_form",
                         choices=[*OBJECTIVES, *_OBJECTIVE_ALIASES])
     search.add_argument("--runs", type=integer, default=None)
     search.add_argument("--seed", type=integer, default=0)
-    search.add_argument("--grid-step", type=float, default=0.01)
+    search.add_argument("--grid-step", type=real, default=0.01)
     events = _flags()
     events.add_argument("--events", required=True)
     corpus = _flags(events)
@@ -580,14 +591,14 @@ def build_parser() -> _Parser:
     p = add("heatmap", cmd_heatmap, "optimal beta over an (N, E) grid", search)
     p.add_argument("--n", required=True, help="comma list or start:stop[:step]")
     p.add_argument("--e", required=True, help="comma list or start:stop[:step]")
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=real, required=True)
 
     p = add("mwu", cmd_mwu, "Mann-Whitney U test on two comma-separated samples")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
 
     p = add("xcore", cmd_xcore, "x-core curves per project", corpus)
-    p.add_argument("--x", type=float, action="append", default=None)
+    p.add_argument("--x", type=real, action="append", default=None)
 
     add("crowd", cmd_crowd, "crowdedness profiles per project", profile)
     add("quadrants", cmd_quadrants, "median-split quadrant summary", profile)
@@ -597,7 +608,7 @@ def build_parser() -> _Parser:
     p = add("cohort", cmd_cohort, "matched featured/control cohorts", events)
     p.add_argument("--metadata", required=True)
     p.add_argument("--k", type=integer, default=30)
-    p.add_argument("--tolerance", type=float, default=0.05)
+    p.add_argument("--tolerance", type=real, default=0.05)
     p.add_argument("--allow-fewer-prior", action="store_true",
                    help="drop the strictly-more-prior-work requirement on controls")
     p.add_argument("--seed", type=integer, default=0)

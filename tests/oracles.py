@@ -286,8 +286,10 @@ def json_event_line(event):
 
 
 def event_path_log(events):
-    """A project's events in time order and split by channel, as ``Event`` tuples: one
-    stable sort by (timestamp, index in CHANNELS), so ties go by channel and then keep
-    input order, then one filter per channel."""
+    """A project's events in time order and split by channel, as ``Event`` tuples with
+    ``size_delta=None``, which a log does not keep: one stable sort by (timestamp, index
+    in CHANNELS), so ties go by channel and then keep input order, then one filter per
+    channel."""
+    events = [e._replace(size_delta=None) for e in events]
     ordered = tuple(sorted(events, key=lambda e: (e.timestamp, CHANNELS.index(e.channel))))
     return ordered, {ch: tuple(e for e in ordered if e.channel == ch) for ch in CHANNELS}

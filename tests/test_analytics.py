@@ -236,4 +236,3 @@ class TestProjectLog:
             assert len(columns) == len(expected)
             assert columns.timestamps == tuple(e.timestamp for e in expected)
             assert columns.actors == tuple(e.actor_id for e in expected)
-            assert columns.size_deltas == tuple(e.size_delta for e in expected)

@@ -43,7 +43,7 @@ class TestIngest:
         corpus, _ = ingest(str(events))
         assert set(corpus) == {"p1", "p2"}
         assert [e.timestamp for e in corpus["p1"].events] == [5, 10]
-        assert corpus["p2"].events[0].size_delta == 4
+        assert corpus["p2"].events == (Event("p2", "a", 1, "comment"),)
 
     def test_empty_file_warns(self, tmp_path, capsys):
         events = tmp_path / "events.jsonl"
@@ -167,9 +167,10 @@ class TestIngest:
             ingest(str(events))
         assert gc.isenabled()
 
-    def test_keeps_three_columns_per_event(self, tmp_path):
-        # a timestamp (8-byte slot and int), an interned actor and a size delta keep about
-        # 50 bytes per event; an input position per event would keep about 90
+    def test_keeps_two_columns_per_event(self, tmp_path):
+        # a timestamp (8-byte slot and int) and an interned actor keep 39-43 bytes per
+        # event, the more when no other object holds the actor ids already; a third column,
+        # such as the size deltas, keeps 47-51
         corpus = generate_synthetic(SyntheticSpec(n_projects=20, structure="crowded"), seed=1)
         events = tmp_path / "events.jsonl"
         cli.write_events(events, corpus.events)
@@ -182,7 +183,7 @@ class TestIngest:
             tracemalloc.stop()
         assert sum(len(c) for log in logs.values() for c in log.by_channel.values()) == len(
             corpus.events)
-        assert held <= 70 * len(corpus.events)
+        assert held <= 45 * len(corpus.events)
 
     def test_tracks_objects_per_project_not_per_event(self, tmp_path):
         events = tmp_path / "events.jsonl"
@@ -229,6 +230,13 @@ def parsed(line, line_no=1):
         return str(exc)
 
 
+def logged(result):
+    """A ``parsed`` result as a log keeps it: each Event with ``size_delta=None``."""
+    if isinstance(result, str):
+        return result
+    return typed(event._replace(size_delta=None) for event, _ in result)
+
+
 def near_miss(project_id='"p"', timestamp="1", tail=""):
     return (f'{{"project_id":{project_id},"actor_id":"a","timestamp":{timestamp},'
             f'"channel":"work"{tail}}}')
@@ -252,7 +260,6 @@ def assert_event_path(log, events):
         channel = log.by_channel[ch]
         assert channel.timestamps == tuple(e.timestamp for e in by_channel[ch])
         assert channel.actors == tuple(e.actor_id for e in by_channel[ch])
-        assert channel.size_deltas == tuple(e.size_delta for e in by_channel[ch])
 
 
 class TestEventPathOracle:
@@ -289,7 +296,8 @@ class TestCanonicalLine:
         line = event_to_json(event)
         with mock.patch.object(cli, "parse_event_line", side_effect=AssertionError(line)):
             got = ingested(tmp_path_factory.getbasetemp(), [line])
-        assert got == parsed(line) == typed([event])
+        assert parsed(line) == typed([event])
+        assert got == logged(parsed(line))
 
     @given(event=st.builds(Event, ANY_IDS, ANY_IDS, st.integers(0), st.sampled_from(CHANNELS),
                            st.none() | st.integers()))
@@ -297,7 +305,8 @@ class TestCanonicalLine:
     def test_any_written_line_decodes_as_parse_event_line(self, tmp_path_factory, event):
         line = event_to_json(event)
         got = ingested(tmp_path_factory.getbasetemp(), [line])
-        assert got == parsed(line) == typed([event])
+        assert parsed(line) == typed([event])
+        assert got == logged(parsed(line))
 
     @pytest.mark.parametrize("line", [
         near_miss(project_id=r'"p\u0031"'),
@@ -326,7 +335,7 @@ class TestCanonicalLine:
             "leading-zero", "leading-zero-size-delta", "19-digits", "5000-digits", "true",
             "float", "exponent", "unknown-channel"])
     def test_near_miss_decodes_as_parse_event_line(self, tmp_path, line):
-        assert ingested(tmp_path, [line]) == parsed(line)
+        assert ingested(tmp_path, [line]) == logged(parsed(line))
 
     def test_malformed_line_after_canonical_lines(self, tmp_path):
         bad = near_miss(timestamp="1.0")
@@ -386,7 +395,6 @@ class TestBlockBoundaries:
     def test_lines_straddle_blocks(self, tmp_path, block):
         got = ingest_blocks(tmp_path, f"{E1}\n{E2}\n{E3}\n".encode(), block)
         assert timestamps(got) == E123
-        assert got["p2"]["comment"].size_deltas == (4,)
         assert ingest_blocks(tmp_path, f"{E1}\n{E2}\n{E3}\nnot json\n".encode(),
                              block).startswith("line 4: invalid JSON")
 
@@ -536,6 +544,13 @@ class TestExitCodes:
         ["dp", "--n", 10, "--e", " 3 ", "--alpha", 1, "--beta", 0.5],
         ["heatmap", "--n", "1_0,2_0", "--e", 5, "--alpha", 1],
         ["heatmap", "--n", "2:9", "--e", "+5", "--alpha", 1],
+        ["dp", "--n", 3, "--e", 2, "--alpha", "\u0661", "--beta", 0.5],
+        ["dp", "--n", 3, "--e", 2, "--alpha", 1, "--beta", "0_1"],
+        ["optimize", "--n", 5, "--e", 3, "--alpha", 1, "--grid-step", "\u0660.\u0665"],
+        ["heatmap", "--n", "2,5", "--e", "2,5", "--alpha", "+1"],
+        ["mwu", "--a", "\u0661,\u0662", "--b", " 3,4_0"],
+        ["xcore", "--events", os.devnull, "--x", " 0.5"],
+        ["cohort", "--events", os.devnull, "--metadata", os.devnull, "--tolerance", "0.0_5"],
     ], ids=["grid-step-zero", "grid-step-negative", "mc-runs-zero", "mwu-nan",
             "heatmap-alpha-two", "heatmap-alpha-nan", "heatmap-mc-no-runs", "heatmap-n-zero",
             "simulate-n-over-int64", "optimize-cf-n-over-int64", "xcore-x-zero-no-events",
@@ -544,7 +559,9 @@ class TestExitCodes:
             "grid-step-reciprocal-overflows",
             "synth-negative-counts", "synth-featured-without-cohort",
             "synth-projects-under-cohort", "heatmap-range-over-int64", "dp-arabic-indic-n",
-            "dp-spaced-e", "heatmap-underscore-n", "heatmap-plus-e"])
+            "dp-spaced-e", "heatmap-underscore-n", "heatmap-plus-e", "dp-arabic-indic-alpha",
+            "dp-underscore-beta", "optimize-arabic-indic-grid-step", "heatmap-plus-alpha",
+            "mwu-coerced-samples", "xcore-spaced-x", "cohort-underscore-tolerance"])
     def test_usage_error_on_out_of_domain_value(self, tmp_path, capsys, argv):
         assert run([*argv, "--out", tmp_path / "o.csv"]) == 1
         err = capsys.readouterr().err
@@ -1075,3 +1092,65 @@ class TestCorpusBytes:
         out = tmp_path / "out.csv"
         assert run([*argv, "--out", out]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.CSV_DIGESTS[command]
+
+
+def corpus_commands(root):
+    """Each corpus command on the corpora of ``small_corpora``'s layout under root."""
+    def files(corpus):
+        return ["--events", root / corpus / "events.jsonl",
+                "--metadata", root / corpus / "metadata.csv"]
+
+    return {
+        "crowd": ["crowd", *files("crowded"), "--k", 40],
+        "quadrants": ["quadrants", *files("crowded"), "--k", 40],
+        "bins": ["bins", *files("crowded"), "--k", 40],
+        "xcore": ["xcore", *files("crowded"), "--x", 0.5, "--x", 1.0],
+        "cohort": ["cohort", *files("cohort"), "--k", 3, "--seed", 7],
+    }
+
+
+class TestSizeDelta:
+    """A log keeps no size_delta: ingest checks it and keeps only timestamps and actors."""
+
+    @pytest.mark.parametrize("form", ["canonical", "json.dumps"])
+    def test_changes_no_log_and_no_output(self, tmp_path, small_corpora, form):
+        # line i's size_delta is absent, 0, negative or of 18 digits as i % 4 says
+        size_deltas = (None, 0, -7, DIGITS_18)
+        for corpus in ("crowded", "cohort"):
+            (tmp_path / corpus).mkdir()
+            source = small_corpora / corpus
+            lines = (source / "events.jsonl").read_text().splitlines()
+            events = [parse_event_line(line, i)._replace(size_delta=size_deltas[i % 4])
+                      for i, line in enumerate(lines)]
+            write_events(tmp_path / corpus / "events.jsonl", [
+                event_to_json(e) if form == "canonical"
+                else json.dumps({k: v for k, v in e._asdict().items() if v is not None})
+                for e in events])
+            (tmp_path / corpus / "metadata.csv").write_bytes(
+                (source / "metadata.csv").read_bytes())
+            assert ingest(str(tmp_path / corpus / "events.jsonl"),
+                          str(tmp_path / corpus / "metadata.csv")) == ingest(
+                str(source / "events.jsonl"), str(source / "metadata.csv"))
+        commands = corpus_commands(small_corpora)
+        for name, argv in corpus_commands(tmp_path).items():
+            assert run([*commands[name], "--out", tmp_path / "base.csv"]) == 0
+            assert run([*argv, "--out", tmp_path / "variant.csv"]) == 0
+            assert (tmp_path / "base.csv").read_bytes() == (
+                tmp_path / "variant.csv").read_bytes(), name
+
+    def test_fractional_value_is_a_data_error(self, tmp_path, small_corpora, capsys):
+        lines = (small_corpora / "crowded" / "events.jsonl").read_text().splitlines()
+        event = parse_event_line(lines[999], 1000)._replace(size_delta=None)
+        lines[999] = event_to_json(event)[:-1] + ',"size_delta":1.5}'
+        write_events(tmp_path / "events.jsonl", lines)
+        assert run(["crowd", "--events", tmp_path / "events.jsonl",
+                    "--out", tmp_path / "o.csv"]) == 2
+        assert capsys.readouterr().err == (
+            "data error: line 1000: size_delta must be an integer, got 1.5\n")
+        assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("text", ["0", "-1", ".5", "5.", "-2.50", "1E-09", "5e-324",
+                                  "2.5e+16", "inf", "-inf", "nan"])
+def test_real_reads_its_form_as_float_does(text):
+    assert repr(cli.real(text)) == repr(float(text))

@@ -93,23 +93,46 @@ def test_crowding_pipeline_data_error_on_too_few_projects(tmp_path, projects, me
     assert sorted(p.name for p in tmp_path.glob("*.csv")) == ["metadata.csv", *written]
 
 
-# refused before any corpus is written, each in one line as the CLI reports it
-@pytest.mark.parametrize("args,status,message", [
-    (["--projects", "0"], 1, "usage error: n_projects must be >= 1"),
-    (["--seed", "-1"], 1, "usage error: expected non-negative integer"),
-    (["--out", os.path.join(os.devnull, "x")], 2, "data error: "),
-    (["--projects", "100000000"], 3, "resource error: a synthetic corpus of 100000000 projects"),
-], ids=["projects-zero", "seed-negative", "out-unwritable", "projects-over-budget"])
-def test_crowding_pipeline_refuses_without_a_traceback(tmp_path, args, status, message):
+# refused before any corpus or CSV is written, each in one line as the CLI reports it
+@pytest.mark.parametrize("script,args,status,message", [
+    ("crowding_pipeline.py", ["--projects", "0"], 1, "usage error: n_projects must be >= 1"),
+    ("crowding_pipeline.py", ["--seed", "-1"], 1, "usage error: expected non-negative integer"),
+    ("crowding_pipeline.py", ["--out", os.path.join(os.devnull, "x")], 2, "data error: "),
+    ("crowding_pipeline.py", ["--projects", "100000000"], 3,
+     "resource error: a synthetic corpus of 100000000 projects"),
+    ("crowding_pipeline.py", ["--projects", "abc"], 1,
+     "usage error: argument --projects: invalid integer value: 'abc'"),
+    ("crowding_pipeline.py", ["--projects", "\u0661\u0662"], 1,
+     "usage error: argument --projects: invalid integer value:"),
+    ("crowding_pipeline.py", ["--k", "+5"], 1, "usage error: argument --k: invalid integer"),
+    ("crowding_pipeline.py", ["--colour"], 1, "usage error: unrecognized arguments: --colour"),
+    ("run_beta_grids.py", ["--runs", "abc"], 1,
+     "usage error: argument --runs: invalid integer value: 'abc'"),
+    ("run_beta_grids.py", ["--out", os.path.join(os.devnull, "x")], 2, "data error: "),
+], ids=["projects-zero", "seed-negative", "out-unwritable", "projects-over-budget",
+        "projects-not-a-number", "projects-arabic-indic", "k-plus", "unknown-flag",
+        "beta-grids-runs-not-a-number", "beta-grids-out-unwritable"])
+def test_crowding_pipeline_refuses_without_a_traceback(tmp_path, script, args, status,
+                                                       message):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     out = tmp_path / "pipeline"
     done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "crowding_pipeline.py"), "--out", str(out),
-         *args],
+        [sys.executable, str(ROOT / "scripts" / script), "--out", str(out), *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert (done.returncode, done.stdout) == (status, ""), done.stderr
     assert done.stderr.startswith(message) and done.stderr.count("\n") == 1, done.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("script", ["crowding_pipeline.py", "run_beta_grids.py"])
+def test_help_exits_zero(tmp_path, script):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / script), "--help"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith(f"usage: {script}")
