@@ -281,10 +281,11 @@ def ingest(
     return corpus, metadata
 
 
-def write_events(path: Path, events) -> None:
+def write_events(path: Path, lines) -> None:
+    """Write an events file from an iterable of strings, each some whole canonical lines
+    (``event_to_json`` plus '\\n'), such as a synthetic corpus's events."""
     with open(path, "w", encoding="utf-8") as fh:
-        for event in events:
-            fh.write(event_to_json(event) + "\n")
+        fh.writelines(lines)
 
 
 def write_metadata(path: Path, metadata: dict[str, dict]) -> None:

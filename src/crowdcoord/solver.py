@@ -111,11 +111,19 @@ def _check_search(objective: str, config: SearchConfig) -> None:
         raise ValueError("monte_carlo objective requires a runs setting")
 
 
-def _beta_grid(config: SearchConfig) -> array:
-    """The coarse beta grid, np.linspace(0, 1, n) bit for bit, charged before it is built."""
+def _beta_grid(config: SearchConfig, objective: str = "closed_form", n_parts: int = 0,
+               n_users: int = 0) -> array:
+    """The coarse beta grid, np.linspace(0, 1, n) bit for bit, charged before it is built:
+    its bytes, and the state-steps of the exact or Monte Carlo pass that will score it at
+    (n_parts, n_users), B * N * E or B * runs * E as exact_expectations and
+    monte_carlo_means charge them, so a grid too fine for its pass is never built."""
     n_betas = round(1.0 / config.grid_step) + 1
-    charge(f"grid_step = {config.grid_step} gives a {n_betas}-point beta grid that",
-           0, n_betas * GRID_BYTES_PER_BETA)
+    what = f"grid_step = {config.grid_step} gives a {n_betas}-point beta grid that"
+    steps = 0
+    if objective != "closed_form":
+        steps = n_betas * (n_parts if objective == "exact_dp" else config.runs) * n_users
+        what += f", scored by {objective} at n_parts = {n_parts}, n_users = {n_users},"
+    charge(what, steps, n_betas * GRID_BYTES_PER_BETA)
     step = 1.0 / (n_betas - 1)
     betas = array("d", (i * step for i in range(n_betas)))
     betas[-1] = 1.0
@@ -198,12 +206,13 @@ def optimal_beta(
     the one-row case of beta_heatmap's column search.  The Monte Carlo
     objective is noisy: one pass seeded with config.seed scores the whole
     grid on shared draws (monte_carlo_means), and the best grid point is
-    reported instead of refining.  The grid is charged before it is built.
+    reported instead of refining.  The grid is charged before it is built, with
+    the exact or Monte Carlo pass that scores it.
     Only the exact and Monte Carlo objectives import the model and NumPy.
     """
     _check_search(objective, config)
     check_ranges(n_parts, n_users, alpha, 0.0)
-    betas = _beta_grid(config)
+    betas = _beta_grid(config, objective, n_parts, n_users)
     if objective == "closed_form":
         return _closed_form_column(n_parts, [n_users], alpha, betas, config)[0]
     from .model import ModelParams, exact_expectation, exact_expectations, monte_carlo_means
@@ -230,7 +239,7 @@ def _monte_carlo_column(n_parts: int, e_values: tuple[int, ...], alpha: float,
     refused: list[OptResult | str] = []
     for stop in range(len(e_values), 0, -1):
         try:
-            betas = _beta_grid(config)
+            betas = _beta_grid(config, "monte_carlo", n_parts, e_values[stop - 1])
             means, _ = monte_carlo_means(n_parts, e_values[:stop], alpha, betas,
                                          config.runs, config.seed)
         except BudgetExceededError as exc:

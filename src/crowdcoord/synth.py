@@ -10,9 +10,11 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import chain, cycle
 from typing import NamedTuple
 
 from .analytics import Event
+from .cli import event_to_json
 from .constants import STRUCTURES, SYNTH_PROJECTS
 from .limits import charge
 from .rng import Generator
@@ -65,6 +67,32 @@ class SyntheticSpec:
             raise ValueError("cohort structure needs n_featured >= 1")
 
 
+# a timestamp whose text no synthetic id holds: each template is cut where it stands
+_MARK = 10**18 - 1
+
+
+def _templates(pid: str, actors: list[str], channel: str,
+               size_delta: int | None = None) -> tuple[list[str], list[str]]:
+    """Each actor's text before and after the timestamp of its ``channel`` line in project
+    ``pid``, cut from event_to_json's own line, so that head + str(t) + tail is that line,
+    '\\n' included, at timestamp t."""
+    heads, tails = [], []
+    for actor in actors:
+        head, tail = event_to_json(Event(pid, actor, _MARK, channel, size_delta)).split(
+            str(_MARK))
+        heads.append(head)
+        tails.append(tail + "\n")
+    return heads, tails
+
+
+def _run(templates: tuple[list[str], list[str]], start: int, n: int, step: int) -> Iterator[str]:
+    """The pieces of n lines, the i-th by actor i % len(heads) at timestamp start + i * step:
+    joined by C-level iterators, with no Python code per line."""
+    heads, tails = templates
+    return chain.from_iterable(zip(cycle(heads), map(str, range(start, start + n * step, step)),
+                                   cycle(tails)))
+
+
 class _FlatProject(NamedTuple):
     """The draws that fix one flat or crowded project's events."""
 
@@ -78,30 +106,23 @@ class _FlatProject(NamedTuple):
     def n_events(self) -> int:
         return self.n_discussion + self.n_work + self.n_comments + self.team
 
-    def events(self) -> Iterator[Event]:
-        """Every actor gets at least one work event and one discussion event, so
-        the whole team is engaged; planted discussion volume lands before the
-        crowdedness threshold and the per-actor engagement edits after it."""
-        pid, team = f"p{self.index:04d}", self.team
-        actors = [f"u{self.index:04d}_{i}" for i in range(team)]
-        ts = 0
-        # early coordination block, authored round-robin
-        for i in range(self.n_discussion):
-            yield Event(pid, actors[i % team], ts, "discussion")
-            ts += 1
-        ts = 10_000
-        # work: first `team` events cover every actor, the rest round-robin
-        for i in range(self.n_work):
-            yield Event(pid, actors[i % team], ts, "work", size_delta=1)
-            ts += _STEP
-        for i in range(self.n_comments):
-            yield Event(pid, actors[i % team], ts, "comment")
-            ts += 1
-        ts += 1_000_000
-        # engagement edits, after any plausible threshold
-        for actor in actors:
-            yield Event(pid, actor, ts, "discussion")
-            ts += 1
+    def lines(self) -> str:
+        """The project's canonical lines. Every actor gets at least one work event and one
+        discussion event, so the whole team is engaged: an early coordination block authored
+        round-robin (one second apart, from 0), then work every _STEP seconds from 10,000 (its
+        first ``team`` events cover every actor, the rest round-robin) and the comments one
+        second apart after it; the per-actor engagement edits come 10**6 seconds later, after
+        any plausible crowdedness threshold."""
+        pid = f"p{self.index:04d}"
+        actors = [f"u{self.index:04d}_{i}" for i in range(self.team)]
+        discussion = _templates(pid, actors, "discussion")
+        comments_start = 10_000 + self.n_work * _STEP
+        return "".join(chain(
+            _run(discussion, 0, self.n_discussion, 1),
+            _run(_templates(pid, actors, "work", 1), 10_000, self.n_work, _STEP),
+            _run(_templates(pid, actors, "comment"), comments_start, self.n_comments, 1),
+            _run(discussion, comments_start + self.n_comments + 1_000_000, self.team, 1),
+        ))
 
 
 class _CohortArticle(NamedTuple):
@@ -117,28 +138,32 @@ class _CohortArticle(NamedTuple):
     def n_events(self) -> int:
         return self.before + self.during + self.after + 1
 
-    def events(self) -> Iterator[Event]:
-        pid, actor = self.pid, f"{self.pid}_a"
-        for year, count in ((self.year - 1, self.before), (self.year, self.during),
-                            (self.year + 1, self.after)):
-            start = _year_ts(year)
-            for i in range(count):
-                yield Event(pid, actor, start + i * _STEP, "work", size_delta=1)
-        yield Event(pid, actor, _year_ts(self.year + 2), "discussion")
+    def lines(self) -> str:
+        """The article's canonical lines: each year's work every _STEP seconds from June 1st,
+        then one discussion edit on June 1st two years after ``year``."""
+        actors = [f"{self.pid}_a"]
+        work = _templates(self.pid, actors, "work", 1)
+        return "".join(chain(
+            *(_run(work, _year_ts(year), count, _STEP)
+              for year, count in ((self.year - 1, self.before), (self.year, self.during),
+                                  (self.year + 1, self.after))),
+            _run(_templates(self.pid, actors, "discussion"), _year_ts(self.year + 2), 1, 1),
+        ))
 
 
 @dataclass(frozen=True)
-class CorpusEvents:
-    """A corpus's events, rendered one project at a time from its plans.
+class CorpusLines:
+    """A corpus's canonical event lines, rendered one project at a time from its plans.
 
-    Each pass renders them again, so the corpus is never held as one list;
-    ``len`` adds up the plans' event counts and renders nothing."""
+    Each pass renders them again and gives each project's lines as one string, so the
+    corpus is never held whole; ``len`` adds up the plans' event counts, one line each,
+    and renders nothing."""
 
     plans: tuple[_FlatProject | _CohortArticle, ...]
 
-    def __iter__(self) -> Iterator[Event]:
+    def __iter__(self) -> Iterator[str]:
         for plan in self.plans:
-            yield from plan.events()
+            yield plan.lines()
 
     def __len__(self) -> int:
         return sum(plan.n_events for plan in self.plans)
@@ -146,7 +171,7 @@ class CorpusEvents:
 
 @dataclass(frozen=True)
 class SyntheticCorpus:
-    events: CorpusEvents
+    events: CorpusLines
     metadata: dict[str, dict]
     ground_truth: dict
 
@@ -156,13 +181,16 @@ def _year_ts(year: int) -> int:
 
 
 def generate_synthetic(spec: SyntheticSpec, seed: int) -> SyntheticCorpus:
-    """The corpus of ``spec``, charged SYNTH_BYTES_PER_PROJECT per project before any draw."""
+    """The corpus of ``spec``, charged SYNTH_BYTES_PER_PROJECT per project before any draw,
+    and a state-step per event once its plans are drawn, before any line is written."""
     cohort = spec.structure == "cohort"
     n_projects = (spec.n_featured * (1 + spec.planted_controls + spec.noise_candidates)
                   if cohort else spec.n_projects)
-    charge(f"a synthetic corpus of {n_projects} projects", 0,
-           n_projects * SYNTH_BYTES_PER_PROJECT)
-    return (_generate_cohort if cohort else _generate_flat)(spec, seed)
+    what = f"a synthetic corpus of {n_projects} projects"
+    charge(what, 0, n_projects * SYNTH_BYTES_PER_PROJECT)
+    corpus = (_generate_cohort if cohort else _generate_flat)(spec, seed)
+    charge(f"{what}, written one state-step per event,", len(corpus.events), 0)
+    return corpus
 
 
 def _generate_flat(spec: SyntheticSpec, seed: int) -> SyntheticCorpus:
@@ -204,7 +232,7 @@ def _generate_flat(spec: SyntheticSpec, seed: int) -> SyntheticCorpus:
     ground_truth = {"structure": spec.structure, "seed": seed, "projects": truth}
     if spec.structure == "crowded":
         ground_truth["crowding_scale"] = spec.crowding_scale
-    return SyntheticCorpus(events=CorpusEvents(tuple(plans)), metadata=metadata,
+    return SyntheticCorpus(events=CorpusLines(tuple(plans)), metadata=metadata,
                            ground_truth=ground_truth)
 
 
@@ -243,5 +271,5 @@ def _generate_cohort(spec: SyntheticSpec, seed: int) -> SyntheticCorpus:
         "seed": seed,
         "planted_controls": planted,
     }
-    return SyntheticCorpus(events=CorpusEvents(tuple(plans)), metadata=metadata,
+    return SyntheticCorpus(events=CorpusLines(tuple(plans)), metadata=metadata,
                            ground_truth=ground_truth)

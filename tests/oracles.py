@@ -8,8 +8,9 @@ step-by-step iteration of coefficients read off the process instead of the
 closed form, one scalar run at a time instead of vectorized Monte Carlo, one calendar date per event
 instead of comparisons against year boundaries, channel filters over the
 whole time-ordered log instead of its per-channel split, one sort and filter
-over ``Event``s instead of channel columns, and ``json.dumps`` over a record
-dict instead of formatting the event line directly.
+over ``Event``s instead of channel columns, ``json.dumps`` over a record
+dict instead of formatting the event line directly, and one ``Event`` per
+synthetic event instead of lines rendered from per-actor templates.
 """
 
 import json
@@ -21,11 +22,12 @@ from math import comb
 
 import numpy as np
 
-from crowdcoord.analytics import CHANNELS, COORDINATION_CHANNELS, CrowdednessProfile
+from crowdcoord.analytics import CHANNELS, COORDINATION_CHANNELS, CrowdednessProfile, Event
 from crowdcoord.cohort import EpochCounts
 from crowdcoord.errors import IneligibleProjectError
 from crowdcoord.model import SimResult
 from crowdcoord.solver import A1_EPS, A1_STABLE
+from crowdcoord.synth import _STEP, _CohortArticle, _year_ts
 
 
 def one_pick_matrix(n_parts, alpha):
@@ -293,3 +295,43 @@ def event_path_log(events):
     events = [e._replace(size_delta=None) for e in events]
     ordered = tuple(sorted(events, key=lambda e: (e.timestamp, CHANNELS.index(e.channel))))
     return ordered, {ch: tuple(e for e in ordered if e.channel == ch) for ch in CHANNELS}
+
+
+def _flat_project_events(plan):
+    pid, team = f"p{plan.index:04d}", plan.team
+    actors = [f"u{plan.index:04d}_{i}" for i in range(team)]
+    ts = 0
+    for i in range(plan.n_discussion):
+        yield Event(pid, actors[i % team], ts, "discussion")
+        ts += 1
+    ts = 10_000
+    for i in range(plan.n_work):
+        yield Event(pid, actors[i % team], ts, "work", size_delta=1)
+        ts += _STEP
+    for i in range(plan.n_comments):
+        yield Event(pid, actors[i % team], ts, "comment")
+        ts += 1
+    ts += 1_000_000
+    for actor in actors:
+        yield Event(pid, actor, ts, "discussion")
+        ts += 1
+
+
+def _cohort_article_events(plan):
+    pid, actor = plan.pid, f"{plan.pid}_a"
+    for year, count in ((plan.year - 1, plan.before), (plan.year, plan.during),
+                        (plan.year + 1, plan.after)):
+        start = _year_ts(year)
+        for i in range(count):
+            yield Event(pid, actor, start + i * _STEP, "work", size_delta=1)
+    yield Event(pid, actor, _year_ts(plan.year + 2), "discussion")
+
+
+def synthetic_events(corpus):
+    """A synthetic corpus's events, one ``Event`` at a time from its plans in order, as the
+    plans' docstrings describe them."""
+    for plan in corpus.events.plans:
+        if isinstance(plan, _CohortArticle):
+            yield from _cohort_article_events(plan)
+        else:
+            yield from _flat_project_events(plan)

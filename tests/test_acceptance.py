@@ -24,6 +24,7 @@ from oracles import (
     datetime_epoch_counts,
     enumerate_mwu_p,
     iterate_recurrence,
+    synthetic_events,
     two_pick_outcome_dist,
 )
 
@@ -210,7 +211,7 @@ def test_criterion_09_analytics_recovery(tmp_path):
     from crowdcoord.analytics import ProjectLog
 
     logs = {}
-    for event in corpus.events:
+    for event in synthetic_events(corpus):
         logs.setdefault(event.project_id, []).append(event)
     records = []
     for pid, events in logs.items():
@@ -264,7 +265,7 @@ def test_criterion_11_cohort_validity():
     from crowdcoord.analytics import ProjectLog
 
     logs = {}
-    for event in corpus_data.events:
+    for event in synthetic_events(corpus_data):
         logs.setdefault(event.project_id, []).append(event)
     corpus = {pid: ProjectLog.from_events(pid, events) for pid, events in logs.items()}
     assert len(corpus) == 40 * (1 + 20 + 4) == 1000

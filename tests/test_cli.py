@@ -15,12 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crowdcoord import cli
+from crowdcoord import cli, limits
 from crowdcoord.analytics import CHANNELS, Event, ProjectLog
 from crowdcoord.cli import event_to_json, ingest, main, parse_event_line
 from crowdcoord.errors import MalformedEventError
 from crowdcoord.synth import SyntheticSpec, generate_synthetic
-from oracles import event_path_log, json_event_line
+from oracles import event_path_log, json_event_line, synthetic_events
 
 
 def run(args):
@@ -168,12 +168,14 @@ class TestIngest:
         assert gc.isenabled()
 
     def test_keeps_two_columns_per_event(self, tmp_path):
-        # a timestamp (8-byte slot and int) and an interned actor keep 39-43 bytes per
-        # event, the more when no other object holds the actor ids already; a third column,
-        # such as the size deltas, keeps 47-51
+        # a timestamp (8-byte slot and int) and an actor id that a first ingest of the
+        # same file has interned keep about 38 bytes per event; a third column, such as
+        # the size deltas, keeps about 47.  Measuring the second ingest gives the same
+        # reading whether or not earlier tests left the actor ids interned.
         corpus = generate_synthetic(SyntheticSpec(n_projects=20, structure="crowded"), seed=1)
         events = tmp_path / "events.jsonl"
         cli.write_events(events, corpus.events)
+        interned = ingest(str(events))  # held while the second ingest is measured
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
@@ -617,6 +619,32 @@ class TestExitCodes:
         assert err.count("\n") == 1, err
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("argv,status", [
+        (["optimize", "--objective", "mc", "--runs", 100, "--n", 5, "--e", 5], 3),
+        (["optimize", "--objective", "dp", "--n", 5, "--e", 5], 3),
+        (["heatmap", "--objective", "dp", "--n", "5", "--e", "5"], 0),
+    ], ids=["optimize-mc", "optimize-dp", "heatmap-dp"])
+    def test_fine_beta_grid_is_refused_before_it_is_built(self, tmp_path, capsys, argv,
+                                                          status):
+        # 10**7 + 1 betas (80 MB as doubles) whose pass is over the step budget: charged
+        # from the grid's length, so no grid is built; heatmap marks its one cell NA
+        out = tmp_path / "o.csv"
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            assert run([*argv, "--alpha", 1, "--grid-step", 1e-7, "--out", out]) == status
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.5 and peak < 2**20, (elapsed, peak)
+        if status:
+            err = capsys.readouterr().err
+            assert err.startswith("resource error: grid_step = 1e-07 gives a 10000001-point "
+                                  "beta grid that, scored by ") and "state-steps" in err, err
+        else:
+            assert out.read_text().endswith("\n5,NA\n")
+
     @pytest.mark.parametrize("argv", [
         ["--projects", 100_000_000],
         ["--structure", "cohort", "--featured", 10**6, "--planted-controls", 1000],
@@ -1026,10 +1054,39 @@ class TestSynth:
         corpus = generate_synthetic(spec, seed=4)
         path = tmp_path / "events.jsonl"
         cli.write_events(path, corpus.events)
-        assert len(corpus.events) == len(path.read_text().splitlines())
+        lines = path.read_text().splitlines()
+        assert len(corpus.events) == len(lines)
         first = list(corpus.events)
-        assert first == list(corpus.events)
-        assert {e.project_id for e in first} == set(corpus.metadata)
+        assert first == list(corpus.events) and len(first) == len(corpus.metadata)
+        assert {json.loads(line)["project_id"] for line in lines} == set(corpus.metadata)
+
+    @given(spec=st.one_of(
+        st.builds(SyntheticSpec, n_projects=st.integers(1, 20), max_actors=st.integers(2, 60),
+                  structure=st.sampled_from(["none", "crowded"]),
+                  crowding_scale=st.sampled_from([4.0e5, 1.0e5, 1.0])),
+        st.builds(SyntheticSpec, structure=st.just("cohort"), n_featured=st.integers(1, 4),
+                  planted_controls=st.integers(0, 4), noise_candidates=st.integers(0, 3)),
+    ), seed=st.integers(0, 2**64))
+    @settings(max_examples=40, deadline=None)
+    def test_lines_are_the_oracle_events_byte_for_byte(self, spec, seed):
+        corpus = generate_synthetic(spec, seed)
+        events = list(synthetic_events(corpus))
+        assert "".join(corpus.events) == "".join(event_to_json(e) + "\n" for e in events)
+        assert len(corpus.events) == len(events)
+
+    @pytest.mark.parametrize("argv", [
+        ["--projects", 2, "--structure", "crowded"],
+        ["--structure", "cohort", "--featured", 1, "--planted-controls", 1],
+    ], ids=["crowded", "cohort"])
+    def test_refuses_more_events_than_the_step_budget(self, tmp_path, capsys, monkeypatch,
+                                                      argv):
+        # each corpus has a few hundred events per project, so a budget of 100 refuses it
+        monkeypatch.setattr(limits, "STEP_BUDGET", 100)
+        assert run(["synth", *argv, "--out", tmp_path / "corpus"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("resource error: a synthetic corpus of 2 projects") and (
+            "state-steps, over its budget of 100\n" in err), err
+        assert not (tmp_path / "corpus").exists()
 
 
 @pytest.fixture(scope="module")

@@ -1,12 +1,15 @@
 """The scripts in ``scripts/`` run end to end and leave a manifest beside each result CSV."""
 
 import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from crowdcoord import limits
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -124,6 +127,25 @@ def test_crowding_pipeline_refuses_without_a_traceback(tmp_path, script, args, s
     )
     assert (done.returncode, done.stdout) == (status, ""), done.stderr
     assert done.stderr.startswith(message) and done.stderr.count("\n") == 1, done.stderr
+    assert not out.exists()
+
+
+def test_crowding_pipeline_refuses_more_events_than_the_step_budget(tmp_path, capsys,
+                                                                   monkeypatch):
+    # in-process, so the budget can be lowered: 2 projects write a few hundred events
+    spec = importlib.util.spec_from_file_location("crowding_pipeline",
+                                                  ROOT / "scripts" / "crowding_pipeline.py")
+    pipeline = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pipeline)
+    monkeypatch.setattr(limits, "STEP_BUDGET", 100)
+    out = tmp_path / "pipeline"
+    monkeypatch.setattr(sys, "argv", ["crowding_pipeline.py", "--projects", "2",
+                                      "--out", str(out)])
+    assert pipeline.main() == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(
+        "resource error: a synthetic corpus of 2 projects, written one state-step per event, "
+        "needs "), captured.err
     assert not out.exists()
 
 
