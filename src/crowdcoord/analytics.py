@@ -15,10 +15,8 @@ from itertools import compress, islice
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
+from .constants import CHANNELS, COORDINATION_CHANNELS
 from .errors import IneligibleProjectError
-
-CHANNELS = ("work", "discussion", "comment")
-COORDINATION_CHANNELS = ("discussion", "comment")
 
 
 class Event(NamedTuple):

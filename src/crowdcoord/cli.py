@@ -20,18 +20,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .analytics import (
+from .constants import (
     CHANNELS,
     COORDINATION_CHANNELS,
-    Event,
-    ProjectLog,
-    channel_columns,
-    check_profile_args,
-    core_curve,
-    core_xs,
-    crowdedness_profile,
-)
-from .constants import (
     FEATURED_YEARS,
     INT64_MAX,
     OBJECTIVES,
@@ -45,17 +36,9 @@ from .errors import (
     IneligibleProjectError,
     MalformedEventError,
 )
-from .stats import (
-    MIN_DECILE_RECORDS,
-    MIN_QUADRANT_RECORDS,
-    binned_grid_to_csv,
-    decile_heatmap,
-    mann_whitney_u,
-    median_split_quadrants,
-    quadrants_to_csv,
-)
 
 if TYPE_CHECKING:
+    from .analytics import Event, ProjectLog
     from .solver import SearchConfig
 
 _META_COLUMNS = ("project_id", "final_size", "featured_year", "watchers")
@@ -90,9 +73,12 @@ class Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# ingestion and emission
+# ingestion and emission: ingest and parse_event_line import the log track
+# (crowdcoord.analytics) themselves, so the model commands start without it
 
 def parse_event_line(line: str, line_no: int) -> Event:
+    from .analytics import Event
+
     if not line.isascii():
         try:
             line.encode("utf-8")  # ingest decodes bad bytes to lone surrogates
@@ -238,6 +224,8 @@ def ingest(
     events_path: str, metadata_path: str | None = None
 ) -> tuple[dict[str, ProjectLog], dict[str, dict]]:
     """Group events by project into time-ordered channel columns and join optional metadata."""
+    from .analytics import ProjectLog, channel_columns
+
     by_project: dict[str, dict] = {}  # project id -> channel_columns(), in input order
     intern = sys.intern  # one string object per distinct actor id
     # The columns hold only strings and ints, and no per-line object outlives its
@@ -336,7 +324,7 @@ def write_output(args, text: str) -> None:
 
 # ---------------------------------------------------------------------------
 # model / solver subcommands: each imports the model track itself (NumPy only for
-# the exact and Monte Carlo ones), so the corpus commands start without them
+# the exact and Monte Carlo ones), so the log-track commands start without it
 
 def cmd_simulate(args) -> None:
     from .model import ModelParams, monte_carlo
@@ -402,7 +390,13 @@ def cmd_heatmap(args) -> None:
     write_output(args, grid_to_csv(grid))
 
 
+# ---------------------------------------------------------------------------
+# log-track subcommands: each imports crowdcoord.analytics or crowdcoord.stats itself,
+# as ingest does, so the model commands start without them
+
 def cmd_mwu(args) -> None:
+    from .stats import mann_whitney_u
+
     sample_a = [real(v) for v in args.a.split(",")]
     sample_b = [real(v) for v in args.b.split(",")]
     result = mann_whitney_u(sample_a, sample_b)
@@ -412,9 +406,6 @@ def cmd_mwu(args) -> None:
     )
     write_output(args, text)
 
-
-# ---------------------------------------------------------------------------
-# corpus subcommands
 
 def _measured(args, measure):
     """(project_id, measure(project)) over the corpus; warns on and skips ineligible projects."""
@@ -429,6 +420,8 @@ def _measured(args, measure):
 
 
 def cmd_xcore(args) -> None:
+    from .analytics import core_curve, core_xs
+
     xs = core_xs(sorted(args.x) if args.x else [i / 10 for i in range(1, 11)])
     lines = ["project_id,x,core_size,core_fraction,d_share,c_share"]
     for pid, curve in _measured(args, lambda project: core_curve(project, xs)):
@@ -442,6 +435,8 @@ def cmd_xcore(args) -> None:
 
 
 def _profiles(args) -> dict:
+    from .analytics import check_profile_args, crowdedness_profile
+
     check_profile_args(args.k, args.channel)
     return dict(_measured(args, lambda project: crowdedness_profile(project, args.k, args.channel)))
 
@@ -484,11 +479,15 @@ def require_records(args, records: list, minimum: int) -> None:
 
 
 def cmd_quadrants(args) -> None:
+    from .stats import MIN_QUADRANT_RECORDS, median_split_quadrants, quadrants_to_csv
+
     summary = median_split_quadrants(profile_records(args, MIN_QUADRANT_RECORDS))
     write_output(args, quadrants_to_csv(summary))
 
 
 def cmd_bins(args) -> None:
+    from .stats import MIN_DECILE_RECORDS, binned_grid_to_csv, decile_heatmap
+
     grid = decile_heatmap(profile_records(args, MIN_DECILE_RECORDS), agg=args.agg)
     write_output(args, binned_grid_to_csv(grid))
 

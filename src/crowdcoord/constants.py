@@ -19,6 +19,10 @@ RNG_DESCRIPTION = (
     "independent of evaluation order"
 )
 
+# the channels of a collaboration log, and the ones that carry coordination
+CHANNELS = ("work", "discussion", "comment")
+COORDINATION_CHANNELS = ("discussion", "comment")
+
 # the objectives the beta* search maximizes
 OBJECTIVES = ("closed_form", "exact_dp", "monte_carlo")
 

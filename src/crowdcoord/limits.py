@@ -25,7 +25,7 @@ def charge(what: str, steps: int, nbytes: int) -> None:
 def check_ranges(n_parts: int, n_users: int, alpha: float, beta) -> None:
     """Raise ValueError unless (N, E, alpha, beta) lies in the model's domain.
 
-    ``beta`` is a float or an array of betas, each in [0, 1] (NaN is not): a
+    ``beta`` is a float or a NumPy array of betas, each in [0, 1] (NaN is not): a
     plain function, not a ``ModelParams``, so batched calls check every beta.
     """
     if n_parts < 1:
@@ -38,5 +38,7 @@ def check_ranges(n_parts: int, n_users: int, alpha: float, beta) -> None:
         raise ValueError(f"n_users must be <= {INT64_MAX}, got {n_users}")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    if not all(0.0 <= b <= 1.0 for b in (beta if hasattr(beta, "__len__") else [beta])):
+    # an array is checked in one comparison, found by duck typing so NumPy is not imported
+    in_range = ((beta >= 0.0) & (beta <= 1.0)).all() if hasattr(beta, "all") else 0.0 <= beta <= 1.0
+    if not in_range:
         raise ValueError(f"beta must be in [0, 1], got {beta}")

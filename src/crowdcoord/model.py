@@ -54,8 +54,9 @@ class SimResult:
     seed: int
 
 
-def _band(n_parts: int, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coefficients of one uniformly random contribution from count c.
+def _band(n_parts: int, alpha: float, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coefficients of one uniformly random contribution from count c, for the first
+    ``width`` counts (all of them at width = n_parts + 1).
 
     An unfinished part is hit with probability (n-c)/n and becomes finished
     (up, for c = 0..n-1); a finished part is hit with probability c/n and
@@ -63,7 +64,7 @@ def _band(n_parts: int, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarra
     unfinished with probability alpha (down, c = 1..n).
     """
     n = n_parts
-    counts = np.arange(n + 1, dtype=float)
+    counts = np.arange(width, dtype=float)
     return (n - counts[:-1]) / n, (counts / n) * (1.0 - alpha), (counts[1:] / n) * alpha
 
 
@@ -96,36 +97,47 @@ def kernel_matrix(params: ModelParams) -> np.ndarray:
 
     At beta = 0, entry (c, c + k) is the paper's collision probability X_{c,k}.
     """
-    band = _band(params.n_parts, params.alpha)
+    band = _band(params.n_parts, params.alpha, params.n_parts + 1)
     return _step(np.eye(params.n_parts + 1), band, params.beta)
 
 
 def exact_expectations(n_parts: int, n_users: int, alpha: float, betas) -> np.ndarray:
     """Expected finished parts after all users, for each beta, by exact kernel propagation.
 
-    A (B, n_parts + 1) block holds the count distribution under each of the
-    B betas and moves through the pentadiagonal kernel one user at a time:
-    O(B * n_parts * n_users) time and O(B * n_parts) memory.  While a step
-    runs, four such float64 blocks are alive (the mass, both picks and one
-    product) besides the band's three rows; the call is charged
-    B * n_parts * n_users steps and one beta's bytes, and betas are taken in
-    as few blocks as keep within limits.BYTES_BUDGET.
+    A user adds at most 2 finished parts, so after n_users users no count
+    above 2 * n_users holds mass.  A (B, width) block, width =
+    min(n_parts, 2 * n_users) + 1, holds the live counts' distribution under
+    each of the B betas and moves through the pentadiagonal kernel, its band
+    cut to that width, one user at a time: O(B * min(n_parts, 2 * n_users) *
+    n_users) time.  Every term the cut drops is a +0.0 added to a
+    non-negative value, and at the window's last count the saturating
+    coordinator adds beta * 0, so each live value is bit-identical to a
+    full-width pass.  The block is then written into a (B, n_parts + 1)
+    block of zeros and summed as a full-width pass sums it, so the pairwise
+    sum, and every expectation, is bit-identical too.  While a step runs, at
+    most four float64 blocks of n_parts + 1 columns are alive (the mass, both
+    picks and one product) besides the band's three rows; the call is charged
+    the full width's B * n_parts * n_users steps and one beta's bytes, and
+    betas are taken in as few blocks as keep within limits.BYTES_BUDGET.
     """
     betas = np.asarray(betas, dtype=float)
     check_ranges(n_parts, n_users, alpha, betas)
     charge(f"exact_expectations at B = {len(betas)}, n_parts = {n_parts}, n_users = {n_users}",
            len(betas) * n_parts * n_users, 8 * 7 * (n_parts + 1))
     rows = (limits.BYTES_BUDGET // (8 * (n_parts + 1)) - 3) // 4  # >= 1 once one beta's bytes pass
-    band = _band(n_parts, alpha)
+    width = min(n_parts, 2 * n_users) + 1
+    band = _band(n_parts, alpha, width)
     counts = np.arange(n_parts + 1)
     values = []
     for block in np.split(betas, range(rows, len(betas), rows)):
         beta = block[:, None]
-        mass = np.zeros((len(block), n_parts + 1))
+        mass = np.zeros((len(block), width))
         mass[:, 0] = 1.0
         for _ in range(n_users):
             mass = _step(mass, band, beta)
-        values.append((mass * counts).sum(axis=1))
+        full = np.zeros((len(block), n_parts + 1))
+        full[:, :width] = mass
+        values.append((full * counts).sum(axis=1))
     return np.concatenate(values)
 
 
@@ -156,9 +168,11 @@ def monte_carlo_means(n_parts: int, e_values, alpha: float, betas, runs: int,
     beta shares, run i reading row i.  So each beta's row evolves exactly as it
     would in a pass of its own with the same seed, and one pass to the largest
     E records every smaller E on the way.  Returns two (len(e_values), B)
-    arrays.  A step is applied to blocks of at most MC_BLOCK run-states.  The
-    call is charged B * runs * max(E) state-steps, and the bytes of the state,
-    the per-run arrays and one block's temporaries.
+    arrays.  A step is applied to blocks of at most MC_BLOCK run-states, and
+    each pick compares the counts, in their own integer dtype, with its run's
+    room n - floor(hit * n), the test hit * n < n - c in integers.  The call
+    is charged B * runs * max(E) state-steps, and the bytes of the state, the
+    per-run arrays and one block's temporaries.
     """
     betas = np.asarray(betas, dtype=float)
     e_values = [int(e) for e in e_values]
@@ -174,8 +188,17 @@ def monte_carlo_means(n_parts: int, e_values, alpha: float, betas, runs: int,
            n_betas * runs * e_max,
            runs * (MC_BYTES_PER_RUN + n_betas * np.dtype(dtype).itemsize) + MC_BLOCK_BYTES)
 
-    def pick(c, hit, clash):  # one uniformly random contribution, the rule _band states
-        empty = hit < n - c  # hit is already scaled by n
+    # A pick hits an unfinished part when hit * n < n - c.  As n - c is an integer, that
+    # holds exactly when c < room = n - floor(hit * n): each run's room is computed once,
+    # in the counts' dtype, for every beta, and no count block is widened to float64.
+    # Past 2**53, hit * n and n - c round, and the float test itself is kept.
+    exact_rooms = n <= 2**53
+
+    def room(hit):
+        return (n - np.floor(hit * n)).astype(dtype) if exact_rooms else hit * n
+
+    def pick(c, room, clash):  # one uniformly random contribution, the rule _band states
+        empty = c < room if exact_rooms else room < n - c
         return c + empty - (clash > empty)
     rng = np.random.default_rng(seed)
     counts = np.zeros((n_betas, runs), dtype=dtype)
@@ -189,11 +212,11 @@ def monte_carlo_means(n_parts: int, e_values, alpha: float, betas, runs: int,
         rng.random(out=u)
         for lo in range(0, runs, width):
             d = u[lo:lo + width]
-            coord, hit1, hit2 = np.ascontiguousarray(d[:, 0]), d[:, 1] * n, d[:, 3] * n
+            coord, room1, room2 = np.ascontiguousarray(d[:, 0]), room(d[:, 1]), room(d[:, 3])
             clash1, clash2 = d[:, 2] < alpha, d[:, 4] < alpha
             for top in range(0, n_betas, rows):
                 c = counts[top:top + rows, lo:lo + width]
-                picked = pick(pick(c, hit1, clash1), hit2, clash2)
+                picked = pick(pick(c, room1, clash1), room2, clash2)
                 # a coordinator finishes an empty part if one is left (faster than a select)
                 c[...] = picked + (coord < betas[top:top + rows, None]) * (c + (c < n) - picked)
         if e == e_values[recorded]:

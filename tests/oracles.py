@@ -5,7 +5,10 @@ loop-built dense kernels instead of the banded one, state-set enumeration
 instead of transition matrices, subset search instead
 of greedy prefixes, permutation enumeration instead of count recursions,
 step-by-step iteration of coefficients read off the process instead of the
-closed form, one scalar run at a time instead of vectorized Monte Carlo, one calendar date per event
+closed form, one scalar run at a time instead of vectorized Monte Carlo, the kernel
+moved over all N + 1 counts instead of the live ones, float hits instead of integer
+rooms in the Monte Carlo pass, one sequential scan instead of whole-array tie checks
+on the beta grid, one calendar date per event
 instead of comparisons against year boundaries, channel filters over the
 whole time-ordered log instead of its per-channel split, one sort and filter
 over ``Event``s instead of channel columns, ``json.dumps`` over a record
@@ -26,7 +29,7 @@ from crowdcoord.analytics import CHANNELS, COORDINATION_CHANNELS, CrowdednessPro
 from crowdcoord.cohort import EpochCounts
 from crowdcoord.errors import IneligibleProjectError
 from crowdcoord.model import SimResult
-from crowdcoord.solver import A1_EPS, A1_STABLE
+from crowdcoord.solver import A1_EPS, A1_STABLE, TIE_TOL
 from crowdcoord.synth import _STEP, _CohortArticle, _year_ts
 
 
@@ -72,6 +75,68 @@ def dense_expectation(n_parts, n_users, alpha, beta):
     for _ in range(n_users):
         mass = mass @ kernel
     return float(np.dot(np.arange(n_parts + 1), mass))
+
+
+def full_width_expectations(n_parts, n_users, alpha, betas):
+    """Expected finished parts per beta, moving one (B, N + 1) block over every count.
+
+    The pentadiagonal kernel in shifted vector operations, in the same order of
+    floating-point operations as the library's, so the two agree bit for bit.
+    """
+    n = n_parts
+    counts = np.arange(n + 1, dtype=float)
+    up, stay, down = (n - counts[:-1]) / n, (counts / n) * (1.0 - alpha), (counts[1:] / n) * alpha
+
+    def pick(mass):
+        out = mass * stay
+        out[:, 1:] += mass[:, :-1] * up
+        out[:, :-1] += mass[:, 1:] * down
+        return out
+
+    beta = np.asarray(betas, dtype=float)[:, None]
+    mass = np.zeros((len(beta), n + 1))
+    mass[:, 0] = 1.0
+    for _ in range(n_users):
+        out = pick(pick(mass))
+        out *= 1.0 - beta
+        out[:, 1:] += beta * mass[:, :-1]
+        out[:, -1:] += beta * mass[:, -1:]  # the coordinator's no-op at c == n
+        mass = out
+    return (mass * np.arange(n + 1)).sum(axis=1)
+
+
+def float_hit_monte_carlo_means(n_parts, e_values, alpha, betas, runs, seed, dtype):
+    """monte_carlo_means in one block, each pick testing its float hit: hit * n < n - c.
+
+    ``dtype`` is the counts' integer type, on which the bits of the means depend.
+    """
+    n = n_parts
+    betas = np.asarray(betas, dtype=float)
+    rng = np.random.default_rng(seed)
+    counts = np.zeros((len(betas), runs), dtype=dtype)
+    means, std_errors = [], []
+    for e in range(1, max(e_values) + 1):
+        u = rng.random((runs, 5))
+        c = counts
+        for hit, clash in ((u[:, 1] * n, u[:, 2] < alpha), (u[:, 3] * n, u[:, 4] < alpha)):
+            empty = hit < n - c
+            c = c + empty - (clash > empty)
+        counts = np.where(u[:, 0] < betas[:, None], counts + (counts < n), c).astype(dtype)
+        if e in e_values:
+            means.append([row.mean() for row in counts])
+            std_errors.append([row.std(ddof=1) / math.sqrt(runs) if runs > 1 else 0.0
+                               for row in counts])
+    return np.array(means), np.array(std_errors)
+
+
+def scan_grid_best(values):
+    """Index and value of the best grid value by one sequential scan, the beta grid's rule:
+    a value replaces the incumbent only if it beats it by more than TIE_TOL."""
+    best_i = 0
+    for i, v in enumerate(values):
+        if v > values[best_i] + TIE_TOL:
+            best_i = i
+    return best_i, values[best_i]
 
 
 def recurrence_coeffs(n_parts, alpha, beta):

@@ -903,10 +903,12 @@ def test_outputs_are_utf8_under_an_ascii_locale(tmp_path):
 
 
 # Runs crowdcoord.cli's main on its arguments, if any, in a fresh interpreter and
-# prints the exit code and which of the modules that only some commands need were imported.
+# prints the exit code and which of the given modules, which only some commands need,
+# were imported.
 OPTIONAL_MODULES = ("crowdcoord.cohort", "crowdcoord.model", "crowdcoord.solver",
                     "crowdcoord.synth", "numpy")
-IMPORT_PROBE = f"""
+LOG_TRACK_MODULES = ("crowdcoord.analytics", "crowdcoord.stats", "crowdcoord.rng")
+IMPORT_PROBE = """
 import json, sys
 import crowdcoord.cli
 status = None
@@ -915,12 +917,12 @@ if sys.argv[1:]:
         status = crowdcoord.cli.main(sys.argv[1:])
     except SystemExit as exc:  # --help
         status = exc.code
-print(json.dumps([status, [m for m in {OPTIONAL_MODULES!r} if m in sys.modules]]))
+print(json.dumps([status, [m for m in {modules!r} if m in sys.modules]]))
 """
 
 
-def probe_imports(tmp_path, small_corpora, argv):
-    """[exit code, optional modules loaded] of one CLI run in a fresh interpreter."""
+def probe_imports(tmp_path, small_corpora, argv, modules=OPTIONAL_MODULES):
+    """[exit code, those of ``modules`` loaded] of one CLI run in a fresh interpreter."""
     def files(name):
         corpus = small_corpora / name
         return ["--events", str(corpus / "events.jsonl"),
@@ -932,7 +934,7 @@ def probe_imports(tmp_path, small_corpora, argv):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv],
+    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE.format(modules=modules), *argv],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.stdout, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
@@ -972,6 +974,21 @@ def test_commands_that_do_not_compute_with_numpy_do_not_import_it(tmp_path, smal
 ], ids=["crowd", "quadrants", "bins", "xcore"])
 def test_corpus_commands_import_no_model_cohort_or_synth(tmp_path, small_corpora, argv):
     assert probe_imports(tmp_path, small_corpora, argv) == [0, []]
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["heatmap", "--n", "1:5", "--e", "1:5", "--alpha", "1", "--objective", "cf"], []),
+    (["heatmap", "--n", "2,5", "--e", "2,5", "--alpha", "1", "--objective", "dp"], []),
+    (["heatmap", "--n", "2,5", "--e", "2,5", "--alpha", "1", "--objective", "mc",
+      "--runs", "50"], ["crowdcoord.rng"]),
+    (["dp", "--n", "2", "--e", "2", "--alpha", "1", "--beta", "0.5"], []),
+    # controls
+    (["crowd", "{crowded}", "--k", "40"], ["crowdcoord.analytics"]),
+    (["mwu", "--a", "1,2,5", "--b", "3,4,9"], ["crowdcoord.stats"]),
+], ids=["heatmap-cf", "heatmap-dp", "heatmap-mc", "dp", "crowd", "mwu"])
+def test_model_commands_load_no_log_track(tmp_path, small_corpora, argv, expected):
+    # only the Monte Carlo heatmap seeds its columns through crowdcoord.rng
+    assert probe_imports(tmp_path, small_corpora, argv, LOG_TRACK_MODULES) == [0, expected]
 
 
 def test_cohort_imports_cohort_and_synth_imports_synth(tmp_path, small_corpora):

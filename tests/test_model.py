@@ -24,12 +24,33 @@ from oracles import (
     block_simulate,
     dense_expectation,
     dense_kernel,
+    float_hit_monte_carlo_means,
+    full_width_expectations,
     simulate,
     two_pick_outcome_dist,
 )
 
 alphas = st.sampled_from([0.0, 0.3, 0.5, 1.0])
 probs = st.floats(min_value=0.0, max_value=1.0)
+# the ends and the middle of [0, 1] as often as anywhere else in it
+edge_probs = st.sampled_from([0.0, 0.5, 1.0]) | probs
+
+
+def hexes(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+@st.composite
+def live_window_cells(draw, relation):
+    """(N, E) with 2E below, at or above N, N in 1..300."""
+    if relation == "2E < N":
+        n = draw(st.integers(3, 300))
+        return n, draw(st.integers(1, (n - 1) // 2))
+    if relation == "2E = N":
+        e = draw(st.integers(1, 150))
+        return 2 * e, e
+    n = draw(st.integers(1, 300))
+    return n, draw(st.integers(n // 2 + 1, n // 2 + 30))
 
 
 def params(n, e=1, alpha=0.0, beta=0.0):
@@ -191,6 +212,19 @@ class TestExactExpectation:
         with pytest.raises(ValueError, match="beta"):
             exact_expectations(5, 3, 0.5, [np.nan])
 
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.1])
+    def test_an_array_is_refused_for_any_beta_out_of_range(self, bad):
+        betas = np.array([0.0, 0.5, bad, 1.0])
+        for call in (lambda: limits.check_ranges(5, 3, 0.5, betas),
+                     lambda: exact_expectations(5, 3, 0.5, betas),
+                     lambda: monte_carlo_means(5, [3], 0.5, betas, 10, 0)):
+            with pytest.raises(ValueError) as refused:
+                call()
+            assert str(refused.value) == f"beta must be in [0, 1], got {betas}"
+        with pytest.raises(ValueError) as refused:
+            limits.check_ranges(5, 3, 0.5, bad)
+        assert str(refused.value) == f"beta must be in [0, 1], got {bad}"
+
     @given(
         n=st.integers(1, 60),
         e=st.integers(1, 30),
@@ -204,6 +238,26 @@ class TestExactExpectation:
         for beta, value in zip(betas, batched):
             assert abs(value - dense_expectation(n, e, alpha, beta)) <= 1e-12
             assert value == exact_expectation(ModelParams(n, e, alpha, beta))
+
+
+class TestLiveCountWindow:
+    """exact_expectations moves only the counts 0..min(N, 2E), bit for bit the full pass."""
+
+    @pytest.mark.parametrize("relation", ["2E < N", "2E = N", "2E > N"])
+    @given(data=st.data(), alpha=edge_probs,
+           betas=st.lists(edge_probs, min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_to_the_full_width_pass(self, relation, data, alpha, betas):
+        n, e = data.draw(live_window_cells(relation))
+        assert (hexes(exact_expectations(n, e, alpha, betas))
+                == hexes(full_width_expectations(n, e, alpha, betas)))
+
+    @pytest.mark.parametrize("n,e", [(30, 6), (12, 6), (9, 6)])
+    def test_blocks_of_betas_keep_their_bits(self, monkeypatch, n, e):
+        betas = np.linspace(0.0, 1.0, 11)
+        monkeypatch.setattr(limits, "BYTES_BUDGET", 8 * (n + 1) * (4 * 2 + 3))
+        assert (hexes(exact_expectations(n, e, 0.4, betas))
+                == hexes(full_width_expectations(n, e, 0.4, betas)))
 
 
 class TestSimulate:
@@ -312,6 +366,36 @@ class TestMonteCarlo:
         finally:
             tracemalloc.stop()
         assert peak <= runs * (MC_BYTES_PER_RUN + n_betas) + MC_BLOCK_BYTES  # int8 counts
+
+    @given(
+        n=st.integers(1, 300) | st.sampled_from([127, 128, 2**53, 2**53 + 1, 2**62]),
+        e_values=st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True).map(sorted),
+        alpha=edge_probs,
+        betas=st.lists(edge_probs, min_size=1, max_size=5),
+        runs=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        block=st.sampled_from([1, 3, 7, 2**14]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_integer_rooms_are_the_float_hits_bit_for_bit(self, n, e_values, alpha, betas,
+                                                          runs, seed, block):
+        # runs that are not a multiple of the block width, int8 to int64 counts, and N past
+        # 2**53, where the float test is kept
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "MC_BLOCK", block)
+            got = monte_carlo_means(n, e_values, alpha, betas, runs, seed)
+        expected = float_hit_monte_carlo_means(n, e_values, alpha, betas, runs, seed,
+                                               model._count_dtype(n))
+        assert [hexes(a) for a in got] == [hexes(a) for a in expected]
+
+    @pytest.mark.parametrize("n", [127, 128])
+    def test_integer_rooms_at_the_int8_boundary(self, n):
+        # long enough that counts reach N, across two blocks of run-states
+        betas = [0.0, 0.3, 1.0]
+        got = monte_carlo_means(n, [n // 2, n + 40], 0.5, betas, 20_001, 5)
+        expected = float_hit_monte_carlo_means(n, [n // 2, n + 40], 0.5, betas, 20_001, 5,
+                                               model._count_dtype(n))
+        assert [hexes(a) for a in got] == [hexes(a) for a in expected]
 
     @pytest.mark.parametrize("e_values", [[], [3, 2], [2, 2]])
     def test_user_counts_must_ascend(self, e_values):

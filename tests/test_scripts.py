@@ -121,8 +121,10 @@ def test_crowding_pipeline_refuses_without_a_traceback(tmp_path, script, args, s
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     out = tmp_path / "pipeline"
+    # UTF-8 bytes, which an ASCII locale cannot encode from str (the Arabic-Indic digits)
+    argv = [sys.executable, str(ROOT / "scripts" / script), "--out", str(out), *args]
     done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), "--out", str(out), *args],
+        [arg.encode("utf-8") for arg in argv],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert (done.returncode, done.stdout) == (status, ""), done.stderr

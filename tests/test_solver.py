@@ -1,4 +1,5 @@
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -26,13 +27,20 @@ from crowdcoord.solver import (
     _beta_grid,
     _closed_form,
     _coeffs,
+    _grid_best,
     approx_expectation,
     beta_heatmap,
     grid_to_csv,
     optimal_beta,
 )
 
-from oracles import golden_section_max, iterate_recurrence, recurrence_coeffs, scalar_closed_form
+from oracles import (
+    golden_section_max,
+    iterate_recurrence,
+    recurrence_coeffs,
+    scalar_closed_form,
+    scan_grid_best,
+)
 
 probs = st.floats(min_value=0.0, max_value=1.0)
 
@@ -118,6 +126,28 @@ class TestApproxExpectation:
         assert iterate_recurrence(7, 9, 0.5, 0.4) == pytest.approx(
             approx_expectation(7, 9, 0.5, 0.4), rel=1e-9
         )
+
+
+# grid values planted in near-ties: steps of TIE_TOL / 2 around one base, at magnitudes
+# where TIE_TOL is above and below the spacing of floats, mixed with free values
+planted_values = st.builds(
+    lambda base, steps: [base + k * (TIE_TOL / 2) for k in steps],
+    st.sampled_from([0.0, 1.0, 3.7, 100.0, 1e4, 1e6, -2.5]) | st.floats(-1e6, 1e6),
+    st.lists(st.integers(-6, 6), min_size=1, max_size=12),
+)
+grid_values = st.lists(planted_values | st.lists(st.floats(-1e6, 1e6), max_size=3),
+                       min_size=1, max_size=4).map(lambda parts: sum(parts, [])).filter(bool)
+
+
+class TestGridBest:
+    @given(values=grid_values)
+    @settings(max_examples=500, deadline=None)
+    def test_is_the_sequential_scan(self, values):
+        # a NumPy array takes the whole-array check, a list and an array('d') the scan
+        i, v = scan_grid_best(values)
+        for form in (np.array(values), values, array("d", values)):
+            got_i, got_v = _grid_best(form)
+            assert (got_i, type(got_v), got_v.hex()) == (i, float, v.hex())
 
 
 class TestOptimalBeta:
