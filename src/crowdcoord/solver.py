@@ -29,8 +29,7 @@ REFINE_TOL = 1e-6
 TIE_TOL = 1e-12
 # bytes optimal_beta holds per grid beta, rounded up: 24.4-24.6 measured for the closed form
 # (the grid, A and P0 as arrays of doubles) and 48 for the others (the grid, and the grid
-# values as an array and, when the best has a near-tie, a list of floats; exact_expectations
-# bounds its block itself)
+# values as an array and a list of floats; exact_expectations bounds its block itself)
 GRID_BYTES_PER_BETA = 64
 # bytes beta_heatmap and grid_to_csv hold per cell besides each search's own arrays, rounded
 # up from tracemalloc peaks of 190-192 on cf grids of 10**4 to 9 * 10**4 cells
@@ -131,19 +130,7 @@ def _beta_grid(config: SearchConfig, objective: str = "closed_form", n_parts: in
 
 
 def _grid_best(values) -> tuple[int, float]:
-    """Index and value of the best grid value; ties within TIE_TOL go to the smallest beta.
-
-    The sequential scan below defines the rule.  When the maximum is the only value at or
-    above best - 2 * TIE_TOL, the scan ends at it: each other value b is below that float,
-    so b + TIE_TOL rounds below the maximum, which then replaces any incumbent and is never
-    replaced.  For a NumPy array of values (the exact and Monte Carlo objectives', found by
-    duck typing) that case is found and returned in whole-array operations.
-    """
-    if hasattr(values, "argmax"):
-        best = values.max()
-        if (values >= best - 2 * TIE_TOL).sum() == 1:
-            return int(values.argmax()), float(best)
-        values = values.tolist()
+    """Index and value of the best grid value; ties within TIE_TOL go to the smallest beta."""
     indexed = enumerate(values)
     best_i, best = next(indexed)
     for i, v in indexed:
@@ -153,7 +140,7 @@ def _grid_best(values) -> tuple[int, float]:
 
 
 def _monte_carlo_best(betas: array, means, config: SearchConfig) -> OptResult:
-    best_i, value = _grid_best(means)
+    best_i, value = _grid_best(means.tolist())
     return OptResult(beta_star=betas[best_i], value=value,
                      objective="monte_carlo", grid_step=config.grid_step, runs=config.runs)
 
@@ -232,7 +219,7 @@ def optimal_beta(
     if objective == "monte_carlo":
         means, _ = monte_carlo_means(n_parts, [n_users], alpha, betas, config.runs, config.seed)
         return _monte_carlo_best(betas, means[0], config)
-    values = exact_expectations(n_parts, n_users, alpha, betas)
+    values = exact_expectations(n_parts, n_users, alpha, betas).tolist()
     return _refine(lambda b: exact_expectation(ModelParams(n_parts, n_users, alpha, b)), betas,
                    values, objective, config)
 

@@ -201,29 +201,29 @@ class TestExactExpectation:
 
     def test_long_beta_vectors_are_split_within_the_byte_budget(self, monkeypatch):
         betas = np.linspace(0.0, 1.0, 11)
-        whole = exact_expectations(30, 6, 0.4, betas)
-        # room for two betas per block: four (2, 31) blocks plus the band's three rows
-        monkeypatch.setattr(limits, "BYTES_BUDGET", 8 * 31 * (4 * 2 + 3))
-        assert np.array_equal(exact_expectations(30, 6, 0.4, betas), whole)
+        # 2E below, at and above N; each block keeps the full-width pass's bits
+        for n, e in [(30, 6), (12, 6), (9, 6)]:
+            whole = exact_expectations(n, e, 0.4, betas)
+            # room for two betas per block: four (2, N + 1) blocks plus the band's three rows
+            monkeypatch.setattr(limits, "BYTES_BUDGET", 8 * (n + 1) * (4 * 2 + 3))
+            split = exact_expectations(n, e, 0.4, betas)
+            monkeypatch.undo()
+            assert hexes(split) == hexes(whole) == hexes(full_width_expectations(n, e, 0.4, betas))
 
     def test_rejects_betas_out_of_range(self):
         with pytest.raises(ValueError, match="beta"):
             exact_expectations(5, 3, 0.5, [0.2, 1.5])
         with pytest.raises(ValueError, match="beta"):
             exact_expectations(5, 3, 0.5, [np.nan])
-
-    @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.1])
-    def test_an_array_is_refused_for_any_beta_out_of_range(self, bad):
-        betas = np.array([0.0, 0.5, bad, 1.0])
-        for call in (lambda: limits.check_ranges(5, 3, 0.5, betas),
-                     lambda: exact_expectations(5, 3, 0.5, betas),
-                     lambda: monte_carlo_means(5, [3], 0.5, betas, 10, 0)):
-            with pytest.raises(ValueError) as refused:
-                call()
-            assert str(refused.value) == f"beta must be in [0, 1], got {betas}"
-        with pytest.raises(ValueError) as refused:
-            limits.check_ranges(5, 3, 0.5, bad)
-        assert str(refused.value) == f"beta must be in [0, 1], got {bad}"
+        # an array is checked in one comparison and names itself in the same message
+        for bad in (np.nan, -0.1, 1.1):
+            betas = np.array([0.0, 0.5, bad, 1.0])
+            for call in (lambda: limits.check_ranges(5, 3, 0.5, betas),
+                         lambda: exact_expectations(5, 3, 0.5, betas),
+                         lambda: monte_carlo_means(5, [3], 0.5, betas, 10, 0)):
+                with pytest.raises(ValueError) as refused:
+                    call()
+                assert str(refused.value) == f"beta must be in [0, 1], got {betas}"
 
     @given(
         n=st.integers(1, 60),
@@ -251,13 +251,6 @@ class TestLiveCountWindow:
         n, e = data.draw(live_window_cells(relation))
         assert (hexes(exact_expectations(n, e, alpha, betas))
                 == hexes(full_width_expectations(n, e, alpha, betas)))
-
-    @pytest.mark.parametrize("n,e", [(30, 6), (12, 6), (9, 6)])
-    def test_blocks_of_betas_keep_their_bits(self, monkeypatch, n, e):
-        betas = np.linspace(0.0, 1.0, 11)
-        monkeypatch.setattr(limits, "BYTES_BUDGET", 8 * (n + 1) * (4 * 2 + 3))
-        assert (hexes(exact_expectations(n, e, 0.4, betas))
-                == hexes(full_width_expectations(n, e, 0.4, betas)))
 
 
 class TestSimulate:
