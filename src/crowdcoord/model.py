@@ -24,13 +24,17 @@ from . import limits
 from .limits import charge, check_ranges
 
 # Monte Carlo memory besides the (B, runs) count state, from tracemalloc peaks.
-# A user step is applied to blocks of at most MC_BLOCK run-states, which caps its
-# temporaries at MC_BLOCK_BYTES (measured up to 0.93 MB, with int64 counts).
-# MC_BYTES_PER_RUN is the rest (measured 48): the (runs, 5) uniform block and one
-# beta's float64 deviations while its standard error is taken.
+# A user step is applied to blocks of at most MC_BLOCK run-states, twice that at
+# int8 and int16 counts, which caps its temporaries at MC_BLOCK_BYTES (measured up
+# to 0.93 MB, with int64 counts).  Statistics are taken over blocks of at most
+# MC_BLOCK run-states, whose float64 deviations fit in MC_BLOCK_BYTES too, or over
+# one beta's row.  MC_BYTES_PER_RUN is the rest (measured 48): the (runs, 5)
+# uniform block and one row's float64 deviations.
 MC_BLOCK = 2**14
 MC_BLOCK_BYTES = 2**20
 MC_BYTES_PER_RUN = 64
+# bytes of one exact block's step buffers (four float64 blocks of its width)
+EXACT_BLOCK_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -68,28 +72,46 @@ def _band(n_parts: int, alpha: float, width: int) -> tuple[np.ndarray, np.ndarra
     return (n - counts[:-1]) / n, (counts / n) * (1.0 - alpha), (counts[1:] / n) * alpha
 
 
-def _pick(mass: np.ndarray, band) -> np.ndarray:
-    """Mass over counts (last axis) after one uniformly random contribution."""
-    up, stay, down = band
-    out = mass * stay
-    out[..., 1:] += mass[..., :-1] * up
-    out[..., :-1] += mass[..., 1:] * down
-    return out
-
-
-def _step(mass: np.ndarray, band, beta) -> np.ndarray:
-    """Mass after one user: K(beta) = beta * C + (1 - beta) * M^2, applied along the last axis.
+def _steps(mass: np.ndarray, band, beta, n_users: int) -> np.ndarray:
+    """Mass over counts (axis 1) after n_users users, each applying
+    K(beta) = beta * C + (1 - beta) * M^2; ``mass`` is overwritten.
 
     M is the one-pick kernel (the band); the non-coordinator's second pick
     sees the state left by the first.  C moves c -> c+1 when an empty part
     exists and is a no-op at c == n_parts (the process never defines a
-    coordination target there).
+    coordination target there).  ``beta`` is a float or a (rows, 1) column.
+    The block steps through three (rows, width) buffers, the mass and both
+    picks, with out= ufuncs; its only temporaries are a (rows, width - 1) and a
+    (rows, 1) array, both contiguous, and 1 - beta is taken once.
     """
-    out = _pick(_pick(mass, band), band)
-    out *= 1.0 - beta
-    out[..., 1:] += beta * mass[..., :-1]
-    out[..., -1:] += beta * mass[..., -1:]
-    return out
+    up, stay, down = band
+    keep = 1.0 - beta
+    shifted, last = np.empty((len(mass), mass.shape[1] - 1)), np.empty((len(mass), 1))
+
+    def views(a):  # the block and its last, upper and lower shifted columns
+        return a, a[:, -1:], a[:, 1:], a[:, :-1]
+
+    src, picked, out = views(mass), views(np.empty_like(mass)), views(np.empty_like(mass))
+
+    def pick(src, dst):  # one uniformly random contribution
+        (s, _, s_hi, s_lo), (d, _, d_hi, d_lo) = src, dst
+        np.multiply(s, stay, out=d)
+        np.multiply(s_lo, up, out=shifted)
+        np.add(d_hi, shifted, out=d_hi)
+        np.multiply(s_hi, down, out=shifted)
+        np.add(d_lo, shifted, out=d_lo)
+
+    for _ in range(n_users):
+        pick(src, picked)
+        pick(picked, out)
+        (o, o_last, o_hi, _), (_, s_last, _, s_lo) = out, src
+        np.multiply(o, keep, out=o)
+        np.multiply(beta, s_lo, out=shifted)
+        np.add(o_hi, shifted, out=o_hi)
+        np.multiply(beta, s_last, out=last)
+        np.add(o_last, last, out=o_last)
+        src, out = out, src
+    return src[0]
 
 
 def kernel_matrix(params: ModelParams) -> np.ndarray:
@@ -98,7 +120,7 @@ def kernel_matrix(params: ModelParams) -> np.ndarray:
     At beta = 0, entry (c, c + k) is the paper's collision probability X_{c,k}.
     """
     band = _band(params.n_parts, params.alpha, params.n_parts + 1)
-    return _step(np.eye(params.n_parts + 1), band, params.beta)
+    return _steps(np.eye(params.n_parts + 1), band, params.beta, 1)
 
 
 def exact_expectations(n_parts: int, n_users: int, alpha: float, betas) -> np.ndarray:
@@ -108,37 +130,38 @@ def exact_expectations(n_parts: int, n_users: int, alpha: float, betas) -> np.nd
     above 2 * n_users holds mass.  A (B, width) block, width =
     min(n_parts, 2 * n_users) + 1, holds the live counts' distribution under
     each of the B betas and moves through the pentadiagonal kernel, its band
-    cut to that width, one user at a time: O(B * min(n_parts, 2 * n_users) *
-    n_users) time.  Every term the cut drops is a +0.0 added to a
+    cut to that width, one user at a time (_steps): O(B * min(n_parts, 2 *
+    n_users) * n_users) time.  Every term the cut drops is a +0.0 added to a
     non-negative value, and at the window's last count the saturating
     coordinator adds beta * 0, so each live value is bit-identical to a
     full-width pass.  The block is then written into a (B, n_parts + 1)
     block of zeros and summed as a full-width pass sums it, so the pairwise
-    sum, and every expectation, is bit-identical too.  While a step runs, at
-    most four float64 blocks of n_parts + 1 columns are alive (the mass, both
-    picks and one product) besides the band's three rows; the call is charged
-    the full width's B * n_parts * n_users steps and one beta's bytes, and
-    betas are taken in as few blocks as keep within limits.BYTES_BUDGET.
+    sum, and every expectation, is bit-identical too.  At most four float64
+    blocks of n_parts + 1 columns are alive at once besides the band's three
+    rows; the call is charged the full width's B * n_parts * n_users steps and
+    one beta's bytes.  Betas are taken in blocks whose step buffers fit in
+    EXACT_BLOCK_BYTES, fewer if limits.BYTES_BUDGET demands it.
     """
     betas = np.asarray(betas, dtype=float)
     check_ranges(n_parts, n_users, alpha, betas)
     charge(f"exact_expectations at B = {len(betas)}, n_parts = {n_parts}, n_users = {n_users}",
            len(betas) * n_parts * n_users, 8 * 7 * (n_parts + 1))
-    rows = (limits.BYTES_BUDGET // (8 * (n_parts + 1)) - 3) // 4  # >= 1 once one beta's bytes pass
     width = min(n_parts, 2 * n_users) + 1
+    # BYTES_BUDGET leaves >= 1 row once one beta's bytes pass
+    rows = min((limits.BYTES_BUDGET // (8 * (n_parts + 1)) - 3) // 4,
+               max(1, EXACT_BLOCK_BYTES // (8 * 4 * width)))
     band = _band(n_parts, alpha, width)
     counts = np.arange(n_parts + 1)
-    values = []
-    for block in np.split(betas, range(rows, len(betas), rows)):
-        beta = block[:, None]
-        mass = np.zeros((len(block), width))
+    values = np.empty(len(betas))
+    for lo in range(0, len(betas), rows):
+        beta = betas[lo:lo + rows, None]
+        mass = np.zeros((len(beta), width))
         mass[:, 0] = 1.0
-        for _ in range(n_users):
-            mass = _step(mass, band, beta)
-        full = np.zeros((len(block), n_parts + 1))
+        mass = _steps(mass, band, beta, n_users)
+        full = np.zeros((len(beta), n_parts + 1))
         full[:, :width] = mass
-        values.append((full * counts).sum(axis=1))
-    return np.concatenate(values)
+        values[lo:lo + rows] = (full * counts).sum(axis=1)
+    return values
 
 
 def exact_expectation(params: ModelParams) -> float:
@@ -168,10 +191,14 @@ def monte_carlo_means(n_parts: int, e_values, alpha: float, betas, runs: int,
     beta shares, run i reading row i.  So each beta's row evolves exactly as it
     would in a pass of its own with the same seed, and one pass to the largest
     E records every smaller E on the way.  Returns two (len(e_values), B)
-    arrays.  A step is applied to blocks of at most MC_BLOCK run-states, and
-    each pick compares the counts, in their own integer dtype, with its run's
-    room n - floor(hit * n), the test hit * n < n - c in integers.  The call
-    is charged B * runs * max(E) state-steps, and the bytes of the state, the
+    arrays.  A step is applied to blocks of at most MC_BLOCK run-states (twice
+    that at int8 and int16 counts) and of at most MC_BLOCK runs, and each pick
+    compares the counts, in their own integer dtype, with its run's room
+    n - floor(hit * n), the test hit * n < n - c in integers.  Each requested
+    E's means and standard deviations are taken along the runs axis, over
+    blocks of whole rows of at most MC_BLOCK run-states (one row if runs is
+    larger); each row's reduction is the one it would have alone.  The call is
+    charged B * runs * max(E) state-steps, and the bytes of the state, the
     per-run arrays and one block's temporaries.
     """
     betas = np.asarray(betas, dtype=float)
@@ -203,27 +230,34 @@ def monte_carlo_means(n_parts: int, e_values, alpha: float, betas, runs: int,
     rng = np.random.default_rng(seed)
     counts = np.zeros((n_betas, runs), dtype=dtype)
     width = min(runs, MC_BLOCK)
-    rows = max(1, MC_BLOCK // width)
+    rows = max(1, MC_BLOCK * (2 if np.dtype(dtype).itemsize <= 2 else 1) // width)
+    stat_rows = max(1, MC_BLOCK // runs)
     means = np.empty((len(e_values), n_betas))
     std_errors = np.zeros((len(e_values), n_betas))
     recorded = 0
     u = np.empty((runs, 5))
+
+    def step(lo):  # one user on runs lo..lo + width - 1; its temporaries die before the statistics
+        d = u[lo:lo + width]
+        coord, room1, room2 = np.ascontiguousarray(d[:, 0]), room(d[:, 1]), room(d[:, 3])
+        clash1, clash2 = d[:, 2] < alpha, d[:, 4] < alpha
+        for top in range(0, n_betas, rows):
+            c = counts[top:top + rows, lo:lo + width]
+            picked = pick(pick(c, room1, clash1), room2, clash2)
+            # a coordinator finishes an empty part if one is left (faster than a select)
+            c[...] = picked + (coord < betas[top:top + rows, None]) * (c + (c < n) - picked)
+
     for e in range(1, e_max + 1):
         rng.random(out=u)
         for lo in range(0, runs, width):
-            d = u[lo:lo + width]
-            coord, room1, room2 = np.ascontiguousarray(d[:, 0]), room(d[:, 1]), room(d[:, 3])
-            clash1, clash2 = d[:, 2] < alpha, d[:, 4] < alpha
-            for top in range(0, n_betas, rows):
-                c = counts[top:top + rows, lo:lo + width]
-                picked = pick(pick(c, room1, clash1), room2, clash2)
-                # a coordinator finishes an empty part if one is left (faster than a select)
-                c[...] = picked + (coord < betas[top:top + rows, None]) * (c + (c < n) - picked)
+            step(lo)
         if e == e_values[recorded]:
-            for b, row in enumerate(counts):
-                means[recorded, b] = row.mean()
+            for top in range(0, n_betas, stat_rows):
+                block = counts[top:top + stat_rows]
+                means[recorded, top:top + stat_rows] = block.mean(axis=1)
                 if runs > 1:
-                    std_errors[recorded, b] = row.std(ddof=1) / math.sqrt(runs)
+                    std_errors[recorded, top:top + stat_rows] = (block.std(axis=1, ddof=1)
+                                                                 / math.sqrt(runs))
             recorded += 1
     return means, std_errors
 

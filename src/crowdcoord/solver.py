@@ -182,8 +182,9 @@ def _closed_form_column(n_parts: int, e_values, alpha: float, betas: array,
         grid_p0.append(p0)
     column = []
     for e in map(int, e_values):
-        def f(beta: float) -> float:
-            return _closed_form(*_coeffs(n, n_sq, alpha, beta), e)
+        def f(beta: float) -> float:  # plain arguments: a star call costs more per point
+            a, p0 = _coeffs(n, n_sq, alpha, beta)
+            return _closed_form(a, p0, e)
         values = map(_closed_form, grid_a, grid_p0, repeat(e))
         column.append(_refine(f, betas, values, "closed_form", config))
     return column

@@ -77,13 +77,14 @@ def dense_expectation(n_parts, n_users, alpha, beta):
     return float(np.dot(np.arange(n_parts + 1), mass))
 
 
-def full_width_expectations(n_parts, n_users, alpha, betas):
-    """Expected finished parts per beta, moving one (B, N + 1) block over every count.
+def full_width_step(mass, alpha, beta):
+    """A (B, N + 1) block of mass over every count after one user, in fresh arrays.
 
     The pentadiagonal kernel in shifted vector operations, in the same order of
     floating-point operations as the library's, so the two agree bit for bit.
+    ``beta`` is a float or a (B, 1) column.
     """
-    n = n_parts
+    n = mass.shape[1] - 1
     counts = np.arange(n + 1, dtype=float)
     up, stay, down = (n - counts[:-1]) / n, (counts / n) * (1.0 - alpha), (counts[1:] / n) * alpha
 
@@ -93,16 +94,21 @@ def full_width_expectations(n_parts, n_users, alpha, betas):
         out[:, :-1] += mass[:, 1:] * down
         return out
 
+    out = pick(pick(mass))
+    out *= 1.0 - beta
+    out[:, 1:] += beta * mass[:, :-1]
+    out[:, -1:] += beta * mass[:, -1:]  # the coordinator's no-op at c == n
+    return out
+
+
+def full_width_expectations(n_parts, n_users, alpha, betas):
+    """Expected finished parts per beta, moving one (B, N + 1) block over every count."""
     beta = np.asarray(betas, dtype=float)[:, None]
-    mass = np.zeros((len(beta), n + 1))
+    mass = np.zeros((len(beta), n_parts + 1))
     mass[:, 0] = 1.0
     for _ in range(n_users):
-        out = pick(pick(mass))
-        out *= 1.0 - beta
-        out[:, 1:] += beta * mass[:, :-1]
-        out[:, -1:] += beta * mass[:, -1:]  # the coordinator's no-op at c == n
-        mass = out
-    return (mass * np.arange(n + 1)).sum(axis=1)
+        mass = full_width_step(mass, alpha, beta)
+    return (mass * np.arange(n_parts + 1)).sum(axis=1)
 
 
 def float_hit_monte_carlo_means(n_parts, e_values, alpha, betas, runs, seed, dtype):

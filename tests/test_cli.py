@@ -829,7 +829,8 @@ class TestModelCommands:
         assert value == pytest.approx(0.5 + 0.5 * (2 - 1.5 / 20_000), abs=1e-6)
 
     # sha256 of the heatmap CSVs written before the exact kernel became banded
-    # and the grid scans batched; the bytes must not move
+    # and the grid scans batched, and of the Monte Carlo ones written before its
+    # statistics were taken along an axis; the bytes must not move
     HEATMAP_DIGESTS = {
         ("dp", "0"): "5eb279e6760524780876c4ddfa6efe943a00bf77f4885b019d88a6b6ae1932a5",
         ("dp", "0.5"): "4a1aa219e075bbf26ea254d77ebd90890ef9cdeccaaad4598bb3f77859204a72",
@@ -837,13 +838,21 @@ class TestModelCommands:
         ("cf", "0"): "6aa1bed830e3ac3d53dbd96ee5cbf39fbc845eb0e8cf0dc76acd69d9c558634f",
         ("cf", "0.5"): "30d9525b185cbadf6a3b6ec1154211531934ee04a6f3128c53d46e6aacb4de97",
         ("cf", "1"): "846ba7f3ce6204f8b7503b6a67df86c24ded7cd017add88c23de7e849178d68b",
+        ("mc", "0"): "266cb3acae2b5ccf7bda00fc4bb73ff7d81190bbe2067e6b8610b965a365d011",
+        ("mc", "0.5"): "51aa7ffaa291fd485844c167f7f59da23619f42c0801d19cb0ee8dbf78b6c5c4",
+        ("mc", "1"): "eee1f86f3658b7b667bc4d6c48d8479ad970069ba4bb338af45e13390375db8e",
+    }
+    # int8 and int16 counts for mc, and cells whose beta* is inside (0, 1)
+    HEATMAP_ARGS = {
+        "dp": ["--n", "1,2,3,5,10,20,40", "--e", "1,2,3,5,10,20,40"],
+        "cf": ["--n", "1:30", "--e", "1:30"],
+        "mc": ["--n", "6,20,130,200", "--e", "3,10,60,120", "--runs", 3000, "--seed", 7],
     }
 
     @pytest.mark.parametrize("objective,alpha", sorted(HEATMAP_DIGESTS))
     def test_heatmap_bytes_pinned(self, tmp_path, objective, alpha):
-        values = "1,2,3,5,10,20,40" if objective == "dp" else "1:30"
         out = tmp_path / "grid.csv"
-        assert run(["heatmap", "--objective", objective, "--n", values, "--e", values,
+        assert run(["heatmap", "--objective", objective, *self.HEATMAP_ARGS[objective],
                     "--alpha", alpha, "--out", out]) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == self.HEATMAP_DIGESTS[(objective, alpha)]
@@ -854,6 +863,14 @@ class TestModelCommands:
                     "--runs", 200, "--seed", 9, "--out", out]) == 0
         row = out.read_text().strip().split("\n")[1]
         assert row == "3.000000,0.000000,200,9"
+
+    def test_simulate_bytes_pinned(self, tmp_path):
+        # a non-zero standard error over more runs than NumPy's 8,192-element
+        # reduction buffer, written before the statistics were taken along an axis
+        out = tmp_path / "sim.csv"
+        assert run(["simulate", "--n", 200, "--e", 50, "--alpha", 0.5, "--beta", 0.3,
+                    "--runs", 20_001, "--seed", 3, "--out", out]) == 0
+        assert out.read_text() == "mean_finished,std_error,runs,seed\n66.220389,0.031013,20001,3\n"
 
     def test_mwu_output(self, tmp_path):
         out = tmp_path / "mwu.csv"

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crowdcoord.errors import BudgetExceededError
@@ -26,6 +26,7 @@ from oracles import (
     dense_kernel,
     float_hit_monte_carlo_means,
     full_width_expectations,
+    full_width_step,
     simulate,
     two_pick_outcome_dist,
 )
@@ -170,6 +171,12 @@ class TestKernelRow:
         assert np.allclose(k.sum(axis=1), 1.0, atol=1e-12)
         assert np.abs(k - dense_kernel(n, alpha, beta)).max() <= 1e-15
 
+    @given(n=st.integers(1, 40), alpha=edge_probs, beta=edge_probs)
+    @settings(max_examples=60, deadline=None)
+    def test_is_one_oracle_step_of_the_identity_bit_for_bit(self, n, alpha, beta):
+        assert (hexes(kernel_matrix(ModelParams(n, 1, alpha, beta)))
+                == hexes(full_width_step(np.eye(n + 1), alpha, beta)))
+
 
 class TestExactExpectation:
     def test_forced_clash(self):
@@ -199,16 +206,41 @@ class TestExactExpectation:
         with pytest.raises(BudgetExceededError, match="bytes"):
             exact_expectations(20_000_000, 1, 0.5, [0.5])
 
-    def test_long_beta_vectors_are_split_within_the_byte_budget(self, monkeypatch):
+    def test_long_beta_vectors_are_split_within_the_byte_budget(self):
+        def blocks(args, budget=limits.BYTES_BUDGET, cap=model.EXACT_BLOCK_BYTES):
+            """The values, and the rows of each block stepped."""
+            rows, steps = [], model._steps
+
+            def counted(mass, *rest):
+                rows.append(len(mass))
+                return steps(mass, *rest)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(limits, "BYTES_BUDGET", budget)
+                mp.setattr(model, "EXACT_BLOCK_BYTES", cap)
+                mp.setattr(model, "_steps", counted)
+                return exact_expectations(*args), rows
+
         betas = np.linspace(0.0, 1.0, 11)
         # 2E below, at and above N; each block keeps the full-width pass's bits
         for n, e in [(30, 6), (12, 6), (9, 6)]:
-            whole = exact_expectations(n, e, 0.4, betas)
+            whole, rows = blocks((n, e, 0.4, betas))
+            assert rows == [11]
             # room for two betas per block: four (2, N + 1) blocks plus the band's three rows
-            monkeypatch.setattr(limits, "BYTES_BUDGET", 8 * (n + 1) * (4 * 2 + 3))
-            split = exact_expectations(n, e, 0.4, betas)
-            monkeypatch.undo()
-            assert hexes(split) == hexes(whole) == hexes(full_width_expectations(n, e, 0.4, betas))
+            budget = 8 * (n + 1) * (4 * 2 + 3)
+            split, rows = blocks((n, e, 0.4, betas), budget=budget)
+            assert rows == [2, 2, 2, 2, 2, 1]
+            # three betas' step buffers per block: four float64 blocks of the live width,
+            # and the byte budget still caps the block
+            cap = 8 * 4 * (min(n, 2 * e) + 1) * 3
+            cached, rows = blocks((n, e, 0.4, betas), cap=cap)
+            assert rows == [3, 3, 3, 2]
+            capped, rows = blocks((n, e, 0.4, betas), budget=budget, cap=cap)
+            assert rows == [2, 2, 2, 2, 2, 1]
+            assert (hexes(split) == hexes(cached) == hexes(capped) == hexes(whole)
+                    == hexes(full_width_expectations(n, e, 0.4, betas)))
+        # the bench's 101-beta grids, at live widths up to 41, stay one block
+        assert blocks((300, 20, 1.0, np.linspace(0.0, 1.0, 101)))[1] == [101]
 
     def test_rejects_betas_out_of_range(self):
         with pytest.raises(ValueError, match="beta"):
@@ -370,10 +402,43 @@ class TestMonteCarlo:
         block=st.sampled_from([1, 3, 7, 2**14]),
     )
     @settings(max_examples=150, deadline=None)
+    @example(n=100, e_values=[1, 5, 12], alpha=0.5, betas=[0.0, 0.3, 1.0], runs=8_191,
+             seed=4, block=2**14)
+    @example(n=100, e_values=[1, 5, 12], alpha=0.5, betas=[0.0, 0.3, 1.0], runs=8_192,
+             seed=4, block=2**14)
+    @example(n=100, e_values=[1, 5, 12], alpha=0.5, betas=[0.0, 0.3, 1.0], runs=8_193,
+             seed=4, block=2**14)
+    @example(n=100, e_values=[1, 5, 12], alpha=0.5, betas=[0.0, 0.3, 1.0], runs=20_001,
+             seed=4, block=2**14)
+    @example(n=1_000, e_values=[1, 5, 12], alpha=0.5, betas=[0.0, 0.3, 1.0], runs=8_191,
+             seed=4, block=2**14)
+    @example(n=1_000, e_values=[1, 5, 12], alpha=0.5, betas=[0.0, 0.3, 1.0], runs=8_192,
+             seed=4, block=2**14)
+    @example(n=1_000, e_values=[1, 5, 12], alpha=0.5, betas=[0.0, 0.3, 1.0], runs=8_193,
+             seed=4, block=2**14)
+    @example(n=1_000, e_values=[1, 5, 12], alpha=0.5, betas=[0.0, 0.3, 1.0], runs=20_001,
+             seed=4, block=2**14)
+    @example(n=10**5, e_values=[1, 5, 12], alpha=0.5, betas=[0.0, 0.3, 1.0], runs=8_191,
+             seed=4, block=2**14)
+    @example(n=10**5, e_values=[1, 5, 12], alpha=0.5, betas=[0.0, 0.3, 1.0], runs=8_192,
+             seed=4, block=2**14)
+    @example(n=10**5, e_values=[1, 5, 12], alpha=0.5, betas=[0.0, 0.3, 1.0], runs=8_193,
+             seed=4, block=2**14)
+    @example(n=10**5, e_values=[1, 5, 12], alpha=0.5, betas=[0.0, 0.3, 1.0], runs=20_001,
+             seed=4, block=2**14)
+    @example(n=2**40, e_values=[1, 5, 12], alpha=0.5, betas=[0.0, 0.3, 1.0], runs=8_191,
+             seed=4, block=2**14)
+    @example(n=2**40, e_values=[1, 5, 12], alpha=0.5, betas=[0.0, 0.3, 1.0], runs=8_192,
+             seed=4, block=2**14)
+    @example(n=2**40, e_values=[1, 5, 12], alpha=0.5, betas=[0.0, 0.3, 1.0], runs=8_193,
+             seed=4, block=2**14)
+    @example(n=2**40, e_values=[1, 5, 12], alpha=0.5, betas=[0.0, 0.3, 1.0], runs=20_001,
+             seed=4, block=2**14)
     def test_integer_rooms_are_the_float_hits_bit_for_bit(self, n, e_values, alpha, betas,
                                                           runs, seed, block):
-        # runs that are not a multiple of the block width, int8 to int64 counts, and N past
-        # 2**53, where the float test is kept
+        # runs that are not a multiple of the block width, int8 to int64 counts, N past
+        # 2**53, where the float test is kept, and, in the examples, runs on either side
+        # of NumPy's 8,192-element reduction buffer against the oracle's per-row statistics
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(model, "MC_BLOCK", block)
             got = monte_carlo_means(n, e_values, alpha, betas, runs, seed)
