@@ -36,17 +36,17 @@ class Channel:
     timestamps: tuple[int, ...]
     actors: tuple[str, ...]
 
-    @classmethod
-    def in_time_order(cls, timestamps: list[int], actors: list[str]) -> "Channel":
-        """The channel of columns given in input order, stably sorted by timestamp."""
-        columns = (timestamps, actors)
-        if timestamps != sorted(timestamps):  # time-ordered input needs no permutation
-            order = sorted(range(len(timestamps)), key=timestamps.__getitem__)
-            columns = tuple(map(column.__getitem__, order) for column in columns)
-        return cls(*map(tuple, columns))
-
     def __len__(self) -> int:
         return len(self.timestamps)
+
+
+def time_ordered(timestamps: list[int], actors: list[str]) -> tuple[tuple, tuple]:
+    """Columns given in input order as tuples, stably sorted by timestamp."""
+    columns = (timestamps, actors)
+    if timestamps != sorted(timestamps):  # time-ordered input needs no permutation
+        order = sorted(range(len(timestamps)), key=timestamps.__getitem__)
+        columns = tuple(map(column.__getitem__, order) for column in columns)
+    return tuple(map(tuple, columns))
 
 
 def channel_columns() -> dict[str, tuple[list, list]]:
@@ -71,7 +71,7 @@ class ProjectLog:
     ) -> "ProjectLog":
         """Build from ``channel_columns()`` filled in input order: for each event, its
         channel's timestamps and actors get one entry."""
-        by_channel = {ch: Channel.in_time_order(*columns[ch]) for ch in CHANNELS}
+        by_channel = {ch: Channel(*time_ordered(*columns[ch])) for ch in CHANNELS}
         return cls(project_id, by_channel, final_size)
 
     @classmethod

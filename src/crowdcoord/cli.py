@@ -13,8 +13,11 @@ import gc
 import hashlib
 import io
 import json
+import os
 import re
+import stat
 import sys
+from itertools import starmap
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -220,13 +223,12 @@ def read_metadata(path: str) -> dict[str, dict]:
     return metadata
 
 
-def ingest(
-    events_path: str, metadata_path: str | None = None
-) -> tuple[dict[str, ProjectLog], dict[str, dict]]:
-    """Group events by project into time-ordered channel columns and join optional metadata."""
-    from .analytics import ProjectLog, channel_columns
+def parse_events(events_path: str) -> dict[str, dict]:
+    """Project id -> ``channel_columns()`` of the events file, filled in input order.  The
+    first malformed line raises MalformedEventError."""
+    from .analytics import channel_columns
 
-    by_project: dict[str, dict] = {}  # project id -> channel_columns(), in input order
+    by_project: dict[str, dict] = {}
     intern = sys.intern  # one string object per distinct actor id
     # The columns hold only strings and ints, and no per-line object outlives its
     # line, so the cyclic collector has nothing to free here: pause it while they grow.
@@ -256,13 +258,62 @@ def ingest(
     finally:
         if collecting:
             gc.enable()
+    return by_project
+
+
+# (path, st_dev, st_ino, st_size, st_mtime_ns) -> sha256 of each events file that ingest
+# hashed, so that write_manifest reads such a file again only if it changed in between
+_INGESTED: dict[tuple, str] = {}
+
+
+def _file_id(path: str, st: os.stat_result) -> tuple:
+    return path, st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _cache_entry(events_path: str):
+    """The corpus-cache entry of a regular events file, or None: a FIFO or a terminal is
+    read once, by the parse, and a file that cannot be hashed is left to the parse to
+    report."""
+    from . import cache
+
+    try:
+        home = cache.directory()
+        st = os.stat(events_path)
+        if home is None or not stat.S_ISREG(st.st_mode):
+            return None
+        digest = _INGESTED[_file_id(events_path, st)] = _hash_file(events_path)
+        return cache.Entry(events_path, st, digest, home)
+    except (OSError, ValueError):  # ValueError: a path with a NUL, which open reports
+        return None
+
+
+def ingest(
+    events_path: str, metadata_path: str | None = None
+) -> tuple[dict[str, ProjectLog], dict[str, dict]]:
+    """Group events by project into time-ordered channel columns and join optional metadata.
+
+    The columns come from the corpus cache when it holds the events file's bytes;
+    otherwise the file is parsed and the columns are stored there."""
+    from .analytics import Channel, ProjectLog, time_ordered
+
+    entry = _cache_entry(events_path)
+    # project id, in sorted order -> (timestamps, actors) of each channel in CHANNELS order
+    projects = entry.load() if entry else None
+    if projects is None:
+        by_project = parse_events(events_path)
+        projects = {pid: tuple(time_ordered(*columns[ch]) for ch in CHANNELS)
+                    for pid, columns in sorted(by_project.items())}
+        del by_project  # its lists, before the store adds the entry's bytes
+        if entry:
+            entry.store(projects)
     metadata = read_metadata(metadata_path) if metadata_path else {}
-    unknown = sorted(set(metadata) - set(by_project))
+    unknown = sorted(set(metadata) - set(projects))
     if unknown:
         print(f"warning: metadata for unknown projects: {', '.join(unknown)}", file=sys.stderr)
     corpus = {
-        pid: ProjectLog.from_columns(pid, columns, metadata.get(pid, {}).get("final_size"))
-        for pid, columns in sorted(by_project.items())
+        pid: ProjectLog(pid, dict(zip(CHANNELS, starmap(Channel, channels))),
+                        metadata.get(pid, {}).get("final_size"))
+        for pid, channels in projects.items()
     }
     if not corpus:
         print(f"warning: no events in {events_path}", file=sys.stderr)
@@ -288,12 +339,18 @@ def write_metadata(path: Path, metadata: dict[str, dict]) -> None:
     path.write_text(buf.getvalue(), encoding="utf-8")
 
 
-def _sha256(path: str) -> str:
+def _hash_file(path: str) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def _sha256(path: str) -> str:
+    """The file's sha256, as ingest took it if the file is unchanged since."""
+    digest = _INGESTED.get(_file_id(path, os.stat(path)))
+    return digest if digest is not None else _hash_file(path)
 
 
 def write_manifest(out_path: Path, subcommand: str, params: dict, inputs: list[str]) -> None:

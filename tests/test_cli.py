@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from datetime import datetime, timezone
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crowdcoord import cli, limits
+from crowdcoord import cache, cli, limits
 from crowdcoord.analytics import CHANNELS, Event, ProjectLog
 from crowdcoord.cli import event_to_json, ingest, main, parse_event_line
 from crowdcoord.errors import MalformedEventError
@@ -167,25 +168,29 @@ class TestIngest:
             ingest(str(events))
         assert gc.isenabled()
 
-    def test_keeps_two_columns_per_event(self, tmp_path):
+    def test_keeps_two_columns_per_event(self, tmp_path, monkeypatch):
         # a timestamp (8-byte slot and int) and an actor id that a first ingest of the
         # same file has interned keep about 38 bytes per event; a third column, such as
-        # the size deltas, keeps about 47.  Measuring the second ingest gives the same
-        # reading whether or not earlier tests left the actor ids interned.
+        # the size deltas, keeps about 47.  Measuring a later ingest gives the same
+        # reading whether or not earlier tests left the actor ids interned.  It is
+        # measured parsed (a cache home that is a file holds no entry) and loaded from
+        # the entry that the first ingest stored.
         corpus = generate_synthetic(SyntheticSpec(n_projects=20, structure="crowded"), seed=1)
         events = tmp_path / "events.jsonl"
         cli.write_events(events, corpus.events)
-        interned = ingest(str(events))  # held while the second ingest is measured
-        tracemalloc.start()
-        try:
-            before, _ = tracemalloc.get_traced_memory()
-            logs, _ = ingest(str(events))
-            held = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert sum(len(c) for log in logs.values() for c in log.by_channel.values()) == len(
-            corpus.events)
-        assert held <= 45 * len(corpus.events)
+        interned = ingest(str(events))  # held while the later ingests are measured
+        for home in (str(events), os.environ["XDG_CACHE_HOME"]):
+            monkeypatch.setenv("XDG_CACHE_HOME", home)
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                logs, _ = ingest(str(events))
+                held = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert sum(len(c) for log in logs.values() for c in log.by_channel.values()) == len(
+                corpus.events)
+            assert held <= 45 * len(corpus.events), home
 
     def test_tracks_objects_per_project_not_per_event(self, tmp_path):
         events = tmp_path / "events.jsonl"
@@ -193,12 +198,14 @@ class TestIngest:
             event_to_json(Event(f"p{i % 8}", f"a{i % 13}", i // 3, CHANNELS[i % 3], i % 5 or None))
             for i in range(4000)
         ])
-        gc.collect()
-        before = len(gc.get_objects())
-        corpus, _ = ingest(str(events))
-        gc.collect()
-        assert len(corpus) == 8
-        assert len(gc.get_objects()) - before <= 10 * len(corpus)
+        for _ in ("parsed", "loaded from the corpus cache"):
+            gc.collect()
+            before = len(gc.get_objects())
+            corpus, _ = ingest(str(events))
+            gc.collect()
+            assert len(corpus) == 8
+            assert len(gc.get_objects()) - before <= 10 * len(corpus)
+            del corpus
 
 
 # ids that event_to_json writes without an escape: printable ASCII other than '"' and '\\'
@@ -352,13 +359,14 @@ class TestCanonicalLine:
             '{"project_id": "proj","actor_id": "alice","timestamp": 3,"channel": "work"}',
             '{"project_id":"other","actor_id":"alice","timestamp":4,"channel":"work"}',
         ]
-        events = [event for event, _ in ingested(tmp_path, lines)]
-        assert len(events) == 4
-        for field in ("project_id", "actor_id", "channel"):
-            values = [getattr(e, field) for e in events if e.project_id == "proj"]
-            assert all(v is values[0] for v in values), field
-        assert events[0].actor_id is events[3].actor_id
-        assert events[0].channel is events[3].channel
+        for _ in ("parsed", "loaded from the corpus cache"):
+            events = [event for event, _ in ingested(tmp_path, lines)]
+            assert len(events) == 4
+            for field in ("project_id", "actor_id", "channel"):
+                values = [getattr(e, field) for e in events if e.project_id == "proj"]
+                assert all(v is values[0] for v in values), field
+            assert events[0].actor_id is events[3].actor_id
+            assert events[0].channel is events[3].channel
 
 
 # ingest's reads, in characters: sizes that end blocks inside lines, and the default
@@ -366,16 +374,18 @@ BLOCK_SIZES = [1, 2, 7, 64, cli.INGEST_BLOCK]
 
 
 def ingest_blocks(directory, data, block):
-    """{project: by_channel} of ingesting the bytes in reads of block characters, or the
-    MalformedEventError message."""
+    """{project: by_channel} of parsing the bytes in reads of block characters, or the
+    MalformedEventError message.  It calls the parse step itself, as ingest does on a
+    corpus-cache miss, since ingest would load the same bytes from the cache."""
     path = directory / "events.jsonl"
     path.write_bytes(data)
     with mock.patch.object(cli, "INGEST_BLOCK", block):
         try:
-            corpus, _ = ingest(str(path))
+            by_project = cli.parse_events(str(path))
         except MalformedEventError as exc:
             return str(exc)
-    return {pid: log.by_channel for pid, log in corpus.items()}
+    return {pid: ProjectLog.from_columns(pid, columns).by_channel
+            for pid, columns in by_project.items()}
 
 
 def timestamps(got):
@@ -1239,6 +1249,185 @@ class TestSizeDelta:
         assert capsys.readouterr().err == (
             "data error: line 1000: size_delta must be an integer, got 1.5\n")
         assert not (tmp_path / "o.csv").exists()
+
+
+def cache_entries(home):
+    """{name: bytes} of the corpus-cache entries under a cache home."""
+    directory = home / "crowdcoord"
+    return {p.name: p.read_bytes() for p in directory.iterdir()} if directory.exists() else {}
+
+
+class TestCorpusCache:
+    """ingest keeps each events file's columns in the corpus cache; no output depends on
+    whether a command parsed the file or loaded its entry."""
+
+    def outputs(self, argv, out, capsys):
+        """(exit code, CSV, manifest, stderr) of one command."""
+        status = run([*argv, "--out", out])
+        manifest = Path(f"{out}.manifest.json").read_bytes()
+        return status, out.read_bytes(), manifest, capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["crowd", "quadrants", "bins", "xcore", "cohort"])
+    def test_miss_then_hit_give_the_pinned_bytes(self, tmp_path, small_corpora, capsys,
+                                                 corpus_cache_home, command):
+        argv = corpus_commands(small_corpora)[command]
+        with mock.patch.object(cli, "parse_events", wraps=cli.parse_events) as parse:
+            miss = self.outputs(argv, tmp_path / "miss.csv", capsys)
+            assert parse.call_count == 1 and len(cache_entries(corpus_cache_home)) == 1
+            assert (corpus_cache_home / "crowdcoord").stat().st_mode & 0o777 == 0o700
+            hit = self.outputs(argv, tmp_path / "hit.csv", capsys)
+            assert parse.call_count == 1
+        assert miss == hit
+        assert miss[0] == 0
+        digest = TestCorpusBytes.CSV_DIGESTS[command]
+        assert hashlib.sha256(hit[1]).hexdigest() == digest
+
+    @pytest.mark.parametrize("damage", ["truncated", "flipped-payload-byte", "other-key"])
+    def test_a_damaged_entry_is_parsed_again_and_rewritten(self, tmp_path, small_corpora,
+                                                           capsys, corpus_cache_home, damage):
+        commands = corpus_commands(small_corpora)
+        expected = self.outputs(commands["crowd"], tmp_path / "first.csv", capsys)
+        [(name, entry)] = cache_entries(corpus_cache_home).items()
+        if damage == "other-key":  # the cohort corpus's entry under the crowded one's name
+            run(["xcore", "--events", small_corpora / "cohort" / "events.jsonl",
+                 "--out", tmp_path / "o.csv"])
+            [damaged] = [data for key, data in cache_entries(corpus_cache_home).items()
+                         if key != name]
+        elif damage == "truncated":
+            damaged = entry[:len(entry) // 2]
+        else:
+            damaged = bytearray(entry)
+            damaged[len(entry) // 2] ^= 1
+        capsys.readouterr()
+        (corpus_cache_home / "crowdcoord" / name).write_bytes(damaged)
+        with mock.patch.object(cli, "parse_events", wraps=cli.parse_events) as parse:
+            assert self.outputs(commands["crowd"], tmp_path / "first.csv", capsys) == expected
+        assert parse.call_count == 1
+        assert cache_entries(corpus_cache_home)[name] == entry
+
+    def test_a_cache_home_that_is_a_file_changes_nothing(self, tmp_path, small_corpora, capsys,
+                                                         monkeypatch):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        for command, argv in corpus_commands(small_corpora).items():
+            status, csv_bytes, _, err = self.outputs(argv, tmp_path / "o.csv", capsys)
+            assert (status, err) == (0, "")
+            assert hashlib.sha256(csv_bytes).hexdigest() == TestCorpusBytes.CSV_DIGESTS[command]
+        assert blocker.read_text() == ""
+
+    def test_a_fifo_is_read_once_and_stores_nothing(self, tmp_path, small_corpora,
+                                                    corpus_cache_home):
+        source = small_corpora / "crowded" / "events.jsonl"
+        fifo = tmp_path / "events.fifo"
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "wb") as fh:
+                fh.write(source.read_bytes())
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        corpus, _ = ingest(str(fifo))
+        writer.join(timeout=60)
+        assert not writer.is_alive()
+        assert cache_entries(corpus_cache_home) == {}
+        assert corpus == ingest(str(source))[0]
+
+    def test_a_rejected_corpus_stores_nothing(self, tmp_path, small_corpora, capsys,
+                                              corpus_cache_home):
+        lines = (small_corpora / "crowded" / "events.jsonl").read_text().splitlines()
+        lines[1500] = near_miss(timestamp="1.0")
+        write_events(tmp_path / "events.jsonl", lines)
+        for _ in range(2):
+            assert run(["crowd", "--events", tmp_path / "events.jsonl",
+                        "--out", tmp_path / "o.csv"]) == 2
+            assert capsys.readouterr().err == (
+                "data error: line 1501: timestamp must be an integer, got 1.0\n")
+            assert cache_entries(corpus_cache_home) == {}
+
+    def test_an_edited_events_file_gets_a_new_entry(self, tmp_path, small_corpora, capsys,
+                                                    corpus_cache_home):
+        source = small_corpora / "crowded"
+        events = tmp_path / "events.jsonl"
+        events.write_bytes((source / "events.jsonl").read_bytes())
+        argv = ["crowd", "--events", events, "--metadata", source / "metadata.csv", "--k", 40]
+        before = self.outputs(argv, tmp_path / "o.csv", capsys)
+        lines = events.read_text().splitlines()
+        write_events(events, lines[:-len(lines) // 3])
+        after = self.outputs(argv, tmp_path / "o.csv", capsys)
+        assert len(cache_entries(corpus_cache_home)) == 2
+        assert after[1] != before[1]
+        assert after[2] != before[2]  # the manifest's events digest
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        with mock.patch.dict(os.environ, XDG_CACHE_HOME=str(blocker)):
+            assert self.outputs(argv, tmp_path / "o.csv", capsys) == after
+
+    def test_a_file_changed_while_parsed_stores_nothing(self, tmp_path, corpus_cache_home):
+        events = tmp_path / "events.jsonl"
+        write_events(events, [E1, E2, E3])
+        parse = cli.parse_events
+
+        def parse_then_append(path):
+            by_project = parse(path)
+            with open(events, "a") as fh:
+                fh.write(E1 + "\n")
+            return by_project
+        with mock.patch.object(cli, "parse_events", parse_then_append):
+            ingest(str(events))
+        assert cache_entries(corpus_cache_home) == {}
+
+    def test_other_sources_get_another_entry(self, tmp_path, corpus_cache_home):
+        events = tmp_path / "events.jsonl"
+        write_events(events, [E1, E2, E3])
+        ingest(str(events))
+        with mock.patch.object(cache, "_sources", return_value=b"edited sources"), \
+                mock.patch.object(cli, "parse_events", wraps=cli.parse_events) as parse:
+            ingest(str(events))
+        assert parse.call_count == 1 and len(cache_entries(corpus_cache_home)) == 2
+
+    def test_pruning_drops_the_least_recently_used_entry(self, tmp_path, corpus_cache_home):
+        paths, entries = [], []
+        for i in range(4):  # equal-sized entries: the timestamps differ, not their lengths
+            paths.append(tmp_path / f"events{i}.jsonl")
+            write_events(paths[-1], [E1.replace('"timestamp":10', f'"timestamp":1{i}'), E2, E3])
+        directory = corpus_cache_home / "crowdcoord"
+        for i, path in enumerate(paths[:3]):  # last used 1, 2 and 3 s after the epoch
+            ingest(str(path))
+            [entry] = set(directory.iterdir()) - set(entries)
+            entries.append(entry)
+            os.utime(entry, ns=(10**9 * (i + 1),) * 2)
+        size = entries[0].stat().st_size
+        assert [entry.stat().st_size for entry in entries] == [size] * 3
+        with mock.patch.object(cli, "parse_events", side_effect=AssertionError):
+            ingest(str(paths[0]))  # a hit makes the first entry the most recently used
+        assert entries[0].stat().st_mtime_ns > 3 * 10**9
+        with mock.patch.object(cache, "CACHE_BYTES", 3 * size):
+            ingest(str(paths[3]))
+        left = set(directory.iterdir())
+        assert len(left) == 3 and entries[1] not in left
+        assert {entries[0], entries[2]} < left
+
+    def test_the_manifest_takes_the_digest_ingest_took(self, tmp_path, small_corpora, capsys):
+        argv = corpus_commands(small_corpora)["crowd"]
+        with mock.patch.object(cli, "_hash_file", wraps=cli._hash_file) as hashed:
+            assert self.outputs(argv, tmp_path / "o.csv", capsys)[0] == 0
+        assert [call.args for call in hashed.call_args_list] == [
+            (str(small_corpora / "crowded" / name),) for name in ("events.jsonl", "metadata.csv")]
+        # a file changed since ingest hashed it is hashed again
+        events = tmp_path / "events.jsonl"
+        write_events(events, [E1, E2])
+        ingest(str(events))
+        write_events(events, [E1, E2, E3])
+        assert cli._sha256(str(events)) == hashlib.sha256(events.read_bytes()).hexdigest()
+
+    def test_model_commands_create_no_cache_directory(self, tmp_path, small_corpora,
+                                                      corpus_cache_home):
+        for argv in (["dp", "--n", "2", "--e", "2", "--alpha", "1", "--beta", "0.5"],
+                     ["heatmap", "--n", "1:5", "--e", "1:5", "--alpha", "1",
+                      "--objective", "cf"]):
+            assert probe_imports(tmp_path, small_corpora, argv, ("crowdcoord.cache",)) == [0, []]
+        assert list(corpus_cache_home.iterdir()) == []
 
 
 @pytest.mark.parametrize("text", ["0", "-1", ".5", "5.", "-2.50", "1E-09", "5e-324",
