@@ -5,9 +5,10 @@ the variable is unset.  The key is a sha256 over the events file's sha256, a dig
 crowdcoord's own sources and the interpreter's cache tag, so a changed file, a code
 change or another interpreter starts a new entry.  The file is the key, the sha256 of
 the payload, then the payload: ``marshal.dumps`` of ingest's columns.  A load checks
-both digests.  Any failure to read or write an entry (no directory, a full disk, a
-truncated, corrupt or foreign entry) only means that ingest parses the file, so no
-output depends on whether a command hit or missed.
+both digests.  They catch damage, not tampering, so the cache is used only in a
+directory of this user that no one else may write to.  Any failure to read or write an
+entry (no directory, a full disk, a truncated, corrupt or foreign entry) only means that
+ingest parses the file, so no output depends on whether a command hit or missed.
 """
 
 from __future__ import annotations
@@ -15,12 +16,23 @@ from __future__ import annotations
 import hashlib
 import marshal
 import os
+import stat
 import sys
+import time
 from pathlib import Path
 
 # After each store the least recently used entries are removed until the rest fit here.
 CACHE_BYTES = 2**30
+# A file whose mtime or ctime is not this much older than the moment its lookup starts is
+# parsed and neither cached nor remembered (git's "racily clean" files): a write while it
+# is hashed could leave its stat as it was, since file systems stamp times from a clock
+# that lags by a tick, and some keep them to 1 or 2 s (FAT).
+RACY_NS = 3 * 10**9
 _DIGEST = 32  # bytes of a sha256
+
+# events path -> the Entry of its last lookup, whose digest of the file sha256() returns
+# while the file's stat is unchanged
+_LOOKED_UP: dict[str, Entry] = {}
 
 
 def directory() -> Path | None:
@@ -31,6 +43,14 @@ def directory() -> Path | None:
     return Path(home, "crowdcoord") if os.path.isabs(home) else None
 
 
+def _private(home: Path) -> bool:
+    """Make home if it is missing; whether it is a directory of this user that neither
+    its group nor others may write to."""
+    home.mkdir(mode=0o700, parents=True, exist_ok=True)
+    st = os.stat(home)
+    return stat.S_ISDIR(st.st_mode) and st.st_uid == os.getuid() and not st.st_mode & 0o022
+
+
 def _sources() -> bytes:
     """A digest of crowdcoord's .py sources."""
     digest = hashlib.sha256()
@@ -39,15 +59,59 @@ def _sources() -> bytes:
     return digest.digest()
 
 
+def _hash(path: str) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(65536), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _identity(st: os.stat_result) -> tuple:
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
+
+
+def lookup(events_path: str) -> Entry | None:
+    """The entry of an events file, or None: the file is not a regular file (a FIFO or a
+    terminal is read once, by the parse), changed too recently (RACY_NS) or cannot be
+    hashed (the parse reports why), or there is no private cache directory."""
+    home = directory()
+    try:
+        start = time.time_ns()
+        st = os.stat(events_path)
+        if (home is None or not stat.S_ISREG(st.st_mode)
+                or max(st.st_mtime_ns, st.st_ctime_ns) >= start - RACY_NS
+                or not _private(home)):
+            return None
+        entry = _LOOKED_UP[events_path] = Entry(events_path, st, _hash(events_path), home)
+    except (OSError, ValueError):  # ValueError: a path with a NUL, which open reports
+        return None
+    return entry
+
+
+def sha256(path: str) -> str:
+    """The file's sha256, as its lookup took it if the file is unchanged since."""
+    entry = _LOOKED_UP.get(path)
+    return entry.events_sha256 if entry and entry.unchanged() else _hash(path)
+
+
 class Entry:
-    """The entry of one regular events file, whose stat result was taken before it was hashed."""
+    """The entry of one regular events file, whose stat was taken before it was hashed."""
 
     def __init__(self, events_path: str, st: os.stat_result, events_sha256: str, home: Path):
-        self.events_path, self.stat, self.home = events_path, st, home
+        self.events_path, self.stat, self.events_sha256 = events_path, st, events_sha256
         tag = str(sys.implementation.cache_tag).encode()
         self.key = hashlib.sha256(
             bytes.fromhex(events_sha256) + _sources() + tag).digest()
-        self.path = home / self.key.hex()
+        self.home, self.path = home, home / self.key.hex()
+
+    def unchanged(self) -> bool:
+        """Whether the events file's device, inode, size, mtime and ctime are as they were
+        before it was hashed."""
+        try:
+            return _identity(os.stat(self.events_path)) == _identity(self.stat)
+        except OSError:
+            return False
 
     def load(self):
         """The stored columns, or None without an intact entry under this key.  A hit
@@ -68,15 +132,12 @@ class Entry:
         return marshal.loads(payload)
 
     def store(self, columns) -> None:
-        """Store the columns parsed from the events file, unless its size, mtime or inode
-        changed since it was hashed; then prune the cache to CACHE_BYTES."""
+        """Store the columns parsed from the events file, unless it changed since it was
+        hashed; then prune the cache to CACHE_BYTES."""
+        if not self.unchanged():
+            return
         try:
-            st = os.stat(self.events_path)
-            if (st.st_size, st.st_mtime_ns, st.st_ino) != (
-                    self.stat.st_size, self.stat.st_mtime_ns, self.stat.st_ino):
-                return
             payload = marshal.dumps(columns)
-            self.home.mkdir(mode=0o700, parents=True, exist_ok=True)
             part = self.path.with_name(f"{self.path.name}.{os.getpid()}.part")
             try:
                 with open(part, "wb") as fh:

@@ -10,12 +10,9 @@ from __future__ import annotations
 import argparse
 import csv
 import gc
-import hashlib
 import io
 import json
-import os
 import re
-import stat
 import sys
 from itertools import starmap
 from json.encoder import encode_basestring_ascii
@@ -261,32 +258,6 @@ def parse_events(events_path: str) -> dict[str, dict]:
     return by_project
 
 
-# (path, st_dev, st_ino, st_size, st_mtime_ns) -> sha256 of each events file that ingest
-# hashed, so that write_manifest reads such a file again only if it changed in between
-_INGESTED: dict[tuple, str] = {}
-
-
-def _file_id(path: str, st: os.stat_result) -> tuple:
-    return path, st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
-
-
-def _cache_entry(events_path: str):
-    """The corpus-cache entry of a regular events file, or None: a FIFO or a terminal is
-    read once, by the parse, and a file that cannot be hashed is left to the parse to
-    report."""
-    from . import cache
-
-    try:
-        home = cache.directory()
-        st = os.stat(events_path)
-        if home is None or not stat.S_ISREG(st.st_mode):
-            return None
-        digest = _INGESTED[_file_id(events_path, st)] = _hash_file(events_path)
-        return cache.Entry(events_path, st, digest, home)
-    except (OSError, ValueError):  # ValueError: a path with a NUL, which open reports
-        return None
-
-
 def ingest(
     events_path: str, metadata_path: str | None = None
 ) -> tuple[dict[str, ProjectLog], dict[str, dict]]:
@@ -294,9 +265,10 @@ def ingest(
 
     The columns come from the corpus cache when it holds the events file's bytes;
     otherwise the file is parsed and the columns are stored there."""
+    from . import cache
     from .analytics import Channel, ProjectLog, time_ordered
 
-    entry = _cache_entry(events_path)
+    entry = cache.lookup(events_path)
     # project id, in sorted order -> (timestamps, actors) of each channel in CHANNELS order
     projects = entry.load() if entry else None
     if projects is None:
@@ -339,18 +311,10 @@ def write_metadata(path: Path, metadata: dict[str, dict]) -> None:
     path.write_text(buf.getvalue(), encoding="utf-8")
 
 
-def _hash_file(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _sha256(path: str) -> str:
-    """The file's sha256, as ingest took it if the file is unchanged since."""
-    digest = _INGESTED.get(_file_id(path, os.stat(path)))
-    return digest if digest is not None else _hash_file(path)
+    from . import cache  # only the corpus commands have input files
+
+    return cache.sha256(path)
 
 
 def write_manifest(out_path: Path, subcommand: str, params: dict, inputs: list[str]) -> None:

@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import hashlib
 import json
@@ -1377,6 +1378,69 @@ class TestCorpusCache:
             ingest(str(events))
         assert cache_entries(corpus_cache_home) == {}
 
+    def test_a_same_size_rewrite_while_parsed_stores_nothing(self, tmp_path,
+                                                             corpus_cache_home):
+        events = tmp_path / "events.jsonl"
+        write_events(events, [E1, E2, E3])
+        parse = cli.parse_events
+
+        def parse_then_rewrite(path):
+            by_project = parse(path)
+            st = events.stat()
+            write_events(events, [E1, E2, E3.replace('"timestamp":1,', '"timestamp":2,')])
+            os.utime(events, ns=(st.st_atime_ns, st.st_mtime_ns))  # only the ctime moves
+            assert events.stat().st_size == st.st_size
+            return by_project
+        with mock.patch.object(cli, "parse_events", parse_then_rewrite):
+            ingest(str(events))
+        assert cache_entries(corpus_cache_home) == {}
+        assert cli._sha256(str(events)) == hashlib.sha256(events.read_bytes()).hexdigest()
+
+    def test_a_racily_clean_file_is_parsed_and_not_remembered(self, tmp_path, corpus_cache_home,
+                                                              monkeypatch):
+        """A lookup that starts no later than the file's mtime or ctime could miss a write
+        stamped by a coarse clock, so the file is parsed, stored nowhere, and the manifest
+        hashes it itself."""
+        events = tmp_path / "events.jsonl"
+        write_events(events, [E1, E2, E3])
+        old = events.stat().st_mtime_ns - 10**10
+        os.utime(events, ns=(old, old))  # the ctime stays recent
+        st = events.stat()
+        argv = ["xcore", "--events", events, "--out", tmp_path / "o.csv"]
+        for now, racy_ns in ((st.st_ctime_ns, 0), (st.st_ctime_ns + 10**9, 10**9)):
+            monkeypatch.setattr(cache, "RACY_NS", racy_ns)
+            with mock.patch.object(cache, "time", mock.Mock(time_ns=lambda: now)), \
+                    mock.patch.object(cache, "_hash", wraps=cache._hash) as hashed:
+                assert run(argv) == 0
+            assert hashed.call_count == 1  # by the manifest: the lookup neither hashed it
+            assert cache_entries(corpus_cache_home) == {}  # nor stored it
+        monkeypatch.setattr(cache, "RACY_NS", 0)
+        with mock.patch.object(cache, "time", mock.Mock(time_ns=lambda: st.st_ctime_ns + 1)):
+            assert run(argv) == 0
+        assert len(cache_entries(corpus_cache_home)) == 1
+
+    @pytest.mark.parametrize("shared", ["group-writable", "world-writable", "another-owner"])
+    def test_a_cache_directory_others_may_write_to_is_not_used(self, tmp_path, small_corpora,
+                                                               capsys, corpus_cache_home,
+                                                               shared):
+        argv = corpus_commands(small_corpora)["crowd"]
+        expected = self.outputs(argv, tmp_path / "o.csv", capsys)
+        directory = corpus_cache_home / "crowdcoord"
+        [entry] = directory.iterdir()
+        used = entry.stat().st_mtime_ns - 10**9
+        os.utime(entry, ns=(used, used))
+        uid = os.getuid()
+        with contextlib.ExitStack() as stack:
+            if shared == "another-owner":
+                stack.enter_context(mock.patch.object(cache.os, "getuid", return_value=uid + 1))
+            else:
+                directory.chmod(0o720 if shared == "group-writable" else 0o702)
+            parse = stack.enter_context(
+                mock.patch.object(cli, "parse_events", wraps=cli.parse_events))
+            assert self.outputs(argv, tmp_path / "o.csv", capsys) == expected
+        assert parse.call_count == 1
+        assert list(directory.iterdir()) == [entry] and entry.stat().st_mtime_ns == used
+
     def test_other_sources_get_another_entry(self, tmp_path, corpus_cache_home):
         events = tmp_path / "events.jsonl"
         write_events(events, [E1, E2, E3])
@@ -1410,7 +1474,7 @@ class TestCorpusCache:
 
     def test_the_manifest_takes_the_digest_ingest_took(self, tmp_path, small_corpora, capsys):
         argv = corpus_commands(small_corpora)["crowd"]
-        with mock.patch.object(cli, "_hash_file", wraps=cli._hash_file) as hashed:
+        with mock.patch.object(cache, "_hash", wraps=cache._hash) as hashed:
             assert self.outputs(argv, tmp_path / "o.csv", capsys)[0] == 0
         assert [call.args for call in hashed.call_args_list] == [
             (str(small_corpora / "crowded" / name),) for name in ("events.jsonl", "metadata.csv")]
