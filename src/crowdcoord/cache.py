@@ -6,9 +6,11 @@ crowdcoord's own sources and the interpreter's cache tag, so a changed file, a c
 change or another interpreter starts a new entry.  The file is the key, the sha256 of
 the payload, then the payload: ``marshal.dumps`` of ingest's columns.  A load checks
 both digests.  They catch damage, not tampering, so the cache is used only in a
-directory of this user that no one else may write to.  Any failure to read or write an
-entry (no directory, a full disk, a truncated, corrupt or foreign entry) only means that
-ingest parses the file, so no output depends on whether a command hit or missed.
+directory of this user that no one else may write to.  Ingest stores an entry only when
+the bytes it parsed have the sha256 that the lookup took, so an entry holds the columns
+of its key's bytes.  Any failure to read or write an entry (no directory, a full disk, a
+truncated, corrupt or foreign entry) only means that ingest parses the file, so no output
+depends on whether a command hit or missed.
 """
 
 from __future__ import annotations
@@ -18,21 +20,11 @@ import marshal
 import os
 import stat
 import sys
-import time
 from pathlib import Path
 
 # After each store the least recently used entries are removed until the rest fit here.
 CACHE_BYTES = 2**30
-# A file whose mtime or ctime is not this much older than the moment its lookup starts is
-# parsed and neither cached nor remembered (git's "racily clean" files): a write while it
-# is hashed could leave its stat as it was, since file systems stamp times from a clock
-# that lags by a tick, and some keep them to 1 or 2 s (FAT).
-RACY_NS = 3 * 10**9
 _DIGEST = 32  # bytes of a sha256
-
-# events path -> the Entry of its last lookup, whose digest of the file sha256() returns
-# while the file's stat is unchanged
-_LOOKED_UP: dict[str, Entry] = {}
 
 
 def directory() -> Path | None:
@@ -67,51 +59,29 @@ def _hash(path: str) -> str:
     return digest.hexdigest()
 
 
-def _identity(st: os.stat_result) -> tuple:
-    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
-
-
 def lookup(events_path: str) -> Entry | None:
-    """The entry of an events file, or None: the file is not a regular file (a FIFO or a
-    terminal is read once, by the parse), changed too recently (RACY_NS) or cannot be
-    hashed (the parse reports why), or there is no private cache directory."""
+    """The entry of an events file's bytes as they are now, or None: the file is not a
+    regular file (a FIFO or a terminal is read once, by the parse) or cannot be hashed
+    (the parse reports why), or there is no private cache directory."""
     home = directory()
     try:
-        start = time.time_ns()
-        st = os.stat(events_path)
-        if (home is None or not stat.S_ISREG(st.st_mode)
-                or max(st.st_mtime_ns, st.st_ctime_ns) >= start - RACY_NS
+        if (home is None or not stat.S_ISREG(os.stat(events_path).st_mode)
                 or not _private(home)):
             return None
-        entry = _LOOKED_UP[events_path] = Entry(events_path, st, _hash(events_path), home)
+        return Entry(_hash(events_path), home)
     except (OSError, ValueError):  # ValueError: a path with a NUL, which open reports
         return None
-    return entry
-
-
-def sha256(path: str) -> str:
-    """The file's sha256, as its lookup took it if the file is unchanged since."""
-    entry = _LOOKED_UP.get(path)
-    return entry.events_sha256 if entry and entry.unchanged() else _hash(path)
 
 
 class Entry:
-    """The entry of one regular events file, whose stat was taken before it was hashed."""
+    """The entry of the events bytes whose sha256 is events_sha256."""
 
-    def __init__(self, events_path: str, st: os.stat_result, events_sha256: str, home: Path):
-        self.events_path, self.stat, self.events_sha256 = events_path, st, events_sha256
+    def __init__(self, events_sha256: str, home: Path):
+        self.events_sha256 = events_sha256
         tag = str(sys.implementation.cache_tag).encode()
         self.key = hashlib.sha256(
             bytes.fromhex(events_sha256) + _sources() + tag).digest()
         self.home, self.path = home, home / self.key.hex()
-
-    def unchanged(self) -> bool:
-        """Whether the events file's device, inode, size, mtime and ctime are as they were
-        before it was hashed."""
-        try:
-            return _identity(os.stat(self.events_path)) == _identity(self.stat)
-        except OSError:
-            return False
 
     def load(self):
         """The stored columns, or None without an intact entry under this key.  A hit
@@ -132,10 +102,8 @@ class Entry:
         return marshal.loads(payload)
 
     def store(self, columns) -> None:
-        """Store the columns parsed from the events file, unless it changed since it was
-        hashed; then prune the cache to CACHE_BYTES."""
-        if not self.unchanged():
-            return
+        """Store the columns parsed from the bytes of events_sha256, then prune the cache
+        to CACHE_BYTES."""
         try:
             payload = marshal.dumps(columns)
             part = self.path.with_name(f"{self.path.name}.{os.getpid()}.part")

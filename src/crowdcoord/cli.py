@@ -8,6 +8,7 @@ is accompanied by a run manifest so results can be reproduced byte-for-byte.
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import gc
 import io
@@ -160,15 +161,25 @@ _BLOCK_LINES = re.compile(
     r'(?:,"size_delta":(?:0|-?[1-9][0-9]{0,17}))?\}|([^\n]*))\n'
 ).findall
 
-# ingest reads this many characters at a time; a block's findall tuples are its transient
+# ingest reads this many bytes at a time; a block's findall tuples are its transient
 INGEST_BLOCK = 2**16
 
+# path -> the sha256 of the bytes this process last read from it, which the manifest records
+_READ_SHA256: dict[str, str] = {}
 
-def _line_blocks(fh):
-    """The text of fh in blocks of whole lines, each ending in '\\n' (one is added to a last
-    line without it).  A line that straddles a read waits for the rest of it."""
+
+def _line_blocks(fh, digest):
+    """The text of the binary file fh in blocks of whole lines, each ending in '\\n' (one is
+    added to a last line without it), decoded as a text-mode open() decodes: UTF-8 with
+    surrogateescape, and universal newlines, so '\\r\\n' and a lone '\\r' end a line also
+    when a read ends between '\\r' and '\\n'.  A line that straddles a read waits for the rest
+    of it.  Each read is added to digest."""
+    decode = io.IncrementalNewlineDecoder(
+        codecs.getincrementaldecoder("utf-8")("surrogateescape"), translate=True).decode
     pieces = []
-    while block := fh.read(INGEST_BLOCK):
+    while data := fh.read(INGEST_BLOCK):
+        digest.update(data)
+        block = decode(data)
         end = block.rfind("\n") + 1
         if end:
             pieces.append(block[:end])
@@ -176,53 +187,62 @@ def _line_blocks(fh):
             pieces = [block[end:]]
         else:
             pieces.append(block)
-    tail = "".join(pieces)
+    tail = "".join(pieces) + decode(b"", final=True)  # a last '\r' ends a line here
     if tail:
-        yield tail + "\n"
+        yield tail if tail.endswith("\n") else tail + "\n"
 
 
 def read_metadata(path: str) -> dict[str, dict]:
+    """Project id -> metadata of the CSV file, which is read once; the sha256 of its bytes
+    goes to _READ_SHA256."""
+    import hashlib
+
     metadata: dict[str, dict] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            rows = list(csv.DictReader(fh))
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: not valid UTF-8") from exc
-        except csv.Error as exc:  # e.g. a field over the csv module's size limit
-            raise DataError(f"{path}: {exc}") from exc
-        for row in rows:
-            pid = row.get("project_id")
-            if not pid:
-                raise DataError(f"{path}: metadata row without project_id")
-            if pid in metadata:
-                raise DataError(f"{path}: duplicate metadata row for {pid}")
-            entry = {}
-            for key in _META_COLUMNS[1:]:
-                value = row.get(key)
-                if value not in (None, ""):
-                    try:
-                        if not _INTEGER(value):
-                            raise ValueError(value)
-                        entry[key] = int(value)
-                    except ValueError as exc:  # not the form, or more digits than int() reads
-                        raise DataError(f"{path}: bad {key} for {pid}: {value!r}") from exc
-                    if abs(entry[key]) > INT64_MAX:
-                        raise DataError(f"{path}: {key} for {pid} does not fit in 64 bits")
-                    if entry[key] < 0 and key in _COUNT_COLUMNS:
-                        raise DataError(f"{path}: {key} for {pid} must be >= 0, got {entry[key]}")
-            year = entry.get("featured_year")
-            if year is not None and year not in FEATURED_YEARS:
-                raise DataError(
-                    f"{path}: featured_year for {pid} must be in {FEATURED_YEARS.start}.."
-                    f"{FEATURED_YEARS.stop - 1}, got {year}"
-                )
-            metadata[pid] = entry
+    with open(path, "rb") as fh:
+        data = fh.read()
+    _READ_SHA256[path] = hashlib.sha256(data).hexdigest()
+    try:
+        rows = list(csv.DictReader(io.StringIO(data.decode("utf-8"), newline="")))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not valid UTF-8") from exc
+    except csv.Error as exc:  # e.g. a field over the csv module's size limit
+        raise DataError(f"{path}: {exc}") from exc
+    for row in rows:
+        pid = row.get("project_id")
+        if not pid:
+            raise DataError(f"{path}: metadata row without project_id")
+        if pid in metadata:
+            raise DataError(f"{path}: duplicate metadata row for {pid}")
+        entry = {}
+        for key in _META_COLUMNS[1:]:
+            value = row.get(key)
+            if value not in (None, ""):
+                try:
+                    if not _INTEGER(value):
+                        raise ValueError(value)
+                    entry[key] = int(value)
+                except ValueError as exc:  # not the form, or more digits than int() reads
+                    raise DataError(f"{path}: bad {key} for {pid}: {value!r}") from exc
+                if abs(entry[key]) > INT64_MAX:
+                    raise DataError(f"{path}: {key} for {pid} does not fit in 64 bits")
+                if entry[key] < 0 and key in _COUNT_COLUMNS:
+                    raise DataError(f"{path}: {key} for {pid} must be >= 0, got {entry[key]}")
+        year = entry.get("featured_year")
+        if year is not None and year not in FEATURED_YEARS:
+            raise DataError(
+                f"{path}: featured_year for {pid} must be in {FEATURED_YEARS.start}.."
+                f"{FEATURED_YEARS.stop - 1}, got {year}"
+            )
+        metadata[pid] = entry
     return metadata
 
 
 def parse_events(events_path: str) -> dict[str, dict]:
-    """Project id -> ``channel_columns()`` of the events file, filled in input order.  The
-    first malformed line raises MalformedEventError."""
+    """Project id -> ``channel_columns()`` of the events file, filled in input order, which
+    is read once; the sha256 of its bytes goes to _READ_SHA256.  The first malformed line
+    raises MalformedEventError."""
+    import hashlib
+
     from .analytics import channel_columns
 
     by_project: dict[str, dict] = {}
@@ -232,11 +252,10 @@ def parse_events(events_path: str) -> dict[str, dict]:
     collecting = gc.isenabled()
     gc.disable()
     line_no = 0  # for MalformedEventError messages only
+    digest = hashlib.sha256()
     try:
-        # universal newlines, as iterating over the file would split it: '\r\n' and a
-        # lone '\r' end a line too, also when a read ends between '\r' and '\n'
-        with open(events_path, encoding="utf-8", errors="surrogateescape") as fh:
-            for block in _line_blocks(fh):
+        with open(events_path, "rb") as fh:
+            for block in _line_blocks(fh, digest):
                 for pid, actor, timestamp, channel, line in _BLOCK_LINES(block):
                     line_no += 1
                     if channel:
@@ -255,6 +274,7 @@ def parse_events(events_path: str) -> dict[str, dict]:
     finally:
         if collecting:
             gc.enable()
+    _READ_SHA256[events_path] = digest.hexdigest()
     return by_project
 
 
@@ -264,19 +284,22 @@ def ingest(
     """Group events by project into time-ordered channel columns and join optional metadata.
 
     The columns come from the corpus cache when it holds the events file's bytes;
-    otherwise the file is parsed and the columns are stored there."""
+    otherwise the file is parsed, and the columns are stored there if the bytes parsed are
+    the bytes the lookup hashed."""
     from . import cache
     from .analytics import Channel, ProjectLog, time_ordered
 
     entry = cache.lookup(events_path)
     # project id, in sorted order -> (timestamps, actors) of each channel in CHANNELS order
     projects = entry.load() if entry else None
-    if projects is None:
+    if projects is not None:
+        _READ_SHA256[events_path] = entry.events_sha256
+    else:
         by_project = parse_events(events_path)
         projects = {pid: tuple(time_ordered(*columns[ch]) for ch in CHANNELS)
                     for pid, columns in sorted(by_project.items())}
         del by_project  # its lists, before the store adds the entry's bytes
-        if entry:
+        if entry and _READ_SHA256[events_path] == entry.events_sha256:
             entry.store(projects)
     metadata = read_metadata(metadata_path) if metadata_path else {}
     unknown = sorted(set(metadata) - set(projects))
@@ -311,18 +334,12 @@ def write_metadata(path: Path, metadata: dict[str, dict]) -> None:
     path.write_text(buf.getvalue(), encoding="utf-8")
 
 
-def _sha256(path: str) -> str:
-    from . import cache  # only the corpus commands have input files
-
-    return cache.sha256(path)
-
-
 def write_manifest(out_path: Path, subcommand: str, params: dict, inputs: list[str]) -> None:
     manifest = {
         "subcommand": subcommand,
         "params": {k: v for k, v in sorted(params.items())},
         "seed": params.get("seed"),
-        "inputs": {p: _sha256(p) for p in inputs},
+        "inputs": {p: _READ_SHA256[p] for p in inputs},
         "rng": RNG_DESCRIPTION,
         "version": __version__,
     }
@@ -335,7 +352,8 @@ def _params(args, skip=("func", "out")) -> dict:
 
 
 def write_output(args, text: str) -> None:
-    """Write --out and its manifest, which hashes the corpus files a command read."""
+    """Write --out and its manifest, which records the sha256 of the bytes a command read
+    from each corpus file."""
     out = Path(args.out)
     out.write_text(text, encoding="utf-8")
     params = _params(args)

@@ -1,9 +1,11 @@
 import contextlib
+import functools
 import gc
 import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import threading
@@ -370,12 +372,12 @@ class TestCanonicalLine:
             assert events[0].channel is events[3].channel
 
 
-# ingest's reads, in characters: sizes that end blocks inside lines, and the default
+# ingest's reads, in bytes: sizes that end blocks inside lines, and the default
 BLOCK_SIZES = [1, 2, 7, 64, cli.INGEST_BLOCK]
 
 
 def ingest_blocks(directory, data, block):
-    """{project: by_channel} of parsing the bytes in reads of block characters, or the
+    """{project: by_channel} of parsing the bytes in reads of block bytes, or the
     MalformedEventError message.  It calls the parse step itself, as ingest does on a
     corpus-cache miss, since ingest would load the same bytes from the cache."""
     path = directory / "events.jsonl"
@@ -395,6 +397,12 @@ def timestamps(got):
             for pid, channels in got.items()}
 
 
+def at_edge(head, block):
+    """The bytes head with spaces before them, so that a read of block bytes ends after
+    head's last byte."""
+    return b" " * (-len(head) % block) + head
+
+
 # E1, E2 and E3 as ingest_blocks gives them
 E123 = {"p1": {"work": (10,), "discussion": (5,)}, "p2": {"comment": (1,)}}
 
@@ -412,12 +420,11 @@ class TestBlockBoundaries:
                              block).startswith("line 4: invalid JSON")
 
     def test_crlf_split_between_reads(self, tmp_path, block):
-        # for reads under 8 KiB the text layer reads the file 8192 bytes at a time, so its
-        # first read ends between the first line's '\r' and '\n'; a lone '\r' would end
-        # a blank line 2 and move every later line number on by one
-        first = " " * (8191 - len(E1)) + E1
-        data = f"{first}\r\n{E2}\r\n\r\n{E3}\r\n".encode()
-        assert data[8191:8193] == b"\r\n"
+        # a read ends between the first line's '\r' and '\n'; a lone '\r' would end a
+        # blank line 2 and move every later line number on by one
+        first = at_edge(f"{E1}\r".encode(), block)
+        data = first + f"\n{E2}\r\n\r\n{E3}\r\n".encode()
+        assert len(first) % block == 0 and data[len(first) - 1:len(first) + 1] == b"\r\n"
         assert timestamps(ingest_blocks(tmp_path, data, block)) == E123
         assert ingest_blocks(tmp_path, data + b"not json\r\n", block).startswith(
             "line 5: invalid JSON")
@@ -429,6 +436,22 @@ class TestBlockBoundaries:
         assert timestamps(ingest_blocks(tmp_path, data, block)) == E123
         assert ingest_blocks(tmp_path, data + b"garbage\r", block).startswith(
             "line 5: invalid JSON")
+
+    def test_character_split_between_reads(self, tmp_path, block):
+        # a read ends after the first of the three bytes of the euro sign's UTF-8 form
+        line = E1.replace('"p1"', '"p\u20ac"').encode()
+        split = line.index("\u20ac".encode()) + 1
+        data = at_edge(line[:split], block) + line[split:] + f"\n{E2}\n{E3}\n".encode()
+        assert timestamps(ingest_blocks(tmp_path, data, block)) == {
+            "p\u20ac": {"work": (10,)}, "p1": {"discussion": (5,)}, "p2": {"comment": (1,)}}
+
+    @pytest.mark.parametrize("bad", [b"\xff", b"\xe2\x82"],  # a cut-off euro sign
+                             ids=["not-utf-8", "cut-off-character"])
+    def test_invalid_bytes_at_a_read_edge(self, tmp_path, block, bad):
+        line = E2.replace('"b"', '"b?"').encode()
+        head, tail = line.split(b"?")
+        data = at_edge(f"{E1}\n".encode() + head + bad, block) + tail + f"\n{E3}\n".encode()
+        assert ingest_blocks(tmp_path, data, block).startswith("line 2: not valid UTF-8")
 
     def test_last_line_without_newline(self, tmp_path, block):
         got = ingest_blocks(tmp_path, f"{E1}\n{E2}\n {E3}".encode(), block)
@@ -1317,22 +1340,52 @@ class TestCorpusCache:
             assert hashlib.sha256(csv_bytes).hexdigest() == TestCorpusBytes.CSV_DIGESTS[command]
         assert blocker.read_text() == ""
 
-    def test_a_fifo_is_read_once_and_stores_nothing(self, tmp_path, small_corpora,
-                                                    corpus_cache_home):
-        source = small_corpora / "crowded" / "events.jsonl"
-        fifo = tmp_path / "events.fifo"
-        os.mkfifo(fifo)
+    @pytest.mark.parametrize("stream", ["pipe", "fifo"])
+    def test_a_stream_is_read_once_and_stores_nothing(self, tmp_path, small_corpora,
+                                                      corpus_cache_home, stream):
+        """Events and metadata streamed through /dev/fd pipes or named FIFOs are each read
+        once: the command writes the CSV of the files, its manifest records the sha256 of
+        the bytes streamed, and nothing is stored."""
+        source = small_corpora / "crowded"
+        paths, read_fds, writers = [], [], []
+        for name in ("events.jsonl", "metadata.csv"):
+            if stream == "pipe":
+                read_fd, write_fd = os.pipe()
+                read_fds.append(read_fd)
+                paths.append(f"/dev/fd/{read_fd}")
+                sink = functools.partial(os.fdopen, write_fd, "wb")
+            else:
+                paths.append(str(tmp_path / f"{name}.fifo"))
+                os.mkfifo(paths[-1])
+                sink = functools.partial(open, paths[-1], "wb")
 
-        def feed():
-            with open(fifo, "wb") as fh:
-                fh.write(source.read_bytes())
-        writer = threading.Thread(target=feed, daemon=True)
-        writer.start()
-        corpus, _ = ingest(str(fifo))
-        writer.join(timeout=60)
-        assert not writer.is_alive()
+            def feed(sink=sink, data=(source / name).read_bytes()):
+                with sink() as fh:
+                    fh.write(data)
+            writers.append(threading.Thread(target=feed, daemon=True))
+            writers[-1].start()
+        out = tmp_path / "o.csv"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "crowdcoord.cli", "crowd", "--events", paths[0],
+                 "--metadata", paths[1], "--k", "40", "--out", str(out)],
+                env=env, pass_fds=read_fds, capture_output=True, text=True, timeout=60)
+        finally:
+            for fd in read_fds:
+                os.close(fd)
+        for writer in writers:
+            writer.join(timeout=60)
+            assert not writer.is_alive()
+        assert done.returncode == 0, done.stderr
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == TestCorpusBytes.CSV_DIGESTS["crowd"]
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        assert manifest["inputs"] == {
+            path: TestCorpusBytes.SYNTH_DIGESTS["crowded", name]
+            for path, name in zip(paths, ("events.jsonl", "metadata.csv"))}
         assert cache_entries(corpus_cache_home) == {}
-        assert corpus == ingest(str(source))[0]
 
     def test_a_rejected_corpus_stores_nothing(self, tmp_path, small_corpora, capsys,
                                               corpus_cache_home):
@@ -1364,60 +1417,45 @@ class TestCorpusCache:
         with mock.patch.dict(os.environ, XDG_CACHE_HOME=str(blocker)):
             assert self.outputs(argv, tmp_path / "o.csv", capsys) == after
 
+    def edited_after_lookup(self, tmp_path, events, edit, corpus_cache_home):
+        """xcore on events, with edit() between the lookup's hash and the parse: nothing is
+        stored, and the manifest records the sha256 of the bytes parsed.  The next run
+        stores the entry of those bytes."""
+        lookup = cache.lookup
+
+        def lookup_then_edit(path):
+            entry = lookup(path)
+            edit()
+            return entry
+        argv = ["xcore", "--events", events, "--out", tmp_path / "o.csv"]
+        with mock.patch.object(cache, "lookup", lookup_then_edit):
+            assert run(argv) == 0
+        assert cache_entries(corpus_cache_home) == {}
+        manifest = json.loads((tmp_path / "o.csv.manifest.json").read_text())
+        assert manifest["inputs"] == {str(events): hashlib.sha256(events.read_bytes()).hexdigest()}
+        assert run(argv) == 0
+        assert len(cache_entries(corpus_cache_home)) == 1
+
     def test_a_file_changed_while_parsed_stores_nothing(self, tmp_path, corpus_cache_home):
         events = tmp_path / "events.jsonl"
         write_events(events, [E1, E2, E3])
-        parse = cli.parse_events
 
-        def parse_then_append(path):
-            by_project = parse(path)
+        def append():
             with open(events, "a") as fh:
                 fh.write(E1 + "\n")
-            return by_project
-        with mock.patch.object(cli, "parse_events", parse_then_append):
-            ingest(str(events))
-        assert cache_entries(corpus_cache_home) == {}
+        self.edited_after_lookup(tmp_path, events, append, corpus_cache_home)
 
     def test_a_same_size_rewrite_while_parsed_stores_nothing(self, tmp_path,
                                                              corpus_cache_home):
         events = tmp_path / "events.jsonl"
         write_events(events, [E1, E2, E3])
-        parse = cli.parse_events
 
-        def parse_then_rewrite(path):
-            by_project = parse(path)
+        def rewrite():
             st = events.stat()
             write_events(events, [E1, E2, E3.replace('"timestamp":1,', '"timestamp":2,')])
             os.utime(events, ns=(st.st_atime_ns, st.st_mtime_ns))  # only the ctime moves
             assert events.stat().st_size == st.st_size
-            return by_project
-        with mock.patch.object(cli, "parse_events", parse_then_rewrite):
-            ingest(str(events))
-        assert cache_entries(corpus_cache_home) == {}
-        assert cli._sha256(str(events)) == hashlib.sha256(events.read_bytes()).hexdigest()
-
-    def test_a_racily_clean_file_is_parsed_and_not_remembered(self, tmp_path, corpus_cache_home,
-                                                              monkeypatch):
-        """A lookup that starts no later than the file's mtime or ctime could miss a write
-        stamped by a coarse clock, so the file is parsed, stored nowhere, and the manifest
-        hashes it itself."""
-        events = tmp_path / "events.jsonl"
-        write_events(events, [E1, E2, E3])
-        old = events.stat().st_mtime_ns - 10**10
-        os.utime(events, ns=(old, old))  # the ctime stays recent
-        st = events.stat()
-        argv = ["xcore", "--events", events, "--out", tmp_path / "o.csv"]
-        for now, racy_ns in ((st.st_ctime_ns, 0), (st.st_ctime_ns + 10**9, 10**9)):
-            monkeypatch.setattr(cache, "RACY_NS", racy_ns)
-            with mock.patch.object(cache, "time", mock.Mock(time_ns=lambda: now)), \
-                    mock.patch.object(cache, "_hash", wraps=cache._hash) as hashed:
-                assert run(argv) == 0
-            assert hashed.call_count == 1  # by the manifest: the lookup neither hashed it
-            assert cache_entries(corpus_cache_home) == {}  # nor stored it
-        monkeypatch.setattr(cache, "RACY_NS", 0)
-        with mock.patch.object(cache, "time", mock.Mock(time_ns=lambda: st.st_ctime_ns + 1)):
-            assert run(argv) == 0
-        assert len(cache_entries(corpus_cache_home)) == 1
+        self.edited_after_lookup(tmp_path, events, rewrite, corpus_cache_home)
 
     @pytest.mark.parametrize("shared", ["group-writable", "world-writable", "another-owner"])
     def test_a_cache_directory_others_may_write_to_is_not_used(self, tmp_path, small_corpora,
@@ -1472,25 +1510,40 @@ class TestCorpusCache:
         assert len(left) == 3 and entries[1] not in left
         assert {entries[0], entries[2]} < left
 
-    def test_the_manifest_takes_the_digest_ingest_took(self, tmp_path, small_corpora, capsys):
-        argv = corpus_commands(small_corpora)["crowd"]
-        with mock.patch.object(cache, "_hash", wraps=cache._hash) as hashed:
-            assert self.outputs(argv, tmp_path / "o.csv", capsys)[0] == 0
-        assert [call.args for call in hashed.call_args_list] == [
-            (str(small_corpora / "crowded" / name),) for name in ("events.jsonl", "metadata.csv")]
-        # a file changed since ingest hashed it is hashed again
-        events = tmp_path / "events.jsonl"
-        write_events(events, [E1, E2])
-        ingest(str(events))
-        write_events(events, [E1, E2, E3])
-        assert cli._sha256(str(events)) == hashlib.sha256(events.read_bytes()).hexdigest()
+    def test_the_manifest_takes_the_digest_ingest_took(self, tmp_path, small_corpora):
+        """On a miss and on a hit the events file is hashed once, by the lookup, and the
+        manifest opens no input: it is written after the inputs are removed."""
+        source = small_corpora / "crowded"
+        names = ("events.jsonl", "metadata.csv")
+        write_manifest = cli.write_manifest
+
+        def remove_inputs_then_write(out_path, subcommand, params, inputs):
+            for path in inputs:
+                os.unlink(path)
+            write_manifest(out_path, subcommand, params, inputs)
+        for parses in (1, 0):  # a miss, then a hit
+            for name in names:
+                shutil.copyfile(source / name, tmp_path / name)
+            argv = ["crowd", "--events", tmp_path / names[0], "--metadata", tmp_path / names[1],
+                    "--k", 40, "--out", tmp_path / "o.csv"]
+            with mock.patch.object(cache, "_hash", wraps=cache._hash) as hashed, \
+                    mock.patch.object(cli, "parse_events", wraps=cli.parse_events) as parse, \
+                    mock.patch.object(cli, "write_manifest", remove_inputs_then_write):
+                assert run(argv) == 0
+            assert parse.call_count == parses
+            assert [call.args for call in hashed.call_args_list] == [(str(tmp_path / names[0]),)]
+            manifest = json.loads((tmp_path / "o.csv.manifest.json").read_text())
+            assert manifest["inputs"] == {
+                str(tmp_path / name): TestCorpusBytes.SYNTH_DIGESTS["crowded", name]
+                for name in names}
 
     def test_model_commands_create_no_cache_directory(self, tmp_path, small_corpora,
                                                       corpus_cache_home):
         for argv in (["dp", "--n", "2", "--e", "2", "--alpha", "1", "--beta", "0.5"],
                      ["heatmap", "--n", "1:5", "--e", "1:5", "--alpha", "1",
                       "--objective", "cf"]):
-            assert probe_imports(tmp_path, small_corpora, argv, ("crowdcoord.cache",)) == [0, []]
+            assert probe_imports(tmp_path, small_corpora, argv,
+                                 ("crowdcoord.cache", "hashlib")) == [0, []]
         assert list(corpus_cache_home.iterdir()) == []
 
 
