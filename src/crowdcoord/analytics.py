@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
-from itertools import compress, islice
+from itertools import accumulate, compress, islice
 from operator import attrgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .constants import CHANNELS, COORDINATION_CHANNELS
 from .errors import IneligibleProjectError
@@ -29,12 +28,48 @@ class Event(NamedTuple):
     size_delta: Optional[int] = None
 
 
-@dataclass(frozen=True, slots=True)
-class Channel:
+class Record:
+    """Base of an immutable record whose fields are its class's ``__slots__``, each set
+    once in ``__init__`` through ``object.__setattr__``; compared, hashed and shown by
+    value.  For a record that a NamedTuple does not fit: one that validates itself, or
+    whose ``len`` is not its number of fields."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):  # copy and pickle rebuild it through __init__, not setattr
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
+class Channel(Record):
     """One channel of a project log as columns, in time order (stable on ties)."""
 
-    timestamps: tuple[int, ...]
-    actors: tuple[str, ...]
+    __slots__ = ("timestamps", "actors")
+
+    def __init__(self, timestamps: tuple[int, ...], actors: tuple[str, ...]):
+        object.__setattr__(self, "timestamps", timestamps)
+        object.__setattr__(self, "actors", actors)
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -54,12 +89,11 @@ def channel_columns() -> dict[str, tuple[list, list]]:
     return {ch: ([], []) for ch in CHANNELS}
 
 
-@dataclass(frozen=True)
-class ProjectLog:
+class ProjectLog(NamedTuple):
     """One project's events split by channel, each channel held as time-ordered columns."""
 
     project_id: str
-    by_channel: Mapping[str, Channel] = field(repr=False, hash=False)
+    by_channel: Mapping[str, Channel]
     final_size: Optional[int] = None
 
     @classmethod
@@ -118,32 +152,28 @@ def x_core(work_counts: Mapping[str, int], x: float) -> set[str]:
         raise ValueError("work counts must be positive")
     if not 0.0 < x <= 1.0:
         raise ValueError(f"x must be in (0, 1], got {x}")
-    return next(_x_cores(work_counts, [x]))
+    order, (size,) = _core_sizes(work_counts, [x])
+    return set(order[:size])
 
 
-def _x_cores(work_counts: Mapping[str, int], xs: Iterable[float]) -> Iterator[set[str]]:
-    """The x-core of each x in ascending order, as one set grown in place.
-
-    Each core is the shortest prefix of the actors in ``x_core``'s order whose
-    cumulative count reaches x * total, so a larger x extends the prefix.
-    """
-    order = iter(sorted(work_counts, key=lambda a: (-work_counts[a], a)))
+def _core_sizes(work_counts: Mapping[str, int],
+                xs: Iterable[float]) -> tuple[list[str], list[int]]:
+    """The actors in ``x_core``'s order, and for each x in ascending order the length of
+    the shortest prefix of them whose cumulative count reaches x * total: its x-core."""
+    order = sorted(work_counts, key=lambda a: (-work_counts[a], a))
     total = sum(work_counts.values())
-    core: set[str] = set()
-    cum = 0
+    sizes = []
+    size = cum = 0
     for x in xs:
-        target = x * total  # > 0, so the first core is not empty
-        if cum < target:
-            for actor in order:
-                core.add(actor)
-                cum += work_counts[actor]
-                if cum >= target:
-                    break
-        yield core
+        target = x * total  # > 0, so the first core is not empty; <= total, as x <= 1
+        while cum < target:
+            cum += work_counts[order[size]]
+            size += 1
+        sizes.append(size)
+    return order, sizes
 
 
-@dataclass(frozen=True)
-class CoreCurve:
+class CoreCurve(NamedTuple):
     xs: tuple[float, ...]
     core_size: tuple[int, ...]
     core_fraction: tuple[float, ...]
@@ -166,36 +196,31 @@ def core_curve(project: ProjectLog, xs: Sequence[float]) -> CoreCurve:
     """Core size fraction plus discussion/comment shares of the core, per x.
 
     Shares are taken over channel events authored by work participants, so
-    that both shares reach 1 at x = 1 by construction.
+    that both shares reach 1 at x = 1 by construction.  Each channel's events
+    are counted per actor once; a core's count adds up its actors' counts.
     """
     xs = core_xs(xs)
     counts = project.work_counts()
     if not counts:
         raise IneligibleProjectError(f"project {project.project_id} has no work events")
-    discussion = list(filter(counts.__contains__, project.by_channel["discussion"].actors))
-    comments = list(filter(counts.__contains__, project.by_channel["comment"].actors))
+    order, sizes = _core_sizes(counts, xs)
 
-    sizes, fractions, d_shares, c_shares = [], [], [], []
-    for core in _x_cores(counts, xs):
-        sizes.append(len(core))
-        fractions.append(len(core) / len(counts))
-        d_shares.append(
-            sum(map(core.__contains__, discussion)) / len(discussion) if discussion else None
-        )
-        c_shares.append(
-            sum(map(core.__contains__, comments)) / len(comments) if comments else None
-        )
+    def shares(channel: str) -> tuple[Optional[float], ...]:
+        by_actor = Counter(filter(counts.__contains__, project.by_channel[channel].actors))
+        total = by_actor.total()
+        in_prefix = list(accumulate(map(by_actor.__getitem__, order)))  # of 1, 2, ... actors
+        return tuple(in_prefix[size - 1] / total if total else None for size in sizes)
+
     return CoreCurve(
         xs=xs,
         core_size=tuple(sizes),
-        core_fraction=tuple(fractions),
-        d_share=tuple(d_shares),
-        c_share=tuple(c_shares),
+        core_fraction=tuple(size / len(counts) for size in sizes),
+        d_share=shares("discussion"),
+        c_share=shares("comment"),
     )
 
 
-@dataclass(frozen=True)
-class CrowdednessProfile:
+class CrowdednessProfile(NamedTuple):
     engaged_users: frozenset[str]
     threshold_time: int
     early_team: frozenset[str]

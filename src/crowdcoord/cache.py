@@ -15,6 +15,7 @@ depends on whether a command hit or missed.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import marshal
 import os
@@ -99,7 +100,15 @@ class Entry:
             os.utime(self.path)
         except OSError:
             pass
-        return marshal.loads(payload)
+        # The columns are tuples of strings and ints, which hold no cycle for the cyclic
+        # collector to free: pause it while they are built, as parse_events does.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return marshal.loads(payload)
+        finally:
+            if collecting:
+                gc.enable()
 
     def store(self, columns) -> None:
         """Store the columns parsed from the bytes of events_sha256, then prune the cache

@@ -10,25 +10,21 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
-from datetime import datetime, timezone
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .analytics import ProjectLog
-from .constants import FEATURED_YEARS
+from .constants import utc_timestamp
 from .errors import IneligibleProjectError
 from .rng import Generator, spawn_seed
 
 
-@dataclass(frozen=True)
-class EpochCounts:
+class EpochCounts(NamedTuple):
     before: int
     during: int
     after: int
 
 
-@dataclass(frozen=True)
-class Cohort:
+class Cohort(NamedTuple):
     featured: tuple[str, ...]
     controls_by_featured: dict[str, tuple[str, ...]]
     control_union: tuple[str, ...]
@@ -37,15 +33,11 @@ class Cohort:
     require_fewer_prior: bool
 
 
-def _year_start(year: int) -> int:
-    return int(datetime(year, 1, 1, tzinfo=timezone.utc).timestamp())
-
-
 def edit_epoch_counts(project: ProjectLog, year: int) -> EpochCounts:
     """Work events strictly before, within, and after the given UTC calendar year."""
     work = project.by_channel["work"].timestamps
-    before = bisect_left(work, _year_start(year))
-    not_after = bisect_left(work, _year_start(year + 1), lo=before)
+    before = bisect_left(work, utc_timestamp(year, 1, 1))
+    not_after = bisect_left(work, utc_timestamp(year + 1, 1, 1), lo=before)
     return EpochCounts(before=before, during=not_after - before, after=len(work) - not_after)
 
 

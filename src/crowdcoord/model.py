@@ -144,6 +144,11 @@ def exact_expectations(n_parts: int, n_users: int, alpha: float, betas) -> np.nd
     """
     betas = np.asarray(betas, dtype=float)
     check_ranges(n_parts, n_users, alpha, betas)
+    return _exact_pass(n_parts, n_users, alpha, betas)
+
+
+def _exact_pass(n_parts: int, n_users: int, alpha: float, betas: np.ndarray) -> np.ndarray:
+    """exact_expectations on arguments already in the model's domain: charged, not checked."""
     charge(f"exact_expectations at B = {len(betas)}, n_parts = {n_parts}, n_users = {n_users}",
            len(betas) * n_parts * n_users, 8 * 7 * (n_parts + 1))
     width = min(n_parts, 2 * n_users) + 1
@@ -165,9 +170,10 @@ def exact_expectations(n_parts: int, n_users: int, alpha: float, betas) -> np.nd
 
 
 def exact_expectation(params: ModelParams) -> float:
-    """Expected finished parts after all users at one beta (exact_expectations with B = 1)."""
-    return float(exact_expectations(params.n_parts, params.n_users, params.alpha,
-                                    [params.beta])[0])
+    """Expected finished parts after all users at one beta (exact_expectations with B = 1,
+    whose arguments ModelParams has checked)."""
+    return float(_exact_pass(params.n_parts, params.n_users, params.alpha,
+                             np.array([params.beta], dtype=float))[0])
 
 
 def _count_dtype(n_parts: int):

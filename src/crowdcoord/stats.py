@@ -10,9 +10,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
-from statistics import median
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 # exact counts are computed up to this product of sample sizes (tie-free only)
 EXACT_LIMIT = 400
@@ -29,12 +27,23 @@ QUADRANT_KEYS = (
 )  # (size_level, team_level)
 
 
-@dataclass(frozen=True)
-class UTestResult:
+class UTestResult(NamedTuple):
     u_statistic: float
     p_value: float
     band: str
     method: str
+
+
+def median(values: Sequence[float]) -> float:
+    """``statistics.median``'s arithmetic: the middle value in sorted order, or the mean
+    of the two middle values, (a + b) / 2, for an even count."""
+    ordered = sorted(values)
+    n = len(ordered)
+    if not n:
+        raise ValueError("no median of no values")
+    if n % 2:
+        return ordered[n // 2]
+    return (ordered[n // 2 - 1] + ordered[n // 2]) / 2
 
 
 def significance_band(p: float) -> str:
@@ -133,15 +142,13 @@ def mann_whitney_u(sample_a: Sequence[float], sample_b: Sequence[float]) -> UTes
     return UTestResult(u_statistic=u_min, p_value=p, band=significance_band(p), method=method)
 
 
-@dataclass(frozen=True)
-class QuadrantCell:
+class QuadrantCell(NamedTuple):
     median_coordination: Optional[float]
     median_per_member: Optional[float]
     count: int
 
 
-@dataclass(frozen=True)
-class QuadrantSummary:
+class QuadrantSummary(NamedTuple):
     cells: dict[tuple[str, str], QuadrantCell]
     p_values: dict[tuple[tuple[str, str], tuple[str, str]], UTestResult]
     median_size: float
@@ -192,8 +199,7 @@ def median_split_quadrants(records: Sequence[tuple[float, float, float]]) -> Qua
     )
 
 
-@dataclass(frozen=True)
-class BinnedGrid:
+class BinnedGrid(NamedTuple):
     values: tuple[tuple[float, ...], ...]  # rows = team decile (0 = lowest), cols = size
     counts: tuple[tuple[int, ...], ...]    # decile; an empty cell's value is NaN
     team_edges: tuple[float, ...]

@@ -8,14 +8,12 @@ cohort matches) so recovery can be asserted against the sidecar.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
-from datetime import datetime, timezone
 from itertools import chain, cycle
 from typing import NamedTuple
 
-from .analytics import Event
+from .analytics import Event, Record
 from .cli import event_to_json
-from .constants import STRUCTURES, SYNTH_PROJECTS
+from .constants import STRUCTURES, SYNTH_PROJECTS, utc_timestamp
 from .limits import charge
 from .rng import Generator
 
@@ -36,19 +34,21 @@ MIN_YEAR, MAX_YEAR = 2003, 2007
 SYNTH_BYTES_PER_PROJECT = 768
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
-    n_projects: int = SYNTH_PROJECTS
-    max_actors: int = 20
-    structure: str = "none"
-    # crowded structure: coordination = crowding_scale * team / final_size
-    crowding_scale: float = 4.0e5
-    # cohort structure
-    n_featured: int = 0
-    planted_controls: int = 0
-    noise_candidates: int = 0
+class SyntheticSpec(Record):
+    """What generate_synthetic draws: checked when it is made.
 
-    def __post_init__(self) -> None:
+    The crowded structure plants coordination = crowding_scale * team / final_size; the
+    cohort structure's counts are per featured project."""
+
+    __slots__ = ("n_projects", "max_actors", "structure", "crowding_scale", "n_featured",
+                 "planted_controls", "noise_candidates")
+
+    def __init__(self, n_projects: int = SYNTH_PROJECTS, max_actors: int = 20,
+                 structure: str = "none", crowding_scale: float = 4.0e5, n_featured: int = 0,
+                 planted_controls: int = 0, noise_candidates: int = 0):
+        for name, value in zip(self.__slots__, (n_projects, max_actors, structure, crowding_scale,
+                                                n_featured, planted_controls, noise_candidates)):
+            object.__setattr__(self, name, value)
         if self.n_projects < 1:
             raise ValueError("n_projects must be >= 1")
         if self.max_actors < MIN_ACTORS:
@@ -151,15 +151,17 @@ class _CohortArticle(NamedTuple):
         ))
 
 
-@dataclass(frozen=True)
-class CorpusLines:
+class CorpusLines(Record):
     """A corpus's canonical event lines, rendered one project at a time from its plans.
 
     Each pass renders them again and gives each project's lines as one string, so the
     corpus is never held whole; ``len`` adds up the plans' event counts, one line each,
     and renders nothing."""
 
-    plans: tuple[_FlatProject | _CohortArticle, ...]
+    __slots__ = ("plans",)
+
+    def __init__(self, plans: tuple[_FlatProject | _CohortArticle, ...]):
+        object.__setattr__(self, "plans", plans)
 
     def __iter__(self) -> Iterator[str]:
         for plan in self.plans:
@@ -169,15 +171,15 @@ class CorpusLines:
         return sum(plan.n_events for plan in self.plans)
 
 
-@dataclass(frozen=True)
-class SyntheticCorpus:
+class SyntheticCorpus(NamedTuple):
     events: CorpusLines
     metadata: dict[str, dict]
     ground_truth: dict
 
 
 def _year_ts(year: int) -> int:
-    return int(datetime(year, 6, 1, tzinfo=timezone.utc).timestamp())
+    """00:00 UTC on June 1st of year."""
+    return utc_timestamp(year, 6, 1)
 
 
 def generate_synthetic(spec: SyntheticSpec, seed: int) -> SyntheticCorpus:

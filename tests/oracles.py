@@ -9,7 +9,9 @@ closed form, one scalar run at a time instead of vectorized Monte Carlo, the ker
 moved over all N + 1 counts instead of the live ones, float hits instead of integer
 rooms in the Monte Carlo pass, one sequential scan instead of whole-array tie checks
 on the beta grid, one calendar date per event
-instead of comparisons against year boundaries, channel filters over the
+instead of comparisons against year boundaries, ``datetime`` instead of
+day counting for June 1st, one rescan of the coordination events per core
+instead of per-actor counts, channel filters over the
 whole time-ordered log instead of its per-channel split, one sort and filter
 over ``Event``s instead of channel columns, ``json.dumps`` over a record
 dict instead of formatting the event line directly, and one ``Event`` per
@@ -25,12 +27,20 @@ from math import comb
 
 import numpy as np
 
-from crowdcoord.analytics import CHANNELS, COORDINATION_CHANNELS, CrowdednessProfile, Event
+from crowdcoord.analytics import (
+    CHANNELS,
+    COORDINATION_CHANNELS,
+    CoreCurve,
+    CrowdednessProfile,
+    Event,
+    core_xs,
+    x_core,
+)
 from crowdcoord.cohort import EpochCounts
 from crowdcoord.errors import IneligibleProjectError
 from crowdcoord.model import SimResult
 from crowdcoord.solver import A1_EPS, A1_STABLE, TIE_TOL
-from crowdcoord.synth import _STEP, _CohortArticle, _year_ts
+from crowdcoord.synth import _STEP, _CohortArticle
 
 
 def one_pick_matrix(n_parts, alpha):
@@ -278,6 +288,29 @@ def brute_force_x_core(work_counts, x):
     return set(actors)
 
 
+def rescan_core_curve(project, xs):
+    """core_curve with each x's core from x_core, and each share by scanning every
+    discussion or comment event of a work participant for a member of that core."""
+    xs = core_xs(xs)
+    counts = project.work_counts()
+    if not counts:
+        raise IneligibleProjectError(f"project {project.project_id} has no work events")
+    cores = [x_core(counts, x) for x in xs]
+
+    def shares(channel):
+        actors = [a for a in project.by_channel[channel].actors if a in counts]
+        return tuple(sum(a in core for a in actors) / len(actors) if actors else None
+                     for core in cores)
+
+    return CoreCurve(
+        xs=xs,
+        core_size=tuple(len(core) for core in cores),
+        core_fraction=tuple(len(core) / len(counts) for core in cores),
+        d_share=shares("discussion"),
+        c_share=shares("comment"),
+    )
+
+
 def _u_min(sample_a, sample_b):
     u1 = sum(1 for x in sample_a for y in sample_b if x > y)
     return min(u1, len(sample_a) * len(sample_b) - u1)
@@ -388,14 +421,19 @@ def _flat_project_events(plan):
         ts += 1
 
 
+def june_first(year):
+    """00:00 UTC on June 1st of year, in seconds since the epoch."""
+    return int(datetime(year, 6, 1, tzinfo=timezone.utc).timestamp())
+
+
 def _cohort_article_events(plan):
     pid, actor = plan.pid, f"{plan.pid}_a"
     for year, count in ((plan.year - 1, plan.before), (plan.year, plan.during),
                         (plan.year + 1, plan.after)):
-        start = _year_ts(year)
+        start = june_first(year)
         for i in range(count):
             yield Event(pid, actor, start + i * _STEP, "work", size_delta=1)
-    yield Event(pid, actor, _year_ts(plan.year + 2), "discussion")
+    yield Event(pid, actor, june_first(plan.year + 2), "discussion")
 
 
 def synthetic_events(corpus):

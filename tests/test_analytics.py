@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 from crowdcoord.analytics import (
     CHANNELS,
     COORDINATION_CHANNELS,
+    Channel,
     Event,
     ProjectLog,
     core_curve,
@@ -12,8 +16,9 @@ from crowdcoord.analytics import (
     x_core,
 )
 from crowdcoord.errors import IneligibleProjectError
+from crowdcoord.synth import CorpusLines, SyntheticSpec
 
-from oracles import brute_force_x_core, scan_crowdedness_profile
+from oracles import brute_force_x_core, rescan_core_curve, scan_crowdedness_profile
 
 
 def make_log(pid="p", work=(), discussion=(), comment=(), final_size=None):
@@ -127,6 +132,23 @@ class TestCoreCurve:
         with pytest.raises(IneligibleProjectError, match="project p has no work events"):
             core_curve(make_log(discussion=[("a", 0)]), [1.0])
 
+    @given(
+        events=shuffled_events,
+        xs=st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=10,
+                    unique=True).map(sorted),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_rescan_oracle(self, events, xs):
+        # the same integer counts, so every share keeps its bits
+        log = ProjectLog.from_events("p", events)
+        try:
+            expected = rescan_core_curve(log, xs)
+        except IneligibleProjectError:
+            with pytest.raises(IneligibleProjectError):
+                core_curve(log, xs)
+        else:
+            assert core_curve(log, xs) == expected
+
 
 class TestCrowdednessProfile:
     def test_synthetic_hand_verified(self):
@@ -236,3 +258,20 @@ class TestProjectLog:
             assert len(columns) == len(expected)
             assert columns.timestamps == tuple(e.timestamp for e in expected)
             assert columns.actors == tuple(e.actor_id for e in expected)
+
+
+@pytest.mark.parametrize("make,other", [
+    (lambda: Channel((1, 2), ("a", "b")), Channel((1, 2), ("a", "c"))),
+    (lambda: SyntheticSpec(structure="cohort", n_featured=2),
+     SyntheticSpec(structure="cohort", n_featured=3)),
+    (lambda: CorpusLines(()), Channel((), ())),
+], ids=["Channel", "SyntheticSpec", "CorpusLines"])
+def test_slots_records_are_immutable_values(make, other):
+    record = make()
+    assert record == make() and hash(record) == hash(make()) and record != other
+    assert copy.deepcopy(record) == pickle.loads(pickle.dumps(record)) == record
+    field = type(record).__slots__[0]
+    with pytest.raises(AttributeError, match="cannot assign"):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError, match="cannot delete"):
+        delattr(record, field)

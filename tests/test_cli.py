@@ -1042,6 +1042,33 @@ def test_model_commands_load_no_log_track(tmp_path, small_corpora, argv, expecte
     assert probe_imports(tmp_path, small_corpora, argv, LOG_TRACK_MODULES) == [0, expected]
 
 
+# standard-library modules that the log track does without: dataclasses loads inspect
+# (and with it ast, dis and tokenize), statistics loads decimal and fractions
+HEAVY_STDLIB = ("dataclasses", "inspect", "statistics", "decimal", "fractions", "datetime")
+
+
+@pytest.mark.parametrize("argv", [
+    ["crowd", "{crowded}", "--k", "40"],
+    ["quadrants", "{crowded}", "--k", "40"],
+    ["bins", "{crowded}", "--k", "40"],
+    ["xcore", "{crowded}", "--x", "0.5"],
+    ["mwu", "--a", "1,2,5", "--b", "3,4,9"],
+    ["cohort", "{cohort}", "--k", "3"],
+    ["synth", "--projects", "2", "--structure", "crowded"],
+    ["synth", "--structure", "cohort", "--featured", "1"],
+], ids=["crowd", "quadrants", "bins", "xcore", "mwu", "cohort", "synth", "synth-cohort"])
+def test_log_track_loads_no_heavy_stdlib(tmp_path, small_corpora, argv):
+    assert probe_imports(tmp_path, small_corpora, argv, HEAVY_STDLIB) == [0, []]
+
+
+def test_the_model_track_still_loads_numpys_stdlib(tmp_path, small_corpora):
+    # the control: NumPy imports inspect and datetime itself
+    status, loaded = probe_imports(tmp_path, small_corpora,
+                                   ["dp", "--n", "2", "--e", "2", "--alpha", "1", "--beta", "0.5"],
+                                   HEAVY_STDLIB)
+    assert status == 0 and {"inspect", "datetime"} <= set(loaded)
+
+
 def test_cohort_imports_cohort_and_synth_imports_synth(tmp_path, small_corpora):
     # the control: each command still loads the module it computes with
     status, loaded = probe_imports(tmp_path, small_corpora, ["cohort", "{cohort}", "--k", "3"])

@@ -13,9 +13,11 @@ from crowdcoord.cohort import (
     edit_epoch_counts,
     matched_controls,
 )
+from crowdcoord.constants import FEATURED_YEARS, utc_timestamp
 from crowdcoord.errors import IneligibleProjectError
+from crowdcoord.synth import MAX_YEAR, MIN_YEAR, _year_ts
 
-from oracles import datetime_epoch_counts
+from oracles import datetime_epoch_counts, june_first
 
 
 def ts(year, serial=0):
@@ -27,6 +29,26 @@ def article(pid, before=0, during=0, after=0, year=2004):
     for count, y in ((before, year - 1), (during, year), (after, year + 1)):
         events += [Event(pid, "a", ts(y, i), "work") for i in range(count)]
     return ProjectLog.from_events(pid, events)
+
+
+class TestUtcTimestamp:
+    def test_year_starts_match_datetime(self):
+        # edit_epoch_counts bisects at each featured year's start and the next year's
+        for year in [*FEATURED_YEARS, FEATURED_YEARS.stop]:
+            start = datetime(year, 1, 1, tzinfo=timezone.utc).timestamp()
+            assert utc_timestamp(year, 1, 1) == int(start), year
+
+    def test_synth_june_firsts_match_datetime(self):
+        # a cohort article's work runs from June 1st of year - 1 to year + 1, its edit
+        # on June 1st of year + 2
+        for year in range(MIN_YEAR - 1, MAX_YEAR + 3):
+            assert _year_ts(year) == june_first(year)
+
+    @given(st.dates())
+    @settings(max_examples=300, deadline=None)
+    def test_every_date_matches_datetime(self, date):
+        start = datetime(date.year, date.month, date.day, tzinfo=timezone.utc).timestamp()
+        assert utc_timestamp(date.year, date.month, date.day) == int(start)
 
 
 class TestEpochCounts:

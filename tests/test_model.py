@@ -200,6 +200,20 @@ class TestExactExpectation:
         with pytest.raises(BudgetExceededError):
             exact_expectation(ModelParams(200_000, 1_000, 0.5, 0.5))
 
+    def test_one_beta_checks_its_arguments_once(self, monkeypatch):
+        # ModelParams checks them; exact_expectation goes straight to the charged pass
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return limits.check_ranges(*args)
+
+        monkeypatch.setattr(model, "check_ranges", counted)
+        value = exact_expectation(ModelParams(9, 4, 0.5, 0.3))
+        assert len(calls) == 1
+        assert value == exact_expectations(9, 4, 0.5, [0.3])[0]
+        assert len(calls) == 2
+
     def test_one_beta_over_the_byte_budget_is_refused(self):
         # 20_000_000 state-steps pass the step budget, but one distribution
         # with its picks needs 7 * 8 * (n + 1) bytes, over 2**30

@@ -1,5 +1,6 @@
 import math
 import random
+import statistics
 from itertools import combinations
 
 import numpy as np
@@ -15,12 +16,39 @@ from crowdcoord.stats import (
     binned_grid_to_csv,
     decile_heatmap,
     mann_whitney_u,
+    median,
     median_split_quadrants,
     quadrants_to_csv,
     significance_band,
 )
 
 from oracles import enumerate_mwu_p
+
+
+class TestMedian:
+    @pytest.mark.parametrize("values", [
+        [3], [2, 9], [5, 1, 4], [4, 1, 3, 2], [2, 2, 2], [1, 2, 2, 7], [7, 2, 2, 1, 1],
+        [0.5, 0.25], [1, 2.5], [3, 1.5, 2], [-0.0, 0.0], [1e308, 1.5e308],
+    ])
+    def test_cases(self, values):
+        self.check(values)
+
+    @given(st.lists(st.one_of(st.integers(-4, 4), st.integers(-2**70, 2**70),
+                              st.floats(allow_nan=False), st.sampled_from([0.5, 1.5, -0.0])),
+                    min_size=1, max_size=12))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_statistics_median(self, values):
+        self.check(values)
+
+    @staticmethod
+    def check(values):
+        ours, theirs = median(values), statistics.median(values)
+        # the same type and bits: ints stay ints, -0.0 and inf keep their sign
+        assert (type(ours), repr(ours)) == (type(theirs), repr(theirs))
+
+    def test_empty_is_refused(self):
+        with pytest.raises(ValueError):
+            median([])
 
 
 class TestSignificanceBand:
