@@ -16,12 +16,13 @@ kernel, propagated for a whole vector of betas at once) and the sampled track
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import limits
 from .limits import charge, check_ranges
+from .record import Record
 
 # Monte Carlo memory besides the (B, runs) count state, from tracemalloc peaks.
 # A user step is applied to blocks of at most MC_BLOCK run-states, twice that at
@@ -37,21 +38,20 @@ MC_BYTES_PER_RUN = 64
 EXACT_BLOCK_BYTES = 2**20
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """The (N, E, alpha, beta) quadruple of the coordination process."""
+class ModelParams(Record):
+    """The (N, E, alpha, beta) quadruple of the coordination process, checked when it is made."""
 
-    n_parts: int
-    n_users: int
-    alpha: float
-    beta: float
+    __slots__ = ("n_parts", "n_users", "alpha", "beta")
 
-    def __post_init__(self) -> None:
-        check_ranges(self.n_parts, self.n_users, self.alpha, self.beta)
+    def __init__(self, n_parts: int, n_users: int, alpha: float, beta: float):
+        check_ranges(n_parts, n_users, alpha, beta)
+        object.__setattr__(self, "n_parts", n_parts)
+        object.__setattr__(self, "n_users", n_users)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
 
 
-@dataclass(frozen=True)
-class SimResult:
+class SimResult(NamedTuple):
     mean_finished: float
     std_error: float
     runs: int

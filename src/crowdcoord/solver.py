@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field, replace
-from itertools import repeat
+from typing import NamedTuple
 
 from .constants import OBJECTIVES
 from .errors import BudgetExceededError
 from .limits import charge, check_ranges
+from .record import Record
 
 # below this distance from A = 1 the limit form E * P0 is used
 A1_EPS = 1e-12
@@ -27,8 +27,15 @@ A1_STABLE = 1e-6
 REFINE_TOL = 1e-6
 # a beta must beat the incumbent by more than this to replace it
 TIE_TOL = 1e-12
-# bytes optimal_beta holds per grid beta, rounded up: 24.4-24.6 measured for the closed form
-# (the grid, A and P0 as arrays of doubles) and 48 for the others (the grid, and the grid
+# An exact refinement block scores every point that the next k golden-section steps could
+# ask for, 2**k - 1 rows.  k is 4, else 3, where that block holds at most the grid's rows and
+# SPECULATE_CELLS cells (rows x live width), and 1, the one-point loop, elsewhere.  Measured:
+# a pass of more than one row costs about 40 % more per user than a one-row pass before any
+# arithmetic, which one- or two-step blocks do not repay, and at widths above about 200 its
+# arithmetic outweighs the passes a block saves
+SPECULATE_CELLS = 1400
+# bytes optimal_beta holds per grid beta, rounded up: 25.6 measured for the closed form (the
+# grid, A and P0 as arrays of doubles, and a byte for _closed_form's branch) and 48 for the others (the grid, and the grid
 # values as an array and a list of floats; exact_expectations bounds its block itself)
 GRID_BYTES_PER_BETA = 64
 # bytes beta_heatmap and grid_to_csv hold per cell besides each search's own arrays, rounded
@@ -38,24 +45,25 @@ HEATMAP_BYTES_PER_CELL = 320
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    grid_step: float = 0.01
-    runs: int | None = None
-    seed: int = 0
+class SearchConfig(Record):
+    """How a beta* search runs: the grid step, and the Monte Carlo runs and seed."""
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.grid_step <= 1.0:
-            raise ValueError(f"grid_step must be in (0, 1], got {self.grid_step}")
-        intervals = 1.0 / self.grid_step  # refused, not rounded onto another grid
+    __slots__ = ("grid_step", "runs", "seed")
+
+    def __init__(self, grid_step: float = 0.01, runs: int | None = None, seed: int = 0):
+        if not 0.0 < grid_step <= 1.0:
+            raise ValueError(f"grid_step must be in (0, 1], got {grid_step}")
+        intervals = 1.0 / grid_step  # refused, not rounded onto another grid
         if not math.isfinite(intervals) or abs(intervals - round(intervals)) > 1e-12 * intervals:
-            raise ValueError(f"grid_step must be 1 / an integer, got {self.grid_step}")
-        if self.runs is not None and self.runs < 1:
-            raise ValueError(f"runs must be >= 1, got {self.runs}")
+            raise ValueError(f"grid_step must be 1 / an integer, got {grid_step}")
+        if runs is not None and runs < 1:
+            raise ValueError(f"runs must be >= 1, got {runs}")
+        object.__setattr__(self, "grid_step", grid_step)
+        object.__setattr__(self, "runs", runs)
+        object.__setattr__(self, "seed", seed)
 
 
-@dataclass(frozen=True)
-class OptResult:
+class OptResult(NamedTuple):
     beta_star: float
     value: float
     objective: str
@@ -63,17 +71,16 @@ class OptResult:
     runs: int | None = None
 
 
-@dataclass(frozen=True)
-class BetaGrid:
+class BetaGrid(NamedTuple):
     n_values: tuple[int, ...]
     e_values: tuple[int, ...]
     alpha: float
     objective: str
     cells: list[list[OptResult | None]]
     grid_step: float
-    runs: int | None = None
-    seed: int = 0
-    errors: dict[tuple[int, int], str] = field(default_factory=dict)
+    runs: int | None
+    seed: int
+    errors: dict[tuple[int, int], str]
 
 
 def _coeffs(n: float, n_sq: float, alpha: float, beta: float) -> tuple[float, float]:
@@ -145,10 +152,8 @@ def _monte_carlo_best(betas: array, means, config: SearchConfig) -> OptResult:
                      objective="monte_carlo", grid_step=config.grid_step, runs=config.runs)
 
 
-def _refine(f, betas: array, values, objective: str, config: SearchConfig) -> OptResult:
-    """Golden-section refinement of the best of the grid's values on its bracketing interval."""
-    i, v = _grid_best(values)
-    lo, hi = betas[max(i - 1, 0)], betas[min(i + 1, len(betas) - 1)]
+def _golden_section(f, lo: float, hi: float) -> tuple[float, float]:
+    """The bracket golden-section search leaves on [lo, hi], scoring one point per step."""
     c, d = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
     fc, fd = f(c), f(d)
     while hi - lo > REFINE_TOL:
@@ -160,6 +165,69 @@ def _refine(f, betas: array, values, objective: str, config: SearchConfig) -> Op
             lo, c, fc = c, d, fd
             d = lo + _INVPHI * (hi - lo)
             fd = f(d)
+    return lo, hi
+
+
+def _golden_step(lo: float, hi: float, c: float, d: float, left: bool) -> tuple:
+    """One step of _golden_section, the fc >= fd branch if left: (lo, hi, c, d, left) after
+    it.  Its new point, the one that needs a value, is c if left, else d."""
+    if left:
+        hi, d = d, c
+        c = hi - _INVPHI * (hi - lo)
+    else:
+        lo, c = c, d
+        d = lo + _INVPHI * (hi - lo)
+    return lo, hi, c, d, left
+
+
+def _speculative_golden_section(score, lo: float, hi: float, depth: int) -> tuple[float, float]:
+    """_golden_section's bracket, the points of up to `depth` steps scored in one call.
+
+    Only which point comes next depends on the values, so score(points) gets every point
+    that the next `depth` steps could ask for, 2**depth - 1 at most: node 1 is the next
+    step, whose comparison is known, and node j's children 2j and 2j + 1 are the steps
+    after fc >= fd and after its negation.  The walk down the tree then advances as far
+    as the scored values reach, on the floats the one-point loop computes.
+    """
+    c, d = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
+    fc, fd = score([c, d])
+    while hi - lo > REFINE_TOL:
+        nodes = {1: _golden_step(lo, hi, c, d, fc >= fd)}
+        for j in range(2, 1 << depth):
+            parent = nodes.get(j >> 1)
+            if parent is not None and parent[1] - parent[0] > REFINE_TOL:
+                nodes[j] = _golden_step(*parent[:4], not j & 1)
+        values = dict(zip(nodes, score([n[2] if n[4] else n[3] for n in nodes.values()])))
+        j = 1
+        while j in nodes:
+            lo, hi, c, d, left = nodes[j]
+            fc, fd = (values[j], fc) if left else (fd, values[j])
+            j = 2 * j + (not fc >= fd)
+    return lo, hi
+
+
+def _speculation_depth(width: int, n_rows: int) -> int:
+    """Golden-section steps per exact refinement block at this live width (SPECULATE_CELLS)."""
+    for depth in (4, 3):
+        rows = (1 << depth) - 1
+        if rows <= n_rows and rows * width <= SPECULATE_CELLS:
+            return depth
+    return 1
+
+
+def _refine(f, betas: array, values, objective: str, config: SearchConfig, score=None,
+            depth: int = 1) -> OptResult:
+    """Golden-section refinement of the best of the grid's values on its bracketing interval.
+
+    f scores one point: each step's at depth 1, else score(points) scores `depth` steps'
+    points at a time (_speculative_golden_section).  f scores the final midpoint.
+    """
+    i, v = _grid_best(values)
+    lo, hi = betas[max(i - 1, 0)], betas[min(i + 1, len(betas) - 1)]
+    if depth == 1:
+        lo, hi = _golden_section(f, lo, hi)
+    else:
+        lo, hi = _speculative_golden_section(score, lo, hi, depth)
     x = (lo + hi) / 2.0
     fx = f(x)
     beta, value = (x, fx) if fx > v + TIE_TOL else (betas[i], v)
@@ -170,7 +238,9 @@ def _closed_form_column(n_parts: int, e_values, alpha: float, betas: array,
                         config: SearchConfig) -> list[OptResult]:
     """Every row of one N column of closed-form searches, unchecked.
 
-    A and P0 depend only on N and beta, so the column computes its grid's once.
+    A and P0 depend only on N and beta, so the column computes its grid's once, with the
+    branch of _closed_form each A takes; each E's grid values are then one generator
+    expression, and its refinement objective is _closed_form(*_coeffs(...), e) in one frame.
     Each A**E is a Python float ** int: NumPy's power can round a last bit differently.
     """
     n_parts = int(n_parts)
@@ -180,12 +250,21 @@ def _closed_form_column(n_parts: int, e_values, alpha: float, betas: array,
         a, p0 = _coeffs(n, n_sq, alpha, beta)
         grid_a.append(a)
         grid_p0.append(p0)
+    generic = bytes(abs(a - 1.0) >= A1_STABLE for a in grid_a)
     column = []
     for e in map(int, e_values):
-        def f(beta: float) -> float:  # plain arguments: a star call costs more per point
-            a, p0 = _coeffs(n, n_sq, alpha, beta)
-            return _closed_form(a, p0, e)
-        values = map(_closed_form, grid_a, grid_p0, repeat(e))
+        def f(beta: float) -> float:
+            w = (1.0 - beta) * (1.0 + alpha)
+            a = w * (1.0 + alpha) / n_sq - 2.0 * w / n + 1.0
+            p0 = -w / n + 2.0 - beta
+            d = a - 1.0
+            if abs(d) >= A1_STABLE:
+                return p0 * (a**e - 1.0) / d
+            if abs(d) <= A1_EPS:
+                return e * p0
+            return p0 * math.expm1(e * math.log1p(d)) / d
+        values = (p0 * (a**e - 1.0) / (a - 1.0) if g else _closed_form(a, p0, e)
+                  for a, p0, g in zip(grid_a, grid_p0, generic))
         column.append(_refine(f, betas, values, "closed_form", config))
     return column
 
@@ -201,13 +280,16 @@ def optimal_beta(
 
     Coarse grid scan (ties within TIE_TOL break toward the smallest beta),
     then golden-section refinement on the bracketing interval for the smooth
-    objectives.  The exact objective scores its grid in one batched call and
-    each refinement point in one exact_expectation call; the closed form is
-    the one-row case of beta_heatmap's column search.  The Monte Carlo
-    objective is noisy: one pass seeded with config.seed scores the whole
-    grid on shared draws (monte_carlo_means), and the best grid point is
-    reported instead of refining.  The grid is charged before it is built, with
-    the exact or Monte Carlo pass that scores it.
+    objectives.  The exact objective scores its grid in one batched call, and
+    its refinement in blocks of the points its next 3 or 4 steps could ask for
+    (SPECULATE_CELLS), or one point per call at wide cells, so the values and
+    the path are the one-point search's; the final midpoint is one
+    exact_expectation call.  The closed form is the one-row case of
+    beta_heatmap's column search.  The Monte Carlo objective is noisy: one
+    pass seeded with config.seed scores the whole grid on shared draws
+    (monte_carlo_means), and the best grid point is reported instead of
+    refining.  The grid is charged before it is built, with the exact or
+    Monte Carlo pass that scores it; no refinement block has more rows.
     Only the exact and Monte Carlo objectives import the model and NumPy.
     """
     _check_search(objective, config)
@@ -222,7 +304,9 @@ def optimal_beta(
         return _monte_carlo_best(betas, means[0], config)
     values = exact_expectations(n_parts, n_users, alpha, betas).tolist()
     return _refine(lambda b: exact_expectation(ModelParams(n_parts, n_users, alpha, b)), betas,
-                   values, objective, config)
+                   values, objective, config,
+                   lambda points: exact_expectations(n_parts, n_users, alpha, points).tolist(),
+                   _speculation_depth(min(n_parts, 2 * n_users) + 1, len(betas)))
 
 
 def _monte_carlo_column(n_parts: int, e_values: tuple[int, ...], alpha: float,
@@ -292,8 +376,8 @@ def beta_heatmap(
     if objective == "monte_carlo":
         from .rng import spawn_seed
 
-        columns = [_monte_carlo_column(n, e_values, alpha,
-                                       replace(config, seed=spawn_seed(config.seed, ci)))
+        columns = [_monte_carlo_column(n, e_values, alpha, SearchConfig(
+                       config.grid_step, config.runs, spawn_seed(config.seed, ci)))
                    for ci, n in enumerate(n_values)]
     elif objective == "closed_form":
         try:

@@ -11,10 +11,11 @@ from collections.abc import Iterator
 from itertools import chain, cycle
 from typing import NamedTuple
 
-from .analytics import Event, Record
+from .analytics import Event
 from .cli import event_to_json
 from .constants import STRUCTURES, SYNTH_PROJECTS, utc_timestamp
 from .limits import charge
+from .record import Record
 from .rng import Generator
 
 # one work event every ten minutes keeps timestamps well-ordered

@@ -1061,6 +1061,15 @@ def test_log_track_loads_no_heavy_stdlib(tmp_path, small_corpora, argv):
     assert probe_imports(tmp_path, small_corpora, argv, HEAVY_STDLIB) == [0, []]
 
 
+@pytest.mark.parametrize("argv", [
+    ["optimize", "--n", "20", "--e", "8", "--alpha", "1", "--objective", "cf"],
+    ["heatmap", "--n", "1:5", "--e", "1:5", "--alpha", "1", "--objective", "cf"],
+], ids=["optimize-cf", "heatmap-cf"])
+def test_closed_form_commands_load_no_heavy_stdlib(tmp_path, small_corpora, argv):
+    # the closed form runs without NumPy, and the solver's records are no dataclasses
+    assert probe_imports(tmp_path, small_corpora, argv, HEAVY_STDLIB + ("numpy",)) == [0, []]
+
+
 def test_the_model_track_still_loads_numpys_stdlib(tmp_path, small_corpora):
     # the control: NumPy imports inspect and datetime itself
     status, loaded = probe_imports(tmp_path, small_corpora,

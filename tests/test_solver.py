@@ -1,3 +1,6 @@
+import copy
+import math
+import pickle
 import tracemalloc
 from array import array
 
@@ -6,9 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dataclasses import replace
-
+import crowdcoord.analytics as analytics
 import crowdcoord.limits as limits
+import crowdcoord.model as model
 from crowdcoord.constants import INT64_MAX
 from crowdcoord.errors import BudgetExceededError
 from crowdcoord.model import (
@@ -21,13 +24,17 @@ from crowdcoord.rng import spawn_seed
 from crowdcoord.solver import (
     GRID_BYTES_PER_BETA,
     REFINE_TOL,
+    SPECULATE_CELLS,
     TIE_TOL,
     BetaGrid,
     SearchConfig,
     _beta_grid,
     _closed_form,
     _coeffs,
+    _golden_section,
     _grid_best,
+    _speculation_depth,
+    _speculative_golden_section,
     approx_expectation,
     beta_heatmap,
     grid_to_csv,
@@ -199,15 +206,26 @@ class TestOptimalBeta:
         assert peak <= (round(1.0 / config.grid_step) + 1) * GRID_BYTES_PER_BETA
 
     # interior optima, where the refined point wins, and optima on the edges
-    @pytest.mark.parametrize("objective,n,e,alpha", [
-        (objective, *cell) for objective in ("closed_form", "exact_dp")
+    @pytest.mark.parametrize("objective,n,e,alpha,grid_step", [
+        (objective, *cell, 0.01) for objective in ("closed_form", "exact_dp")
         for cell in [(5, 2, 1.0), (5, 3, 0.5), (10, 5, 0.3), (10, 8, 0.3), (20, 8, 1.0),
                      (20, 12, 0.5), (50, 20, 1.0), (1, 12, 0.99999), (31, 161, 0.00974),
                      (150, 3, 0.0)]
-    ] + [("closed_form", 300, 100, 1.0), ("closed_form", 10**9, 500, 0.5),
-         ("closed_form", 4 * 10**9, 2000, 1.0)])
-    def test_search_is_the_scalar_oracle_search_bit_for_bit(self, objective, n, e, alpha):
-        betas = np.linspace(0.0, 1.0, 101)
+    ] + [("closed_form", 300, 100, 1.0, 0.01), ("closed_form", 10**9, 500, 0.5, 0.01),
+         ("closed_form", 4 * 10**9, 2000, 1.0, 0.01)]
+      # exact cells of live width w = N + 1 on both sides of each width-rule boundary
+      + [("exact_dp", w - 1, w // 2, 0.5, 0.01) for w in (
+          SPECULATE_CELLS // 15, SPECULATE_CELLS // 15 + 1, SPECULATE_CELLS // 7,
+          SPECULATE_CELLS // 7 + 1)]
+      # two- and three-beta grids, whose rows cap a refinement block
+      + [("exact_dp", *cell, grid_step) for grid_step in (1.0, 0.5)
+         for cell in [(20, 8, 1.0), (5, 10, 0.5), (150, 3, 0.0), (300, 20, 1.0)]]
+      # flat cells, where the tie rule decides: the n = 1 column, and alpha = 0 with E >> N
+      + [("exact_dp", 1, e, alpha, 0.01) for e, alpha in [(1, 0.5), (7, 0.0), (12, 1.0)]]
+      + [("exact_dp", n, e, 0.0, 0.01) for n, e in [(3, 300), (5, 200)]])
+    def test_search_is_the_scalar_oracle_search_bit_for_bit(self, objective, n, e, alpha,
+                                                            grid_step):
+        betas = np.linspace(0.0, 1.0, round(1.0 / grid_step) + 1)
         if objective == "closed_form":
             def f(beta):
                 return scalar_closed_form(n, e, alpha, beta)
@@ -221,10 +239,76 @@ class TestOptimalBeta:
             if v > values[best] + TIE_TOL:
                 best = i
         x, fx = golden_section_max(f, float(betas[max(best - 1, 0)]),
-                                   float(betas[min(best + 1, 100)]), REFINE_TOL)
+                                   float(betas[min(best + 1, len(betas) - 1)]), REFINE_TOL)
         expected = (x, fx) if fx > values[best] + TIE_TOL else (float(betas[best]), values[best])
-        r = optimal_beta(n, e, alpha, objective)
+        r = optimal_beta(n, e, alpha, objective, SearchConfig(grid_step=grid_step))
         assert (r.beta_star.hex(), r.value.hex()) == tuple(v.hex() for v in expected)
+
+    def test_width_rule(self):
+        w4, w3 = SPECULATE_CELLS // 15, SPECULATE_CELLS // 7
+        assert [_speculation_depth(w, 101) for w in (1, w4, w4 + 1, w3, w3 + 1, 1001)] == [
+            4, 4, 3, 3, 1, 1]
+        # a block holds no more rows than the grid: 2 to 6 betas give the one-point loop
+        assert [_speculation_depth(5, b) for b in (2, 3, 6, 7, 14, 15)] == [1, 1, 1, 3, 3, 4]
+
+    @given(lo=st.floats(0.0, 1.0), span=st.floats(1e-7, 1.0), depth=st.integers(2, 6),
+           freq=st.floats(0.5, 40.0), phase=st.floats(0.0, 7.0),
+           levels=st.sampled_from([None, 1, 3, 10**6]))
+    @settings(max_examples=300, deadline=None)
+    def test_speculative_blocks_walk_the_one_point_path(self, lo, span, depth, freq, phase,
+                                                        levels):
+        # smooth, multimodal and plateaued objectives: plateaus make fc == fd ties
+        def f(x):
+            y = math.sin(freq * x + phase)
+            return y if levels is None else round(y * levels) / levels
+        hi = lo + span
+        asked = []
+
+        def one(x):
+            asked.append(x)
+            return f(x)
+        expected = _golden_section(one, lo, hi)
+        blocks = []
+
+        def score(points):
+            blocks.append(points)
+            return [f(x) for x in points]
+        assert _speculative_golden_section(score, lo, hi, depth) == expected
+        scored = [x for block in blocks for x in block]
+        assert set(asked) <= set(scored)
+        assert all(len(block) < 2**depth for block in blocks)
+        assert len(blocks) <= 2 + (len(asked) - 2) // depth
+
+    def test_exact_refinement_takes_few_passes_of_at_most_the_grids_rows(self, monkeypatch):
+        rows, exact_pass = [], model._exact_pass
+
+        def counted(n_parts, n_users, alpha, betas):
+            rows.append(len(betas))
+            return exact_pass(n_parts, n_users, alpha, betas)
+
+        monkeypatch.setattr(model, "_exact_pass", counted)
+        optimal_beta(300, 20, 1.0, "exact_dp")
+        # the grid pass, the bracket's two points, 15-row blocks and the final midpoint,
+        # where the one-point loop made 1 + 23 passes
+        assert rows[0] == 101 and rows[-1] == 1 and len(rows) <= 9
+        assert rows[1] == 2 and max(rows[2:]) == 15
+        for grid_step, n_betas in [(1 / 14, 15), (1 / 6, 7), (0.5, 3), (1.0, 2)]:
+            rows.clear()
+            optimal_beta(300, 20, 1.0, "exact_dp", SearchConfig(grid_step=grid_step))
+            assert rows[0] == n_betas and max(rows[1:]) <= n_betas
+
+    @pytest.mark.parametrize("grid_step", [1.0, 0.5, 1 / 6, 1 / 14, 0.01])
+    def test_a_search_whose_grid_fits_the_step_budget_is_not_refused(self, monkeypatch,
+                                                                     grid_step):
+        # no refinement block is charged more state-steps than the grid pass
+        n, e = 300, 20
+        expected = optimal_beta(n, e, 1.0, "exact_dp", SearchConfig(grid_step=grid_step))
+        grid_steps = (round(1.0 / grid_step) + 1) * n * e
+        monkeypatch.setattr(limits, "STEP_BUDGET", grid_steps)
+        assert optimal_beta(n, e, 1.0, "exact_dp", SearchConfig(grid_step=grid_step)) == expected
+        monkeypatch.setattr(limits, "STEP_BUDGET", grid_steps - 1)
+        with pytest.raises(BudgetExceededError, match="beta grid"):
+            optimal_beta(n, e, 1.0, "exact_dp", SearchConfig(grid_step=grid_step))
 
     def test_monte_carlo_needs_runs(self):
         with pytest.raises(ValueError):
@@ -354,7 +438,8 @@ class TestBetaHeatmap:
         assert grid.errors == {}
         for ri, e in enumerate(e_values):
             for ci, n in enumerate(n_values):
-                column_config = replace(config, seed=spawn_seed(config.seed, ci))
+                column_config = SearchConfig(config.grid_step, config.runs,
+                                             spawn_seed(config.seed, ci))
                 assert grid.cells[ri][ci] == optimal_beta(n, e, alpha, "monte_carlo",
                                                           column_config)
 
@@ -369,7 +454,8 @@ class TestBetaHeatmap:
         assert "n_users = 6" in grid.errors[(2, 0)] and "budget" in grid.errors[(2, 0)]
         for ri, e in enumerate([2, 5]):
             for ci, n in enumerate([3, 8]):
-                column_config = replace(config, seed=spawn_seed(config.seed, ci))
+                column_config = SearchConfig(config.grid_step, config.runs,
+                                             spawn_seed(config.seed, ci))
                 assert grid.cells[ri][ci] == optimal_beta(n, e, 1.0, "monte_carlo",
                                                           column_config)
 
@@ -394,3 +480,26 @@ class TestBetaHeatmap:
         data = lines[-1].split(",")
         assert data[0] == "10"
         assert data[1] == "1.0000"
+
+
+@pytest.mark.parametrize("make,other", [
+    (lambda: SearchConfig(grid_step=0.05, runs=10, seed=3), SearchConfig(0.05, 10, 4)),
+    (lambda: ModelParams(7, 12, 0.6, 0.3), ModelParams(7, 12, 0.6, 0.4)),
+], ids=["SearchConfig", "ModelParams"])
+def test_model_track_records_are_immutable_values(make, other):
+    record = make()
+    assert isinstance(record, analytics.Record)  # one base for both tracks
+    assert record == make() and hash(record) == hash(make()) and record != other
+    assert copy.deepcopy(record) == pickle.loads(pickle.dumps(record)) == record
+    fields = ", ".join(f"{name}={getattr(record, name)!r}" for name in type(record).__slots__)
+    assert repr(record) == f"{type(record).__name__}({fields})"
+    with pytest.raises(AttributeError, match="cannot assign"):
+        setattr(record, type(record).__slots__[0], None)
+
+
+def test_model_track_records_share_no_mutable_default():
+    assert SearchConfig() == SearchConfig(0.01, None, 0)
+    assert BetaGrid._field_defaults == {}
+    grids = [beta_heatmap([5], [5], 1.0, "closed_form") for _ in range(2)]
+    assert grids[0].errors == {} and grids[0].errors is not grids[1].errors
+
