@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from itertools import accumulate, compress, islice
+from itertools import accumulate, compress, islice, starmap
 from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -52,7 +52,7 @@ def time_ordered(timestamps: list[int], actors: list[str]) -> tuple[tuple, tuple
 
 
 def channel_columns() -> dict[str, tuple[list, list]]:
-    """Empty input-order columns for ``ProjectLog.from_columns``, one pair per channel."""
+    """Empty input-order columns, one pair per channel in ``CHANNELS`` order."""
     return {ch: ([], []) for ch in CHANNELS}
 
 
@@ -64,16 +64,15 @@ class ProjectLog(NamedTuple):
     final_size: Optional[int] = None
 
     @classmethod
-    def from_columns(
+    def from_channels(
         cls,
         project_id: str,
-        columns: Mapping[str, tuple[list, list]],
+        channels: Iterable[tuple[tuple, tuple]],
         final_size: Optional[int] = None,
     ) -> "ProjectLog":
-        """Build from ``channel_columns()`` filled in input order: for each event, its
-        channel's timestamps and actors get one entry."""
-        by_channel = {ch: Channel(*time_ordered(*columns[ch])) for ch in CHANNELS}
-        return cls(project_id, by_channel, final_size)
+        """Build from time-ordered (timestamps, actors) columns, one pair per channel in
+        ``CHANNELS`` order, as the corpus cache keeps them."""
+        return cls(project_id, dict(zip(CHANNELS, starmap(Channel, channels))), final_size)
 
     @classmethod
     def from_events(
@@ -88,7 +87,8 @@ class ProjectLog(NamedTuple):
             timestamps, actors = columns[e.channel]
             timestamps.append(e.timestamp)
             actors.append(e.actor_id)
-        return cls.from_columns(project_id, columns, final_size)
+        return cls.from_channels(project_id, (time_ordered(*columns[ch]) for ch in CHANNELS),
+                                 final_size)
 
     @property
     def events(self) -> tuple[Event, ...]:

@@ -15,7 +15,6 @@ import io
 import json
 import re
 import sys
-from itertools import starmap
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -287,7 +286,7 @@ def ingest(
     otherwise the file is parsed, and the columns are stored there if the bytes parsed are
     the bytes the lookup hashed."""
     from . import cache
-    from .analytics import Channel, ProjectLog, time_ordered
+    from .analytics import ProjectLog, time_ordered
 
     entry = cache.lookup(events_path)
     # project id, in sorted order -> (timestamps, actors) of each channel in CHANNELS order
@@ -305,11 +304,9 @@ def ingest(
     unknown = sorted(set(metadata) - set(projects))
     if unknown:
         print(f"warning: metadata for unknown projects: {', '.join(unknown)}", file=sys.stderr)
-    corpus = {
-        pid: ProjectLog(pid, dict(zip(CHANNELS, starmap(Channel, channels))),
-                        metadata.get(pid, {}).get("final_size"))
-        for pid, channels in projects.items()
-    }
+    corpus = {pid: ProjectLog.from_channels(pid, channels,
+                                            metadata.get(pid, {}).get("final_size"))
+              for pid, channels in projects.items()}
     if not corpus:
         print(f"warning: no events in {events_path}", file=sys.stderr)
     return corpus, metadata
@@ -418,6 +415,8 @@ def _int_values(text: str) -> list[int] | range:
         start, stop, step = [*parts, 1][:3]
         if not (1 <= start <= INT64_MAX and 1 <= stop <= INT64_MAX):  # so len() fits
             raise ValueError(f"range {text!r} must start and stop in 1..{INT64_MAX}")
+        if step < 1:
+            raise ValueError(f"range {text!r} needs a step >= 1")
         return range(start, stop + 1, step)
     return [integer(p) for p in text.split(",")]
 

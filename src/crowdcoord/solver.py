@@ -29,7 +29,7 @@ REFINE_TOL = 1e-6
 TIE_TOL = 1e-12
 # An exact refinement block scores every point that the next k golden-section steps could
 # ask for, 2**k - 1 rows.  k is 4, else 3, where that block holds at most the grid's rows and
-# SPECULATE_CELLS cells (rows x live width), and 1, the one-point loop, elsewhere.  Measured:
+# SPECULATE_CELLS cells (rows x live width), and 1, one point per block, elsewhere.  Measured:
 # a pass of more than one row costs about 40 % more per user than a one-row pass before any
 # arithmetic, which one- or two-step blocks do not repay, and at widths above about 200 its
 # arithmetic outweighs the passes a block saves
@@ -152,57 +152,49 @@ def _monte_carlo_best(betas: array, means, config: SearchConfig) -> OptResult:
                      objective="monte_carlo", grid_step=config.grid_step, runs=config.runs)
 
 
-def _golden_section(f, lo: float, hi: float) -> tuple[float, float]:
-    """The bracket golden-section search leaves on [lo, hi], scoring one point per step."""
+def _golden_value(known: dict, score, depth: int, state: tuple) -> float:
+    """The value of state's new point, where state is (lo, hi, c, d, left) after a step of
+    _golden_section and the new point is c if left, else d.
+
+    known maps each state scored so far to its value.  A state not in it is scored in one
+    score(points) call with every step that the next depth - 1 steps could take: only
+    which point comes next depends on the values, so those steps form a binary tree.  state
+    is its root, and each node's children are the steps after fc >= fd and after its
+    negation, none past a bracket of REFINE_TOL: 2**depth - 1 points at most, level by level.
+    """
+    if state not in known:
+        nodes, level = [], [state]
+        for _ in range(depth):
+            nodes += level
+            level = [step for lo, hi, c, d, _ in level if hi - lo > REFINE_TOL
+                     for step in ((lo, d, d - _INVPHI * (d - lo), c, True),
+                                  (c, hi, d, c + _INVPHI * (hi - c), False))]
+        known.update(zip(nodes, score([node[2] if node[4] else node[3] for node in nodes])))
+    return known[state]
+
+
+def _golden_section(f, lo: float, hi: float, score=None, depth: int = 1) -> tuple[float, float]:
+    """The bracket golden-section search leaves on [lo, hi].
+
+    f(x) scores each point, unless a block scorer is given: then score(points) scores the
+    first two points together, and each later point comes from a block of the points that
+    its step and the next depth - 1 steps could ask for (_golden_value).  The path is the
+    one f takes.
+    """
     c, d = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
-    fc, fd = f(c), f(d)
+    fc, fd = (f(c), f(d)) if score is None else score([c, d])
+    known = {}
     while hi - lo > REFINE_TOL:
         if fc >= fd:
             hi, d, fd = d, c, fc
             c = hi - _INVPHI * (hi - lo)
-            fc = f(c)
+            fc = f(c) if score is None else _golden_value(known, score, depth,
+                                                          (lo, hi, c, d, True))
         else:
             lo, c, fc = c, d, fd
             d = lo + _INVPHI * (hi - lo)
-            fd = f(d)
-    return lo, hi
-
-
-def _golden_step(lo: float, hi: float, c: float, d: float, left: bool) -> tuple:
-    """One step of _golden_section, the fc >= fd branch if left: (lo, hi, c, d, left) after
-    it.  Its new point, the one that needs a value, is c if left, else d."""
-    if left:
-        hi, d = d, c
-        c = hi - _INVPHI * (hi - lo)
-    else:
-        lo, c = c, d
-        d = lo + _INVPHI * (hi - lo)
-    return lo, hi, c, d, left
-
-
-def _speculative_golden_section(score, lo: float, hi: float, depth: int) -> tuple[float, float]:
-    """_golden_section's bracket, the points of up to `depth` steps scored in one call.
-
-    Only which point comes next depends on the values, so score(points) gets every point
-    that the next `depth` steps could ask for, 2**depth - 1 at most: node 1 is the next
-    step, whose comparison is known, and node j's children 2j and 2j + 1 are the steps
-    after fc >= fd and after its negation.  The walk down the tree then advances as far
-    as the scored values reach, on the floats the one-point loop computes.
-    """
-    c, d = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
-    fc, fd = score([c, d])
-    while hi - lo > REFINE_TOL:
-        nodes = {1: _golden_step(lo, hi, c, d, fc >= fd)}
-        for j in range(2, 1 << depth):
-            parent = nodes.get(j >> 1)
-            if parent is not None and parent[1] - parent[0] > REFINE_TOL:
-                nodes[j] = _golden_step(*parent[:4], not j & 1)
-        values = dict(zip(nodes, score([n[2] if n[4] else n[3] for n in nodes.values()])))
-        j = 1
-        while j in nodes:
-            lo, hi, c, d, left = nodes[j]
-            fc, fd = (values[j], fc) if left else (fd, values[j])
-            j = 2 * j + (not fc >= fd)
+            fd = f(d) if score is None else _golden_value(known, score, depth,
+                                                          (lo, hi, c, d, False))
     return lo, hi
 
 
@@ -219,15 +211,12 @@ def _refine(f, betas: array, values, objective: str, config: SearchConfig, score
             depth: int = 1) -> OptResult:
     """Golden-section refinement of the best of the grid's values on its bracketing interval.
 
-    f scores one point: each step's at depth 1, else score(points) scores `depth` steps'
-    points at a time (_speculative_golden_section).  f scores the final midpoint.
+    The search scores its points with f, or in blocks with score (_golden_section); f scores
+    the final midpoint.
     """
     i, v = _grid_best(values)
-    lo, hi = betas[max(i - 1, 0)], betas[min(i + 1, len(betas) - 1)]
-    if depth == 1:
-        lo, hi = _golden_section(f, lo, hi)
-    else:
-        lo, hi = _speculative_golden_section(score, lo, hi, depth)
+    lo, hi = _golden_section(f, betas[max(i - 1, 0)], betas[min(i + 1, len(betas) - 1)],
+                             score, depth)
     x = (lo + hi) / 2.0
     fx = f(x)
     beta, value = (x, fx) if fx > v + TIE_TOL else (betas[i], v)
@@ -281,12 +270,13 @@ def optimal_beta(
     Coarse grid scan (ties within TIE_TOL break toward the smallest beta),
     then golden-section refinement on the bracketing interval for the smooth
     objectives.  The exact objective scores its grid in one batched call, and
-    its refinement in blocks of the points its next 3 or 4 steps could ask for
-    (SPECULATE_CELLS), or one point per call at wide cells, so the values and
-    the path are the one-point search's; the final midpoint is one
-    exact_expectation call.  The closed form is the one-row case of
-    beta_heatmap's column search.  The Monte Carlo objective is noisy: one
-    pass seeded with config.seed scores the whole grid on shared draws
+    its refinement in blocks of the points its next 4, 3 or, at wide cells, 1
+    steps could ask for (SPECULATE_CELLS); each row of a block is the one-beta
+    pass bit for bit, so the values and the path are those of one point per
+    call.  The final midpoint is one exact_expectation call.  The closed form
+    is the one-row case of beta_heatmap's column search.  The Monte Carlo
+    objective is noisy: one pass seeded with config.seed scores the whole grid
+    on shared draws
     (monte_carlo_means), and the best grid point is reported instead of
     refining.  The grid is charged before it is built, with the exact or
     Monte Carlo pass that scores it; no refinement block has more rows.

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crowdcoord import cache, cli, limits
-from crowdcoord.analytics import CHANNELS, Event, ProjectLog
+from crowdcoord.analytics import CHANNELS, Event, ProjectLog, time_ordered
 from crowdcoord.cli import event_to_json, ingest, main, parse_event_line
 from crowdcoord.errors import MalformedEventError
 from crowdcoord.synth import SyntheticSpec, generate_synthetic
@@ -387,8 +387,8 @@ def ingest_blocks(directory, data, block):
             by_project = cli.parse_events(str(path))
         except MalformedEventError as exc:
             return str(exc)
-    return {pid: ProjectLog.from_columns(pid, columns).by_channel
-            for pid, columns in by_project.items()}
+    return {pid: ProjectLog.from_channels(pid, (time_ordered(*columns[ch]) for ch in CHANNELS))
+            .by_channel for pid, columns in by_project.items()}
 
 
 def timestamps(got):
@@ -602,6 +602,13 @@ class TestExitCodes:
         assert run([*argv, "--out", tmp_path / "o.csv"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and err.count("\n") == 1, err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("n", ["1:5:0", "1:5:-1"])
+    def test_usage_error_on_range_step_below_one(self, tmp_path, capsys, n):
+        assert run(["heatmap", "--n", n, "--e", 3, "--alpha", 1,
+                    "--out", tmp_path / "o.csv"]) == 1
+        assert capsys.readouterr().err == f"usage error: range '{n}' needs a step >= 1\n"
         assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("objective", ["cf", "dp", "mc"])

@@ -34,7 +34,6 @@ from crowdcoord.solver import (
     _golden_section,
     _grid_best,
     _speculation_depth,
-    _speculative_golden_section,
     approx_expectation,
     beta_heatmap,
     grid_to_csv,
@@ -248,15 +247,15 @@ class TestOptimalBeta:
         w4, w3 = SPECULATE_CELLS // 15, SPECULATE_CELLS // 7
         assert [_speculation_depth(w, 101) for w in (1, w4, w4 + 1, w3, w3 + 1, 1001)] == [
             4, 4, 3, 3, 1, 1]
-        # a block holds no more rows than the grid: 2 to 6 betas give the one-point loop
+        # a block holds no more rows than the grid: 2 to 6 betas give one-point blocks
         assert [_speculation_depth(5, b) for b in (2, 3, 6, 7, 14, 15)] == [1, 1, 1, 3, 3, 4]
 
     @given(lo=st.floats(0.0, 1.0), span=st.floats(1e-7, 1.0), depth=st.integers(2, 6),
            freq=st.floats(0.5, 40.0), phase=st.floats(0.0, 7.0),
            levels=st.sampled_from([None, 1, 3, 10**6]))
     @settings(max_examples=300, deadline=None)
-    def test_speculative_blocks_walk_the_one_point_path(self, lo, span, depth, freq, phase,
-                                                        levels):
+    def test_block_scorer_walks_the_one_point_path(self, lo, span, depth, freq, phase,
+                                                   levels):
         # smooth, multimodal and plateaued objectives: plateaus make fc == fd ties
         def f(x):
             y = math.sin(freq * x + phase)
@@ -273,7 +272,7 @@ class TestOptimalBeta:
         def score(points):
             blocks.append(points)
             return [f(x) for x in points]
-        assert _speculative_golden_section(score, lo, hi, depth) == expected
+        assert _golden_section(None, lo, hi, score, depth) == expected
         scored = [x for block in blocks for x in block]
         assert set(asked) <= set(scored)
         assert all(len(block) < 2**depth for block in blocks)
@@ -289,13 +288,22 @@ class TestOptimalBeta:
         monkeypatch.setattr(model, "_exact_pass", counted)
         optimal_beta(300, 20, 1.0, "exact_dp")
         # the grid pass, the bracket's two points, 15-row blocks and the final midpoint,
-        # where the one-point loop made 1 + 23 passes
+        # where one point per pass takes 1 + 23 passes
         assert rows[0] == 101 and rows[-1] == 1 and len(rows) <= 9
         assert rows[1] == 2 and max(rows[2:]) == 15
         for grid_step, n_betas in [(1 / 14, 15), (1 / 6, 7), (0.5, 3), (1.0, 2)]:
             rows.clear()
             optimal_beta(300, 20, 1.0, "exact_dp", SearchConfig(grid_step=grid_step))
             assert rows[0] == n_betas and max(rows[1:]) <= n_betas
+        # live width 121 takes 7-row blocks, where one point per pass takes 1 + 24 passes
+        rows.clear()
+        optimal_beta(150, 60, 1.0, "exact_dp")
+        assert rows[:2] == [101, 2] and rows[-1] == 1 and len(rows) <= 10
+        assert max(rows[2:]) == 7
+        # live width 301 takes one-row blocks; the bracket's two points still share a pass
+        rows.clear()
+        optimal_beta(300, 150, 1.0, "exact_dp")
+        assert rows[:2] == [101, 2] and len(rows) > 3 and set(rows[2:]) == {1}
 
     @pytest.mark.parametrize("grid_step", [1.0, 0.5, 1 / 6, 1 / 14, 0.01])
     def test_a_search_whose_grid_fits_the_step_budget_is_not_refused(self, monkeypatch,
